@@ -6,7 +6,7 @@ code_rate and capacity_upper.
 
 from dataclasses import dataclass
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .codes import CodeSpec
 

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from . import codes as codes_mod
 from . import errors as errors_mod
 from . import gates as gates_mod
 from . import symmetry as symmetry_mod
-from . import syndromes as syndromes_mod
 from .codes import build, build_bc, build_eecc, build_pcc, build_two_mode_bc
 from .errors import (
     ad_product_set,

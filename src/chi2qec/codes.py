@@ -5,11 +5,11 @@ module) is used as a cross-check because degenerate nullspaces only fix the
 subspace, not a preferred logical basis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import json
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 

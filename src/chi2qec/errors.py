@@ -7,12 +7,11 @@ automatically (photon-number bookkeeping); for dephasing sets they are
 allowed, which is exactly the projection-correctability relaxation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 import json
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +21,6 @@ from .fock import (
     BasisIndex,
     LinearOperator,
     ModeLayout,
-    StateVector,
     TruncationOverflow,
     adjoint,
     apply,
@@ -30,7 +28,7 @@ from .fock import (
     embed,
     enumerate_truncated_space,
     ladder,
-    number_operator,
+    monomial_operator,
 )
 
 DEFAULT_KL_TOL = 1e-9
@@ -87,18 +85,16 @@ def enclosing_basis(layout: ModeLayout, headroom: int = 0) -> BasisIndex:
     )
 
 
+_FACTOR_OF_KIND = {"loss": "lower", "gain": "raise", "dephasing": "number"}
+
+
 def _monomial(basis, layout, exponents, kind) -> LinearOperator:
-    op = LinearOperator.identity(basis)
-    for mode, power in enumerate(exponents):
-        for _ in range(power):
-            if kind == "loss":
-                step = ladder(mode, "lower", basis)
-            elif kind == "gain":
-                step = ladder(mode, "raise", basis)
-            else:
-                step = number_operator(mode, basis)
-            op = compose(step, op)
-    return op
+    """Mode 0's factors act first, then mode 1's, and so on."""
+    factor = _FACTOR_OF_KIND[kind]
+    return monomial_operator(
+        [(mode, factor) for mode, power in enumerate(exponents) for _ in range(power)],
+        basis,
+    )
 
 
 def _monomial_label(layout, exponents, kind) -> str:
@@ -177,7 +173,7 @@ def lowest_order_loss_kraus(
         raise ValueError("gamma must satisfy 0 <= gamma < 1")
     if basis is None:
         basis = enumerate_truncated_space(layout)
-    totals = np.array([sum(s) for s in basis.states], dtype=float)
+    totals = basis.occupations.sum(axis=1).astype(float)
     diag = np.sqrt(np.clip(1.0 - gamma * totals, 0.0, None))
     e0 = LinearOperator(basis, basis, sp.diags(diag.astype(complex), format="csr"))
     out = [ErrorOperator("E_0", e0, 0, "kraus")]
@@ -259,12 +255,11 @@ def kl_check(
     logical-diagonal entry matches alpha_uv within tol.
     """
     basis = errors[0].operator.domain
-    n_modes = len(basis.states[0])
-    caps = [max(s[mode] for s in basis.states) for mode in range(n_modes)]
-    max_occ = [
-        max(s[mode] for psi in code.logical_states for s, _ in psi.support())
-        for mode in range(n_modes)
-    ]
+    caps = basis.caps
+    max_occ = np.concatenate(
+        [psi.basis.occupations[np.abs(psi.amplitudes) > 1e-12]
+         for psi in code.logical_states]
+    ).max(axis=0)
     for e in errors:
         if e.operator.domain != basis:
             raise ValueError("error operators must share a basis")

@@ -7,15 +7,18 @@ plus ladder/number operators and a small operator/state algebra.
 Conventions (part of the public contract):
   * irreducible bases are ordered by ascending n per qudit group, with
     multi-group bases being lexicographic tensor products;
-  * truncated product bases are lexicographic in the occupation tuple;
+  * truncated product bases (ProductBasis) are lexicographic in the
+    occupation tuple, so a state's index is the mixed-radix number of its
+    occupations (digit m has radix cap_m + 1, the last mode varies
+    fastest); ladder and monomial operators are built from those strides
+    and need such a basis;
   * operators are sparse (CSR), states are dense complex vectors;
   * the text form of a basis state is "n1,n2,...,nk".
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
-import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,7 +130,19 @@ class BasisIndex:
     def __len__(self):
         return len(self.states)
 
+    @property
+    def occupations(self) -> np.ndarray:
+        """Integer array of shape (dimension, modes); row j is states[j]."""
+        return np.array(self.states, dtype=np.int64).reshape(self.dimension, -1)
+
+    @property
+    def caps(self) -> Tuple[int, ...]:
+        """Largest occupation of each mode over the basis."""
+        return tuple(int(c) for c in self.occupations.max(axis=0))
+
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, BasisIndex) and self.states == other.states
 
     def __hash__(self):
@@ -138,6 +153,36 @@ class BasisIndex:
             self.dimension,
             self.states[0] if self.states else None,
         )
+
+
+class ProductBasis(BasisIndex):
+    """Every occupation tuple with n_m <= caps[m], in lexicographic order.
+
+    State j has occupation n_m = (j // strides[m]) % (caps[m] + 1), so
+    changing mode m by p photons moves the index by p * strides[m].
+    """
+
+    def __init__(self, caps: Sequence[int]):
+        self._caps = tuple(int(c) for c in caps)
+        strides = []
+        stride = 1
+        for c in reversed(self._caps):
+            strides.append(stride)
+            stride *= c + 1
+        self.strides: Tuple[int, ...] = tuple(reversed(strides))
+        # The product already yields distinct tuples of ints, so the
+        # normalising copy and duplicate check of BasisIndex are skipped.
+        self.states = tuple(itertools.product(*[range(c + 1) for c in self._caps]))
+        self._lookup = {s: i for i, s in enumerate(self.states)}
+
+    @property
+    def caps(self) -> Tuple[int, ...]:
+        return self._caps
+
+    def occupation(self, mode: int) -> np.ndarray:
+        """Occupation of one mode in every basis state, by index."""
+        index = np.arange(self.dimension, dtype=np.int64)
+        return (index // self.strides[mode]) % (self._caps[mode] + 1)
 
 
 def state_label(state: FockBasisState) -> str:
@@ -306,7 +351,7 @@ def enumerate_irreducible_subspace(N: int, groups: int = 1) -> BasisIndex:
 _MAX_TRUNCATED_DIM = 2_000_000
 
 
-def enumerate_truncated_space(layout: ModeLayout) -> BasisIndex:
+def enumerate_truncated_space(layout: ModeLayout) -> ProductBasis:
     """Full product basis up to per-mode caps, lexicographic order."""
     total = 1
     for c in layout.caps:
@@ -315,10 +360,58 @@ def enumerate_truncated_space(layout: ModeLayout) -> BasisIndex:
             raise TruncationOverflow(
                 "truncated space would exceed %d states" % _MAX_TRUNCATED_DIM
             )
-    return BasisIndex(itertools.product(*[range(c + 1) for c in layout.caps]))
+    return ProductBasis(layout.caps)
 
 
-def ladder(mode: int, kind: str, basis: BasisIndex) -> LinearOperator:
+def monomial_operator(
+    factors: Sequence[Tuple[int, str]], basis: ProductBasis
+) -> LinearOperator:
+    """Product of single-mode factors as one sparse matrix.
+
+    `factors` lists (mode, kind) pairs in the order they act on a ket, with
+    kind "lower" (a), "raise" (a^dag) or "number" (n).  Each factor moves
+    every column's target index by -stride, +stride or 0 and multiplies its
+    coefficient by sqrt(n), sqrt(n+1) or n, evaluated as factor * coeff in
+    that order.  Raises that would pass a cap are dropped and flag the
+    operator `truncated`.
+    """
+    if not isinstance(basis, ProductBasis):
+        raise ValueError("ladder operators need a truncated product basis")
+    dim = basis.dimension
+    cols = np.arange(dim, dtype=np.int64)
+    coeff = np.ones(dim)
+    keep = np.ones(dim, dtype=bool)
+    occupation = {}
+    offset = 0
+    truncated = False
+    for mode, kind in factors:
+        n = occupation.get(mode)
+        if n is None:
+            n = basis.occupation(mode)
+        if kind == "lower":
+            # An empty mode gives coefficient 0; zeros are dropped below.
+            coeff = np.sqrt(np.maximum(n, 0)) * coeff
+            n = n - 1
+            offset -= basis.strides[mode]
+        elif kind == "raise":
+            truncated = True
+            keep &= n < basis.caps[mode]
+            coeff = np.sqrt(n + 1) * coeff
+            n = n + 1
+            offset += basis.strides[mode]
+        elif kind == "number":
+            coeff = n * coeff
+        else:
+            raise ValueError("factor kind must be 'lower', 'raise' or 'number'")
+        occupation[mode] = n
+    keep &= coeff != 0
+    mat = sp.csr_matrix(
+        (coeff[keep], (cols[keep] + offset, cols[keep])), shape=(dim, dim), dtype=complex
+    )
+    return LinearOperator(basis, basis, mat, truncated=truncated)
+
+
+def ladder(mode: int, kind: str, basis: ProductBasis) -> LinearOperator:
     """Annihilation ("lower") or creation ("raise") operator on one mode.
 
     Matrix elements are sqrt(n) for |n-1><n| and sqrt(n+1) for |n+1><n|.
@@ -328,37 +421,14 @@ def ladder(mode: int, kind: str, basis: BasisIndex) -> LinearOperator:
     """
     if kind not in ("lower", "raise"):
         raise ValueError("kind must be 'lower' or 'raise'")
-    rows, cols, vals = [], [], []
-    truncated = False
-    for j, s in enumerate(basis.states):
-        n = s[mode]
-        if kind == "lower":
-            if n == 0:
-                continue
-            target = s[:mode] + (n - 1,) + s[mode + 1:]
-            coeff = math.sqrt(n)
-        else:
-            target = s[:mode] + (n + 1,) + s[mode + 1:]
-            coeff = math.sqrt(n + 1)
-        if target in basis:
-            rows.append(basis.index_of(target))
-            cols.append(j)
-            vals.append(coeff)
-        elif kind == "raise":
-            truncated = True
-        else:
-            truncated = True
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
-    )
-    return LinearOperator(basis, basis, mat, truncated=truncated)
+    return monomial_operator([(mode, kind)], basis)
 
 
 def number_operator(mode: int, basis: BasisIndex) -> LinearOperator:
-    diag = np.array([s[mode] for s in basis.states], dtype=complex)
+    diag = basis.occupations[:, mode].astype(complex)
     return LinearOperator(basis, basis, sp.diags(diag, format="csr"))
 
 
 def total_number_operator(basis: BasisIndex) -> LinearOperator:
-    diag = np.array([sum(s) for s in basis.states], dtype=complex)
+    diag = basis.occupations.sum(axis=1).astype(complex)
     return LinearOperator(basis, basis, sp.diags(diag, format="csr"))

@@ -8,15 +8,13 @@ complement.
 """
 
 from dataclasses import dataclass
-import json
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .fock import (
     BasisIndex,
-    LinearOperator,
     compose,
     enumerate_irreducible_subspace,
     enumerate_truncated_space,

@@ -13,12 +13,8 @@ from typing import List, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import (
-    BasisIndex,
-    LinearOperator,
-    StateVector,
-    enumerate_irreducible_subspace,
-)
+from .codes import build_bc
+from .fock import BasisIndex, LinearOperator, StateVector, embed
 
 DEFAULT_TOL = 1e-9
 
@@ -138,22 +134,6 @@ def signal_parity_operator(basis: BasisIndex, group: int = 1) -> SymmetryOperato
     return SymmetryOperator("Pi_s", op)
 
 
-def _bc_codeword_amplitudes(N: int, basis: BasisIndex):
-    """Unnormalized binomial codewords of the bosonic code on H_{2N-1};
-    duplicated here (rather than importing codes) to keep modules acyclic."""
-    norm = 2.0 ** (N - 1)
-    zero = np.zeros(basis.dimension, dtype=complex)
-    one = np.zeros(basis.dimension, dtype=complex)
-    for j in range(N):
-        zero[basis.index_of((2 * j, 2 * j, 2 * N - 1 - 2 * j))] = (
-            math.sqrt(math.comb(2 * N - 1, 2 * j)) / norm
-        )
-        one[basis.index_of((2 * j + 1, 2 * j + 1, 2 * (N - 1 - j)))] = (
-            math.sqrt(math.comb(2 * N - 1, 2 * j + 1)) / norm
-        )
-    return zero, one
-
-
 def pseudo_beamsplitter(N: int, basis: BasisIndex) -> SymmetryOperator:
     """Pseudo-beam-splitter on H_{2N-1}.
 
@@ -169,7 +149,7 @@ def pseudo_beamsplitter(N: int, basis: BasisIndex) -> SymmetryOperator:
     dim = basis.dimension
     if dim != 2 * N:
         raise ValueError("pseudo_beamsplitter expects the H_%d basis" % M)
-    zero, one = _bc_codeword_amplitudes(N, basis)
+    zero, one = (embed(w, basis).amplitudes for w in build_bc(N).logical_states)
     plus = np.zeros(dim, dtype=complex)
     minus = np.zeros(dim, dtype=complex)
     top = basis.index_of((0, 0, M))

@@ -13,27 +13,24 @@ exactly the loss-versus-gain discriminator the table needs.
 
 from dataclasses import dataclass
 import io
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codes import CodeSpec, build_bc, build_eecc, build_pcc
-from .errors import ErrorOperator, _compositions, _monomial, _monomial_label, enclosing_basis
+from .codes import CodeSpec
+from .errors import _compositions, _monomial, _monomial_label, enclosing_basis
 from .fock import (
     BasisIndex,
     LinearOperator,
     StateVector,
     apply,
     embed,
-    enumerate_irreducible_subspace,
     enumerate_truncated_space,
     ladder,
     project,
-    tensor_basis,
     three_mode_layout,
 )
 from .gates import (
-    canonical_to_v,
     cnot2_21,
     cnot2p_12,
     cnot2pp_12,

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chi2qec.errors import _monomial
 from chi2qec.fock import (
     BasisIndex,
     DimensionMismatch,
     LinearOperator,
     MissingBasisState,
+    ModeLayout,
     StateVector,
     TruncationOverflow,
     adjoint,
@@ -23,6 +26,7 @@ from chi2qec.fock import (
     expectation,
     inner_product,
     ladder,
+    monomial_operator,
     number_operator,
     project,
     state_label,
@@ -138,3 +142,108 @@ def test_two_mode_layout():
     assert layout.n_modes == 2
     basis = enumerate_truncated_space(layout)
     assert basis.dimension == 16
+
+
+def _reference_ladder(mode, kind, basis):
+    """Per-state ladder over any BasisIndex: |n-1><n| sqrt(n) or
+    |n+1><n| sqrt(n+1), dropping (and flagging) targets outside the basis."""
+    rows, cols, vals = [], [], []
+    truncated = False
+    for j, s in enumerate(basis.states):
+        n = s[mode]
+        if kind == "lower":
+            if n == 0:
+                continue
+            target = s[:mode] + (n - 1,) + s[mode + 1:]
+            coeff = math.sqrt(n)
+        else:
+            target = s[:mode] + (n + 1,) + s[mode + 1:]
+            coeff = math.sqrt(n + 1)
+        if target in basis:
+            rows.append(basis.index_of(target))
+            cols.append(j)
+            vals.append(coeff)
+        else:
+            truncated = True
+    mat = sp.csr_matrix(
+        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
+    )
+    return LinearOperator(basis, basis, mat, truncated=truncated)
+
+
+def _reference_number(mode, basis):
+    diag = np.array([s[mode] for s in basis.states], dtype=complex)
+    return LinearOperator(basis, basis, sp.diags(diag, format="csr"))
+
+
+def _reference_product(factors, basis):
+    """Compose one full-space factor at a time, the first factor acting first."""
+    op = LinearOperator.identity(basis)
+    for mode, kind in factors:
+        if kind == "number":
+            step = _reference_number(mode, basis)
+        else:
+            step = _reference_ladder(mode, kind, basis)
+        op = compose(step, op)
+    return op
+
+
+def _assert_same_operator(got, want):
+    assert got.domain == want.domain and got.codomain == want.codomain
+    assert (got.matrix != want.matrix).nnz == 0
+    assert got.truncated == want.truncated
+
+
+def _layout(caps):
+    return ModeLayout(tuple(("signal", g) for g in range(1, len(caps) + 1)), tuple(caps))
+
+
+_caps = st.lists(st.integers(0, 4), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_monomial_kernel_equals_composed_ladders(data):
+    caps = data.draw(_caps)
+    factors = data.draw(st.lists(
+        st.tuples(st.integers(0, len(caps) - 1),
+                  st.sampled_from(["lower", "raise", "number"])),
+        max_size=4,
+    ))
+    basis = enumerate_truncated_space(_layout(caps))
+    _assert_same_operator(monomial_operator(factors, basis),
+                          _reference_product(factors, basis))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_error_monomials_equal_composed_ladders(data):
+    caps = data.draw(_caps)
+    kind = data.draw(st.sampled_from(["loss", "gain", "dephasing"]))
+    exps = data.draw(
+        st.lists(st.integers(0, 4), min_size=len(caps), max_size=len(caps))
+        .filter(lambda e: sum(e) <= 4)
+    )
+    step = {"loss": "lower", "gain": "raise", "dephasing": "number"}[kind]
+    factors = [(mode, step) for mode, p in enumerate(exps) for _ in range(p)]
+    layout = _layout(caps)
+    basis = enumerate_truncated_space(layout)
+    op = _monomial(basis, layout, exps, kind)
+    _assert_same_operator(op, _reference_product(factors, basis))
+    assert op.truncated == (kind == "gain" and sum(exps) > 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_caps)
+def test_product_basis_strides_index_occupations(caps):
+    basis = enumerate_truncated_space(_layout(caps))
+    assert basis.caps == tuple(caps)
+    for mode in range(len(caps)):
+        assert np.array_equal(basis.occupation(mode), basis.occupations[:, mode])
+    for j, s in enumerate(basis.states):
+        assert sum(n * w for n, w in zip(s, basis.strides)) == j
+
+
+def test_ladder_needs_a_product_basis():
+    with pytest.raises(ValueError):
+        ladder(0, "lower", enumerate_irreducible_subspace(2))
