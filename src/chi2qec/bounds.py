@@ -44,8 +44,10 @@ def rotation_bound_holds(query: BoundQuery) -> bool:
 
 def min_n(q: int, b: int, k: int = 1, t: int = 1) -> int:
     """Smallest n satisfying the rotation bound (cap n <= 64)."""
+    BoundQuery(1, q, b, k, t)  # validates (q, b, k, t) once
+    logical_dim = b ** k
     for n in range(1, SEARCH_CAP_N + 1):
-        if rotation_bound_holds(BoundQuery(n, q, b, k, t)):
+        if rotation_sphere_volume(n, q, t) * logical_dim <= q ** n:
             return n
     raise SearchCapExceeded("no n <= %d works for q=%d b=%d k=%d t=%d"
                             % (SEARCH_CAP_N, q, b, k, t))

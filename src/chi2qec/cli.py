@@ -49,7 +49,13 @@ from .symmetry import (
     swap_operator,
     z_pair_operator,
 )
-from .syndromes import full_recovery, random_logical_state, syndrome_table, to_csv
+from .syndromes import (
+    full_recovery,
+    random_logical_coefficients,
+    random_logical_states,
+    syndrome_table,
+    to_csv,
+)
 
 
 @dataclass
@@ -272,13 +278,13 @@ def cmd_syndromes(args, config: RunConfig):
 
 
 def cmd_recover(args, config: RunConfig):
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1, got %d" % args.trials)
     spec = build(args.code, args.N)
     rng = np.random.default_rng(config.seed)
-    worst = 1.0
-    for _ in range(args.trials):
-        psi = random_logical_state(spec, rng)
-        _, fid = full_recovery(spec, args.error, psi)
-        worst = min(worst, fid)
+    states = random_logical_states(spec, rng, args.trials)
+    _, fids = full_recovery(spec, args.error, states)
+    worst = min(1.0, float(fids.min()))
     passed = worst >= 1 - 1e-10
     results = [{
         "name": "recover_%s_N%d_%s" % (spec.name, args.N, args.error),
@@ -522,11 +528,9 @@ def criterion_recovery(seed: int = 2026, trials: int = 100) -> Dict:
     for spec, labels in ((build_pcc(3), ("a_s1", "a_p1")),
                          (build_eecc(2), ("a_s", "a_p"))):
         for label in labels:
-            worst = 1.0
-            for _ in range(trials):
-                psi = random_logical_state(spec, rng)
-                _, fid = full_recovery(spec, label, psi)
-                worst = min(worst, fid)
+            states = random_logical_states(spec, rng, trials)
+            _, fids = full_recovery(spec, label, states)
+            worst = min(1.0, float(fids.min()))
             if worst < 1 - 1e-10:
                 failures.append("%s %s min fidelity %.2e below 1"
                                 % (spec.name, label, 1 - worst))
@@ -534,11 +538,8 @@ def criterion_recovery(seed: int = 2026, trials: int = 100) -> Dict:
     errs = xi_set(2, spec.layout)
     recov = canonical_recovery(spec, errs, tol=1e-9)
     for err in errs:
-        worst = 1.0
-        for _ in range(trials):
-            coeffs = rng.normal(size=2) + 1j * rng.normal(size=2)
-            coeffs /= np.linalg.norm(coeffs)
-            worst = min(worst, recovery_fidelity(spec, recov, err, coeffs))
+        coeffs = random_logical_coefficients(rng, len(spec.logical_states), trials)
+        worst = min(1.0, float(recovery_fidelity(spec, recov, err, coeffs).min()))
         if worst < 1 - 1e-10:
             failures.append("canonical BC N=2 error %s fidelity deficit %.2e"
                             % (err.label, 1 - worst))

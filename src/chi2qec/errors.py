@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from .codes import CodeSpec
 from .fock import (
     BasisIndex,
+    DimensionMismatch,
     LinearOperator,
     ModeLayout,
     TruncationOverflow,
@@ -403,17 +404,28 @@ def recovery_fidelity(
     code: CodeSpec,
     recovery: Sequence[LinearOperator],
     error: ErrorOperator,
-    logical_amplitudes: np.ndarray,
-) -> float:
-    """Channel fidelity of error-then-recovery on one logical state."""
+    coeffs: np.ndarray,
+) -> np.ndarray:
+    """Channel fidelity of error-then-recovery on each column of an L x T
+    block of logical amplitudes; returns the T fidelities."""
     basis = recovery[0].domain
-    words = [embed(psi, basis).amplitudes for psi in code.logical_states]
-    psi = sum(c * w for c, w in zip(logical_amplitudes, words))
-    psi = psi / np.linalg.norm(psi)
-    corrupted = error.operator.matrix.dot(psi)
-    nc = np.linalg.norm(corrupted)
-    if nc == 0:
-        raise ValueError("error annihilates the state")
+    words = np.column_stack(
+        [embed(psi, basis).amplitudes for psi in code.logical_states]
+    )
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 2 or coeffs.shape[0] != words.shape[1]:
+        raise DimensionMismatch(
+            "coefficient block shape %r needs %d rows" % (coeffs.shape, words.shape[1])
+        )
+    psi = words @ coeffs
+    psi = psi / np.linalg.norm(psi, axis=0)
+    corrupted = error.operator.matrix @ psi
+    nc = np.linalg.norm(corrupted, axis=0)
+    if np.any(nc == 0):
+        raise ValueError("error annihilates a state of the block")
     corrupted /= nc
-    fid_sq = sum(abs(np.vdot(psi, R.matrix.dot(corrupted))) ** 2 for R in recovery)
-    return float(math.sqrt(min(fid_sq, 1.0)))
+    fid_sq = sum(
+        np.abs(np.sum(psi.conjugate() * (R.matrix @ corrupted), axis=0)) ** 2
+        for R in recovery
+    )
+    return np.sqrt(np.minimum(fid_sq, 1.0))

@@ -288,12 +288,6 @@ def tensor_basis(a: BasisIndex, b: BasisIndex) -> BasisIndex:
     return BasisIndex(sa + sb for sa in a for sb in b)
 
 
-def tensor_state(x: StateVector, y: StateVector) -> StateVector:
-    return StateVector(
-        tensor_basis(x.basis, y.basis), np.kron(x.amplitudes, y.amplitudes)
-    )
-
-
 def adjoint(op: LinearOperator) -> LinearOperator:
     return LinearOperator(
         op.codomain, op.domain, op.matrix.conjugate().transpose().tocsr(),
@@ -389,14 +383,16 @@ def monomial_operator(
         if n is None:
             n = basis.occupation(mode)
         if kind == "lower":
-            # An empty mode gives coefficient 0; zeros are dropped below.
+            # An empty mode annihilates the ket; its later factors see a
+            # negative occupation, so square-root arguments are clamped.
+            keep &= n > 0
             coeff = np.sqrt(np.maximum(n, 0)) * coeff
             n = n - 1
             offset -= basis.strides[mode]
         elif kind == "raise":
             truncated = True
             keep &= n < basis.caps[mode]
-            coeff = np.sqrt(n + 1) * coeff
+            coeff = np.sqrt(np.maximum(n + 1, 0)) * coeff
             n = n + 1
             offset += basis.strides[mode]
         elif kind == "number":

@@ -15,10 +15,9 @@ import numpy as np
 
 from .fock import (
     BasisIndex,
-    compose,
     enumerate_irreducible_subspace,
     enumerate_truncated_space,
-    ladder,
+    monomial_operator,
     tensor_basis,
     three_mode_layout,
 )
@@ -74,9 +73,7 @@ def _three_wave_operator() -> np.ndarray:
     """
     layout = three_mode_layout(2)
     big = enumerate_truncated_space(layout)
-    op = compose(
-        ladder(0, "raise", big), compose(ladder(1, "raise", big), ladder(2, "lower", big))
-    )
+    op = monomial_operator([(2, "lower"), (1, "raise"), (0, "raise")], big)
     h2 = enumerate_irreducible_subspace(2)
     idx = [big.index_of(s) for s in h2.states]
     canonical = op.matrix.toarray()[np.ix_(idx, idx)]

@@ -16,18 +16,19 @@ import io
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .codes import CodeSpec
 from .errors import _compositions, _monomial, _monomial_label, enclosing_basis
 from .fock import (
     BasisIndex,
+    DimensionMismatch,
     LinearOperator,
     StateVector,
     apply,
     embed,
     enumerate_truncated_space,
     ladder,
-    project,
     three_mode_layout,
 )
 from .gates import (
@@ -240,15 +241,17 @@ def restoration_isometry(case: str, basis: BasisIndex) -> LinearOperator:
         mapping = _RESTORATION_MAPS[case]
     except KeyError:
         raise KeyError("unknown restoration case %r" % case)
+    rows, cols = [], []
+    for j, st in enumerate(basis.states):
+        dst = mapping.get(st[:3])
+        if dst is not None:
+            rows.append(basis.index_of(dst + st[3:]))
+            cols.append(j)
     dim = basis.dimension
-    mat = np.zeros((dim, dim), dtype=complex)
-    width = len(basis.states[0])
-    for src, dst in mapping.items():
-        for j, st in enumerate(basis.states):
-            if st[:3] == src:
-                target = dst + st[3:]
-                mat[basis.index_of(target), j] = 1.0
-    return LinearOperator.from_dense(basis, basis, mat)
+    mat = sp.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(dim, dim), dtype=complex
+    )
+    return LinearOperator(basis, basis, mat)
 
 
 def _eecc_recovery_gates() -> List[np.ndarray]:
@@ -276,52 +279,69 @@ _EECC_SEQUENCES = {
 }
 
 
-def full_recovery(code: CodeSpec, error_label: str, state: StateVector):
-    """Apply the error, the restoration isometry and the published gate
-    sequence; returns (output StateVector on the code basis, fidelity)."""
-    if error_label == "none":
-        return state, 1.0
+def _recovery_pipeline(code: CodeSpec, error_label: str):
+    """(qudit groups, lowered mode, restoration case, gate unitaries) of the
+    published pipeline for one detected loss."""
     if code.name == "PCC" and code.parameters["N"] == 3:
         if error_label not in _PCC_SEQUENCES:
             raise KeyError("unsupported PCC error %r" % error_label)
         case, gate_seq = _PCC_SEQUENCES[error_label]
-        mode = 0 if error_label == "a_s1" else 2
-        layout = three_mode_layout(2, groups=2)
-        big = enumerate_truncated_space(layout)
-        corrupted = apply(ladder(mode, "lower", big), embed(state, big)).normalized()
-        restored = apply(restoration_isometry(case, big), corrupted)
-        pair = project(restored, code.basis)
-        out = pair.amplitudes
-        for U in gate_seq():
-            out = U @ out
-        result = StateVector(code.basis, out)
-    elif code.name == "EECC" and code.parameters["N"] == 2:
+        return 2, 0 if error_label == "a_s1" else 2, case, gate_seq()
+    if code.name == "EECC" and code.parameters["N"] == 2:
         if error_label not in _EECC_SEQUENCES:
             raise KeyError("unsupported EECC error %r" % error_label)
         case = _EECC_SEQUENCES[error_label]
-        mode = 0 if error_label == "a_s" else 2
-        layout = three_mode_layout(2, groups=1)
-        big = enumerate_truncated_space(layout)
-        corrupted = apply(ladder(mode, "lower", big), embed(state, big)).normalized()
-        restored = apply(restoration_isometry(case, big), corrupted)
-        h2 = project(restored, code.basis)
-        out = h2.amplitudes
-        for U in _eecc_recovery_gates():
-            out = U @ out
-        result = StateVector(code.basis, out)
-    else:
-        raise ValueError("full_recovery supports qutrit PCC and qubit EECC")
-    fidelity = abs(np.vdot(state.amplitudes, result.amplitudes))
-    return result, float(fidelity)
+        return 1, 0 if error_label == "a_s" else 2, case, _eecc_recovery_gates()
+    raise ValueError("full_recovery supports qutrit PCC and qubit EECC")
 
 
-def random_logical_state(code: CodeSpec, rng: np.random.Generator) -> StateVector:
-    coeffs = rng.normal(size=len(code.logical_states)) + 1j * rng.normal(
-        size=len(code.logical_states)
-    )
-    coeffs /= np.linalg.norm(coeffs)
-    amps = sum(c * w.amplitudes for c, w in zip(coeffs, code.logical_states))
-    return StateVector(code.basis, amps)
+def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
+    """Apply the error, the restoration isometry and the published gate
+    sequence to every column of a (code.basis.dimension, T) block of states.
+
+    The pipeline is built once and applied to the whole block; each
+    corrupted column is normalized on its own.  Returns (output block on the
+    code basis, the T fidelities |<psi_t|out_t>|).
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[0] != code.basis.dimension:
+        raise DimensionMismatch(
+            "state block shape %r needs %d rows" % (states.shape, code.basis.dimension)
+        )
+    if error_label == "none":
+        return states, np.ones(states.shape[1])
+    groups, mode, case, gates = _recovery_pipeline(code, error_label)
+    big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
+    rows = [big.index_of(s) for s in code.basis.states]
+    embedded = np.zeros((big.dimension, states.shape[1]), dtype=complex)
+    embedded[rows] = states
+    corrupted = ladder(mode, "lower", big).matrix @ embedded
+    norms = np.linalg.norm(corrupted, axis=0)
+    if np.any(norms == 0):
+        raise ValueError("the error annihilates a state of the block")
+    out = (restoration_isometry(case, big).matrix @ (corrupted / norms))[rows]
+    for U in gates:
+        out = U @ out
+    fidelities = np.abs(np.sum(states.conjugate() * out, axis=0))
+    return out, fidelities
+
+
+def random_logical_coefficients(rng: np.random.Generator, L: int, count: int) -> np.ndarray:
+    """L x count block of normalized complex logical amplitudes.
+
+    Column t is x + iy over its norm, with x and y the t-th pair of
+    L-vectors that rng.normal draws in turn.
+    """
+    draws = rng.normal(size=(count, 2, L))
+    coeffs = (draws[:, 0] + 1j * draws[:, 1]).T
+    return coeffs / np.linalg.norm(coeffs, axis=0)
+
+
+def random_logical_states(code: CodeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(code.basis.dimension, count) block of seeded random logical states."""
+    coeffs = random_logical_coefficients(rng, len(code.logical_states), count)
+    words = np.column_stack([w.amplitudes for w in code.logical_states])
+    return words @ coeffs
 
 
 def to_csv(records: Sequence[SyndromeRecord]) -> str:

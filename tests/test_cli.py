@@ -94,6 +94,15 @@ def test_main_is_deterministic_for_fixed_seed(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_main_recover_rejects_trials_below_one(capsys, trials):
+    args = ["recover", "eecc", "--N", "2", "--error", "a_s", "--trials", trials]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be >= 1" in captured.err
+
+
 def test_main_gates_exit_one(capsys):
     # The documented failing decompositions make the gates verdict red.
     assert main(["gates", "verify"]) == 1

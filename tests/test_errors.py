@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chi2qec.codes import build_bc, build_eecc, build_pcc, build_two_mode_bc
 from chi2qec.errors import (
+    ErrorOperator,
     KLViolation,
     ad_product_set,
     amplitude_damping_kraus,
@@ -24,12 +25,16 @@ from chi2qec.errors import (
     xi_set,
 )
 from chi2qec.fock import (
+    DimensionMismatch,
+    LinearOperator,
     TruncationOverflow,
     adjoint,
+    embed,
     enumerate_truncated_space,
     three_mode_layout,
     two_mode_layout,
 )
+from chi2qec.syndromes import random_logical_coefficients
 
 
 @pytest.mark.parametrize("m,size", [(0, 1), (1, 7), (2, 16), (3, 27)])
@@ -143,8 +148,54 @@ def test_canonical_recovery_unit_fidelity():
         for _ in range(5):
             coeffs = rng.normal(size=2) + 1j * rng.normal(size=2)
             coeffs /= np.linalg.norm(coeffs)
-            fid = recovery_fidelity(spec, recov, err, coeffs)
-            assert fid == pytest.approx(1.0, abs=1e-10)
+            fid = recovery_fidelity(spec, recov, err, coeffs[:, None])
+            assert fid[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def _reference_recovery_fidelity(code, recovery, error, logical_amplitudes):
+    """One logical state at a time, as the fidelity was computed per trial."""
+    basis = recovery[0].domain
+    words = [embed(psi, basis).amplitudes for psi in code.logical_states]
+    psi = sum(c * w for c, w in zip(logical_amplitudes, words))
+    psi = psi / np.linalg.norm(psi)
+    corrupted = error.operator.matrix.dot(psi)
+    corrupted /= np.linalg.norm(corrupted)
+    fid_sq = sum(abs(np.vdot(psi, R.matrix.dot(corrupted))) ** 2 for R in recovery)
+    return math.sqrt(min(fid_sq, 1.0))
+
+
+def _codeword_weighted_error(spec, basis, w0, w1):
+    """w0 |0~><0~| + w1 |1~><1~|: outside the KL set, it shrinks logical
+    states by different amounts."""
+    zero, one = (embed(psi, basis).amplitudes for psi in spec.logical_states)
+    mat = w0 * np.outer(zero, zero.conj()) + w1 * np.outer(one, one.conj())
+    return ErrorOperator("W", LinearOperator.from_dense(basis, basis, mat), 0, "kraus")
+
+
+def test_batched_recovery_fidelity_matches_per_state_loop():
+    spec = build_bc(2)
+    errs = xi_set(2, spec.layout)
+    recov = canonical_recovery(spec, errs, tol=1e-9)
+    coeffs = random_logical_coefficients(np.random.default_rng(23), 2, 30)
+    skew = _codeword_weighted_error(spec, recov[0].domain, 0.5, 1.0)
+    for err in errs + [skew]:
+        fids = recovery_fidelity(spec, recov, err, coeffs)
+        assert fids.shape == (30,)
+        for t in range(30):
+            want = _reference_recovery_fidelity(spec, recov, err, coeffs[:, t])
+            assert abs(fids[t] - want) <= 1e-12
+
+
+def test_recovery_fidelity_rejects_annihilated_column_and_bad_shape():
+    spec = build_bc(2)
+    errs = xi_set(1, spec.layout)
+    recov = canonical_recovery(spec, errs, tol=1e-9)
+    keep_one = _codeword_weighted_error(spec, recov[0].domain, 0.0, 1.0)
+    recovery_fidelity(spec, recov, keep_one, np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError):
+        recovery_fidelity(spec, recov, keep_one, np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        recovery_fidelity(spec, recov, errs[0], np.array([1.0, 0.0]))
 
 
 def test_canonical_recovery_rejects_uncorrectable_set():

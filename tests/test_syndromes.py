@@ -5,16 +5,24 @@ import pytest
 
 from chi2qec.codes import build_bc, build_eecc, build_pcc
 from chi2qec.fock import (
+    DimensionMismatch,
+    LinearOperator,
     StateVector,
     adjoint,
+    apply,
+    embed,
     enumerate_irreducible_subspace,
     enumerate_truncated_space,
+    ladder,
+    project,
     three_mode_layout,
 )
 from chi2qec.syndromes import (
+    _RESTORATION_MAPS,
     IndefiniteParity,
     SyndromeRecord,
     UnknownSyndrome,
+    _recovery_pipeline,
     bc_configuration_count_ok,
     decode_syndrome,
     full_recovery,
@@ -22,7 +30,7 @@ from chi2qec.syndromes import (
     p3_scheme,
     p_bc_scheme,
     q_bc_scheme,
-    random_logical_state,
+    random_logical_states,
     restoration_isometry,
     syndrome_table,
     to_csv,
@@ -142,29 +150,116 @@ def test_full_recovery_unit_fidelity(builder, N, labels):
     rng = np.random.default_rng(5)
     for label in labels:
         for _ in range(10):
-            psi = random_logical_state(spec, rng)
+            psi = random_logical_states(spec, rng, 1)
             out, fid = full_recovery(spec, label, psi)
-            assert fid == pytest.approx(1.0, abs=1e-10)
-            overlap = abs(np.vdot(psi.amplitudes, out.amplitudes))
+            assert fid[0] == pytest.approx(1.0, abs=1e-10)
+            overlap = abs(np.vdot(psi[:, 0], out[:, 0]))
             assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
 def test_full_recovery_identity_case_and_errors():
     spec = build_eecc(2)
-    psi = spec.logical_states[0]
+    psi = spec.logical_states[0].amplitudes[:, None]
     out, fid = full_recovery(spec, "none", psi)
-    assert fid == 1.0
+    assert fid[0] == 1.0
     with pytest.raises(KeyError):
         full_recovery(spec, "a_i", psi)
+    bc = build_bc(2)
     with pytest.raises(ValueError):
-        full_recovery(build_bc(2), "a_s", build_bc(2).logical_states[0])
+        full_recovery(bc, "a_s", bc.logical_states[0].amplitudes[:, None])
 
 
 def test_random_logical_state_is_normalized():
     spec = build_pcc(3)
     rng = np.random.default_rng(0)
-    psi = random_logical_state(spec, rng)
-    assert psi.norm() == pytest.approx(1.0)
+    psi = random_logical_states(spec, rng, 1)
+    assert psi.shape == (spec.basis.dimension, 1)
+    assert np.linalg.norm(psi[:, 0]) == pytest.approx(1.0)
+
+
+# Per-state reference: the recovery loop as it ran one trial at a time.
+
+
+def _reference_random_logical_state(code, rng):
+    coeffs = rng.normal(size=len(code.logical_states)) + 1j * rng.normal(
+        size=len(code.logical_states)
+    )
+    coeffs /= np.linalg.norm(coeffs)
+    amps = sum(c * w.amplitudes for c, w in zip(coeffs, code.logical_states))
+    return StateVector(code.basis, amps)
+
+
+def _reference_full_recovery(code, error_label, state):
+    groups, mode, case, gates = _recovery_pipeline(code, error_label)
+    big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
+    corrupted = apply(ladder(mode, "lower", big), embed(state, big)).normalized()
+    restored = apply(restoration_isometry(case, big), corrupted)
+    out = project(restored, code.basis).amplitudes
+    for U in gates:
+        out = U @ out
+    return out, float(abs(np.vdot(state.amplitudes, out)))
+
+
+def _reference_restoration(case, basis):
+    mat = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for src, dst in _RESTORATION_MAPS[case].items():
+        for j, st in enumerate(basis.states):
+            if st[:3] == src:
+                mat[basis.index_of(dst + st[3:]), j] = 1.0
+    return LinearOperator.from_dense(basis, basis, mat)
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+@pytest.mark.parametrize("case", sorted(_RESTORATION_MAPS))
+def test_restoration_isometry_matches_dense_reference(case, groups):
+    big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
+    got = restoration_isometry(case, big).matrix
+    want = _reference_restoration(case, big).matrix
+    assert (got != want).nnz == 0
+
+
+@pytest.mark.parametrize(
+    "builder,N,labels",
+    [(build_pcc, 3, ("a_s1", "a_p1")), (build_eecc, 2, ("a_s", "a_p"))],
+)
+def test_batched_recovery_matches_per_state_loop(builder, N, labels):
+    spec = builder(N)
+    trials = 25
+    batch_rng = np.random.default_rng(17)
+    loop_rng = np.random.default_rng(17)
+    # Off-code columns lose different norms to the error, so they check
+    # that every column is normalized on its own.
+    off_code = np.random.default_rng(4).normal(size=(2, spec.basis.dimension, 5))
+    off_code = off_code[0] + 1j * off_code[1]
+    for label in labels:
+        logical = random_logical_states(spec, batch_rng, trials)
+        states = [_reference_random_logical_state(spec, loop_rng) for _ in range(trials)]
+        for t, psi in enumerate(states):
+            assert np.max(np.abs(logical[:, t] - psi.amplitudes)) <= 1e-12
+        states += [StateVector(spec.basis, v) for v in off_code.T]
+        block = np.column_stack([logical, off_code])
+        out, fids = full_recovery(spec, label, block)
+        assert out.shape == block.shape and fids.shape == (trials + 5,)
+        for t, psi in enumerate(states):
+            want_out, want_fid = _reference_full_recovery(spec, label, psi)
+            assert np.max(np.abs(out[:, t] - want_out)) <= 1e-12
+            assert abs(fids[t] - want_fid) <= 1e-12
+    # Both paths consumed the same draws.
+    assert batch_rng.normal() == loop_rng.normal()
+
+
+def test_full_recovery_rejects_annihilated_column_and_bad_shape():
+    spec = build_eecc(2)
+    assert spec.basis.states[0] == (0, 0, 2)  # no signal photon to lose
+    rng = np.random.default_rng(3)
+    block = np.column_stack(
+        [random_logical_states(spec, rng, 1)[:, 0], np.eye(spec.basis.dimension)[:, 0]]
+    )
+    with pytest.raises(ValueError):
+        full_recovery(spec, "a_s", block)
+    full_recovery(spec, "a_s", block[:, :1])  # the other column alone recovers
+    with pytest.raises(DimensionMismatch):
+        full_recovery(spec, "a_s", block[:, 0])
 
 
 def test_to_csv_layout():
