@@ -255,6 +255,8 @@ def kl_check(
     true iff (i) every a != b entry vanishes within tol and (ii) every
     logical-diagonal entry matches alpha_uv within tol.
     """
+    if not errors:
+        raise ValueError("kl_check needs at least one error operator")
     basis = errors[0].operator.domain
     caps = basis.caps
     max_occ = np.concatenate(

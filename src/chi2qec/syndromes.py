@@ -88,14 +88,6 @@ def p12_scheme() -> ParityScheme:
     return _pair_scheme("p12", pairs, 2)
 
 
-def q12_scheme() -> ParityScheme:
-    return _pair_scheme("q12", [((0, 1), (1, 1), (2, 1)), ((3, 1), (4, 1), (5, 1))], 3)
-
-
-def q_eecc_scheme() -> ParityScheme:
-    return _pair_scheme("qEECC", [((0, 1), (1, 1), (2, 1))], 3)
-
-
 def p_bc_scheme(N: int) -> ParityScheme:
     return _pair_scheme(
         "pBC", [((0, 1), (1, -1)), ((0, 1), (2, 1)), ((1, 1), (2, 1))], 2 * N - 1
@@ -151,12 +143,14 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
     """Apply each declared single-error operator to every codeword and
     measure the code's parity schemes.
 
-    PCC: 12 rows (single loss + single gain on 6 modes) with (p12, q12).
-    EECC: 6 rows with (p3, qEECC).  BC: homogeneous loss and gain monomials
-    of each order m (default: all m <= N) with (pBC, net-change qBC).
+    PCC: 12 rows (single loss + single gain on 6 modes) with (p12, net
+    change mod 3).  EECC: 6 rows with (p3, net change mod 3).  BC: loss and
+    gain monomials of each order m in 1..N (default: all) with (pBC, qBC).
     """
     records: List[SyndromeRecord] = []
     if code.name in ("PCC", "EECC"):
+        if monitored_order is not None:
+            raise ValueError("the %s syndrome table has no monitored order" % code.name)
         # p is measured on the error images; the generalized parity q is the
         # net photon-number change per group mod 3 (a single ladder operator
         # shifts every ket's group total by exactly +-1, while the absolute
@@ -174,7 +168,13 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
         return records
     if code.name == "BC":
         N = code.parameters["N"]
-        orders = [monitored_order] if monitored_order else range(1, N + 1)
+        if monitored_order is None:
+            orders = range(1, N + 1)
+        elif 1 <= monitored_order <= N:
+            orders = [monitored_order]
+        else:
+            raise ValueError("BC N=%d monitors orders 1..%d, got %d"
+                             % (N, N, monitored_order))
         for m in orders:
             basis = enclosing_basis(code.layout, headroom=m)
             words = [embed(w, basis) for w in code.logical_states]
@@ -274,25 +274,27 @@ _PCC_SEQUENCES = {
 }
 
 _EECC_SEQUENCES = {
-    "a_s": "eecc_signal_loss",
-    "a_p": "eecc_pump_loss",
+    "a_s": ("eecc_signal_loss", _eecc_recovery_gates),
+    "a_p": ("eecc_pump_loss", _eecc_recovery_gates),
 }
 
 
 def _recovery_pipeline(code: CodeSpec, error_label: str):
     """(qudit groups, lowered mode, restoration case, gate unitaries) of the
-    published pipeline for one detected loss."""
+    published pipeline for one detected loss; None for error_label "none".
+    Raises ValueError for a code without a published pipeline."""
     if code.name == "PCC" and code.parameters["N"] == 3:
-        if error_label not in _PCC_SEQUENCES:
-            raise KeyError("unsupported PCC error %r" % error_label)
-        case, gate_seq = _PCC_SEQUENCES[error_label]
-        return 2, 0 if error_label == "a_s1" else 2, case, gate_seq()
-    if code.name == "EECC" and code.parameters["N"] == 2:
-        if error_label not in _EECC_SEQUENCES:
-            raise KeyError("unsupported EECC error %r" % error_label)
-        case = _EECC_SEQUENCES[error_label]
-        return 1, 0 if error_label == "a_s" else 2, case, _eecc_recovery_gates()
-    raise ValueError("full_recovery supports qutrit PCC and qubit EECC")
+        groups, sequences = 2, _PCC_SEQUENCES
+    elif code.name == "EECC" and code.parameters["N"] == 2:
+        groups, sequences = 1, _EECC_SEQUENCES
+    else:
+        raise ValueError("full_recovery supports qutrit PCC and qubit EECC")
+    if error_label == "none":
+        return None
+    if error_label not in sequences:
+        raise KeyError("unsupported %s error %r" % (code.name, error_label))
+    case, gate_seq = sequences[error_label]
+    return groups, 0 if error_label.startswith("a_s") else 2, case, gate_seq()
 
 
 def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
@@ -308,9 +310,10 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
         raise DimensionMismatch(
             "state block shape %r needs %d rows" % (states.shape, code.basis.dimension)
         )
-    if error_label == "none":
+    pipeline = _recovery_pipeline(code, error_label)
+    if pipeline is None:
         return states, np.ones(states.shape[1])
-    groups, mode, case, gates = _recovery_pipeline(code, error_label)
+    groups, mode, case, gates = pipeline
     big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
     rows = [big.index_of(s) for s in code.basis.states]
     embedded = np.zeros((big.dimension, states.shape[1]), dtype=complex)

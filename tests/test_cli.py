@@ -1,11 +1,15 @@
 """Command-line front end: config resolution, output formats, exit codes."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from chi2qec import cli
 from chi2qec.cli import (
     RunConfig,
+    criterion_two_mode_bc,
     emit,
     load_config_file,
     main,
@@ -19,8 +23,8 @@ def test_run_config_validation():
         RunConfig(tolerance=0)
     with pytest.raises(ValueError):
         RunConfig(format="yaml")
-    with pytest.raises(ValueError):
-        RunConfig(threads=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RunConfig().seed = 7
 
 
 def test_load_config_file(tmp_path):
@@ -33,9 +37,9 @@ def test_load_config_file(tmp_path):
         load_config_file(str(bad))
 
 
-def test_resolve_config_precedence(tmp_path, monkeypatch):
+def test_resolve_config_precedence(tmp_path):
     path = tmp_path / "cfg"
-    path.write_text("seed=7\ntolerance=1e-6\nthreads=2\n")
+    path.write_text("seed=7\ntolerance=1e-6\n")
 
     class Args:
         config = str(path)
@@ -43,11 +47,9 @@ def test_resolve_config_precedence(tmp_path, monkeypatch):
         seed = None
         format = None
 
-    monkeypatch.setenv("CHI2QEC_THREADS", "4")
     cfg = resolve_config(Args())
     assert cfg.seed == 7
     assert cfg.tolerance == 1e-8
-    assert cfg.threads == 4
 
 
 def test_resolve_config_rejects_unknown_keys(tmp_path):
@@ -59,6 +61,48 @@ def test_resolve_config_rejects_unknown_keys(tmp_path):
 
     with pytest.raises(ValueError):
         resolve_config(Args())
+
+
+@pytest.mark.parametrize("line", ["threads=2", "headroom=1"])
+def test_removed_config_keys_are_usage_errors(capsys, tmp_path, line):
+    path = tmp_path / "cfg"
+    path.write_text(line + "\n")
+    assert main(["--config", str(path), "bounds", "theorems"]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_report_all_seeds_recovery_draws_with_run_seed(capsys, monkeypatch):
+    seeds = []
+    real = np.random.default_rng
+
+    def spy(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(cli.np.random, "default_rng", spy)
+    main(["--seed", "7", "report", "all"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["seed"] == 7
+    assert seeds == [7]
+
+
+def test_two_mode_bc_criterion_names_its_tolerance():
+    default = criterion_two_mode_bc()
+    assert default["passed"]
+    assert default["detail"] == "per-configuration KL residuals < 1e-9"
+
+
+@pytest.mark.parametrize("criterion", [cli.criterion_bc_kl_and_moments,
+                                       cli.criterion_two_mode_bc,
+                                       cli.criterion_recovery])
+def test_criteria_fail_below_floating_point_resolution(criterion):
+    # Each passes at the default tolerance (tests/test_acceptance.py).
+    assert not criterion(RunConfig(tolerance=1e-30))["passed"]
+
+
+def test_symmetry_criterion_uses_run_tolerance():
+    with pytest.raises(ValueError, match="tol=1e-30"):
+        cli.criterion_symmetry_synthesis(RunConfig(tolerance=1e-30))
 
 
 def test_emit_formats():
@@ -156,3 +200,48 @@ def test_report_json_validates_against_schema():
 
     with pytest.raises(jsonschema.ValidationError):
         validate_report_json(json.dumps({"tool": "chi2qec"}))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["recover", "pcc", "--N", "2", "--error", "none"], "supports qutrit PCC"),
+    (["recover", "eecc", "--N", "5", "--error", "none"], "supports qutrit PCC"),
+    (["syndromes", "bc", "--N", "2", "--order", "0"], "orders 1..2, got 0"),
+    (["syndromes", "bc", "--N", "2", "--order", "7"], "orders 1..2, got 7"),
+    (["syndromes", "pcc", "--N", "3", "--order", "2"], "no monitored order"),
+    (["kl-check", "bc2mode", "--N", "2", "--errors", "ad", "--order", "-1"],
+     "at least one error operator"),
+    (["kl-check", "bc", "--N", "2", "--errors", "xi1", "--gamma", "0.1"],
+     "--gamma does not apply to --errors xi1"),
+    (["kl-check", "bc", "--N", "2", "--errors", "xi1", "--order", "2"],
+     "--order does not apply to --errors xi1"),
+    (["kl-check", "pcc", "--N", "2", "--errors", "lowest-order", "--order", "2"],
+     "--order does not apply to --errors lowest-order"),
+])
+def test_main_rejects_unsupported_inputs(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_main_recover_none_on_supported_code(capsys):
+    assert main(["recover", "pcc", "--N", "3", "--error", "none"]) == 0
+    capsys.readouterr()
+
+
+def test_main_syndromes_bc_single_order(capsys):
+    assert main(["syndromes", "bc", "--N", "2", "--order", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][-1]["detail"] == "12 rows"  # 18 for all orders
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["kl-check", "pcc", "--N", "2", "--errors", "lowest-order"], ["--gamma", "0.01"]),
+    (["kl-check", "bc2mode", "--N", "2", "--errors", "ad"],
+     ["--gamma", "0.01", "--order", "1"]),
+])
+def test_main_kl_check_defaults_equal_explicit_flags(capsys, argv, flags):
+    code = main(argv)
+    default = capsys.readouterr().out
+    assert main(argv + flags) == code
+    assert capsys.readouterr().out == default
