@@ -1,10 +1,11 @@
 """Verification suite for three-wave-mixing bosonic error-correcting codes.
 
-Subpackages: fock (truncated Fock-space algebra), symmetry (symmetry
-operators and eigenspace synthesis), codes (code constructors), errors
-(error families and Knill-Laflamme checks), syndromes (parity measurement
-and recovery), gates (logical-gate decompositions), bounds (quantum
-Hamming bounds), cli (command-line front end).
+Subpackages: fock (Fock bases and operator algebra on any basis),
+symmetry (symmetry operators and eigenspace synthesis), codes (code
+constructors), errors (error families and Knill-Laflamme checks),
+syndromes (parity measurement and recovery), gates (logical-gate
+decompositions), bounds (quantum Hamming bounds), cli (command-line
+front end).
 """
 
 __version__ = "0.1.0"

@@ -9,15 +9,17 @@ allowed, which is exactly the projection-correctability relaxation.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import itertools
 import json
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .codes import CodeSpec
 from .fock import (
+    _MAX_TRUNCATED_DIM,
     BasisIndex,
     DimensionMismatch,
     LinearOperator,
@@ -27,7 +29,6 @@ from .fock import (
     apply,
     compose,
     embed,
-    enumerate_truncated_space,
     ladder,
     monomial_operator,
 )
@@ -78,24 +79,56 @@ def _mode_tag(layout: ModeLayout, mode: int) -> str:
     return short if layout.n_groups == 1 else "%s%d" % (short, group)
 
 
-def enclosing_basis(layout: ModeLayout, headroom: int = 0) -> BasisIndex:
-    """Truncated product basis with per-mode caps enlarged by `headroom`
-    so gain monomials up to that order stay inside the space."""
-    return enumerate_truncated_space(
-        layout.with_caps([c + headroom for c in layout.caps])
-    )
+def _closure(kets, shifts) -> BasisIndex:
+    """`kets` and every nonnegative ket + shift, in lexicographic order."""
+    kets = list(kets)
+    out = set(kets)
+    for shift in shifts:
+        for ket in kets:
+            moved = tuple(n + d for n, d in zip(ket, shift))
+            if min(moved) >= 0:
+                out.add(moved)
+    return BasisIndex(sorted(out))
+
+
+def _support(code: CodeSpec):
+    """Kets with a nonzero amplitude in some codeword, in basis order."""
+    used = np.any([psi.amplitudes != 0 for psi in code.logical_states], axis=0)
+    return [code.basis.states[i] for i in np.flatnonzero(used)]
+
+
+def _unit_shifts(modes: int, sign: int):
+    """One photon more (sign 1) or fewer (sign -1) in each single mode."""
+    return [tuple(sign * int(i == mode) for i in range(modes)) for mode in range(modes)]
+
+
+def enclosing_basis(code: CodeSpec, shifts) -> BasisIndex:
+    """The codewords' support plus every nonnegative ket + shift, sorted.
+
+    An operator that moves photon numbers by one of `shifts` maps every
+    codeword into this basis, so error images need no larger space.  The
+    lexicographic order keeps image rows in the relative order a capped
+    product space gives them.
+    """
+    return _closure(_support(code), shifts)
 
 
 _FACTOR_OF_KIND = {"loss": "lower", "gain": "raise", "dephasing": "number"}
 
 
-def _monomial(basis, layout, exponents, kind) -> LinearOperator:
+def _monomial(basis, exponents, kind) -> LinearOperator:
     """Mode 0's factors act first, then mode 1's, and so on."""
     factor = _FACTOR_OF_KIND[kind]
     return monomial_operator(
         [(mode, factor) for mode, power in enumerate(exponents) for _ in range(power)],
         basis,
     )
+
+
+def _shift(exponents, kind):
+    """Photon-number change of a loss, gain or dephasing monomial."""
+    sign = {"loss": -1, "gain": 1, "dephasing": 0}[kind]
+    return tuple(sign * p for p in exponents)
 
 
 def _monomial_label(layout, exponents, kind) -> str:
@@ -121,49 +154,51 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def xi_set(m: int, layout: ModeLayout, basis: Optional[BasisIndex] = None) -> List[ErrorOperator]:
+def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
+    """Enclosing basis of xi_m on `code`, after the size check.
+
+    The check counts, before any shift is listed, the image entries a KL
+    check of the whole set would stack: K*L image columns over at most
+    (support kets) * (distinct shifts) rows.
+    """
+    nm = code.layout.n_modes
+    loss = math.comb(m + nm - 1, nm - 1) if m else 0
+    operators = 1 + 2 * loss + (math.comb(m + nm - 2, nm - 1) if m >= 2 else 0)
+    rows = len(_support(code)) * (1 + 2 * loss)
+    entries = operators * len(code.logical_states) * rows
+    if entries > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow(
+            "xi_%d on %s would stack %d image entries, over the limit of %d"
+            % (m, code.name, entries, _MAX_TRUNCATED_DIM)
+        )
+    return enclosing_basis(
+        code, [_shift(e, kind) for e in _compositions(m, nm) for kind in ("loss", "gain")]
+    )
+
+
+def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
     """Order-m error set: all loss monomials of total degree m, their
     adjoints (gain), and dephasing monomials of total degree m-1, plus the
     identity.  Degree-0 dephasing coincides with the identity and is
-    deduplicated."""
+    deduplicated.  The operators act on the code's xi_m enclosing basis."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if basis is None:
-        basis = enclosing_basis(layout, headroom=m)
-    ops: List[ErrorOperator] = [
-        ErrorOperator("I", LinearOperator.identity(basis), 0, "identity")
-    ]
-    if m == 0:
-        return ops
-    nm = layout.n_modes
-    for kind in ("loss", "gain"):
-        for exps in _compositions(m, nm):
-            ops.append(
-                ErrorOperator(
-                    _monomial_label(layout, exps, kind),
-                    _monomial(basis, layout, exps, kind),
-                    m,
-                    kind,
-                )
-            )
+    basis = _xi_basis(m, code)
+    layout = code.layout
+    ops = [ErrorOperator("I", LinearOperator.identity(basis), 0, "identity")]
+    families = [("loss", m), ("gain", m)] if m else []
     if m >= 2:
-        for exps in _compositions(m - 1, nm):
-            ops.append(
-                ErrorOperator(
-                    _monomial_label(layout, exps, "dephasing"),
-                    _monomial(basis, layout, exps, "dephasing"),
-                    m,
-                    "dephasing",
-                )
-            )
+        families.append(("dephasing", m - 1))
+    for kind, degree in families:
+        ops += [ErrorOperator(_monomial_label(layout, e, kind), _monomial(basis, e, kind), m, kind)
+                for e in _compositions(degree, layout.n_modes)]
     return ops
 
 
-def lowest_order_loss_kraus(
-    gamma: float, layout: ModeLayout, basis: Optional[BasisIndex] = None
-) -> List[ErrorOperator]:
+def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]:
     """Lowest-order photon-loss Kraus family: E_l = sqrt(gamma) a_l per mode
-    and the no-jump operator E_0 = (I - gamma sum_l n_l)^(1/2).
+    and the no-jump operator E_0 = (I - gamma sum_l n_l)^(1/2), on the
+    code's support and its single-loss images.
 
     E_0 agrees with the first-order expansion I - sum gamma n_l/2 at the
     order the family is valid to, and makes sum E^dag E = I exact on any
@@ -172,14 +207,15 @@ def lowest_order_loss_kraus(
     """
     if not 0 <= gamma < 1:
         raise ValueError("gamma must satisfy 0 <= gamma < 1")
-    if basis is None:
-        basis = enumerate_truncated_space(layout)
+    layout = code.layout
+    nm = layout.n_modes
+    basis = enclosing_basis(code, _unit_shifts(nm, -1))
     totals = basis.occupations.sum(axis=1).astype(float)
     diag = np.sqrt(np.clip(1.0 - gamma * totals, 0.0, None))
     e0 = LinearOperator(basis, basis, sp.diags(diag.astype(complex), format="csr"))
     out = [ErrorOperator("E_0", e0, 0, "kraus")]
     if gamma > 0:
-        for mode in range(layout.n_modes):
+        for mode in range(nm):
             op = ladder(mode, "lower", basis)
             op = LinearOperator(basis, basis, math.sqrt(gamma) * op.matrix)
             out.append(
@@ -207,8 +243,9 @@ def amplitude_damping_kraus(
     gamma: float, m: int, mode: int, basis: BasisIndex
 ) -> ErrorOperator:
     """A(m) = sum_{n>=m} sqrt(C(n,m)) gamma^{m/2} (1-gamma)^{(n-m)/2} |n-m><n|
-    on one mode of a truncated product basis.  Summing A(m)^dag A(m) over
-    m up to the cap resolves the identity exactly on the truncated space."""
+    on one mode of `basis`; a column whose target is not in the basis is
+    dropped.  On a basis that holds every ket below each of its kets on
+    that mode, summing A(m)^dag A(m) over m resolves the identity exactly."""
     if not 0 <= gamma < 1:
         raise ValueError("gamma must satisfy 0 <= gamma < 1")
     if m < 0:
@@ -216,9 +253,9 @@ def amplitude_damping_kraus(
     rows, cols, vals = [], [], []
     for j, s in enumerate(basis.states):
         n = s[mode]
-        if n < m:
-            continue
         target = s[:mode] + (n - m,) + s[mode + 1:]
+        if n < m or target not in basis:
+            continue
         coeff = math.sqrt(math.comb(n, m)) * gamma ** (m / 2.0) * (1 - gamma) ** (
             (n - m) / 2.0
         )
@@ -231,9 +268,23 @@ def amplitude_damping_kraus(
     return ErrorOperator("A_%d(mode %d)" % (m, mode), LinearOperator(basis, basis, mat), m, "kraus")
 
 
-def ad_product_set(gamma: float, m: int, basis: BasisIndex, modes: Sequence[int]) -> List[ErrorOperator]:
+def ad_product_set(
+    gamma: float, m: int, code: CodeSpec, modes: Sequence[int]
+) -> List[ErrorOperator]:
     """All products of per-mode amplitude-damping Kraus operators with total
-    loss order m over the given modes."""
+    loss order m over the given modes.
+
+    Damping only lowers the damped modes, so the operators act on the
+    code's support and every ket below a support ket on `modes`: one basis
+    for every order m, on which the products of all orders resolve the
+    identity.
+    """
+    support = _support(code)
+    drops = itertools.product(*[range(max(k[mode] for k in support) + 1) for mode in modes])
+    nm = code.layout.n_modes
+    basis = enclosing_basis(
+        code, [[-dict(zip(modes, d)).get(i, 0) for i in range(nm)] for d in drops]
+    )
     out = []
     for exps in _compositions(m, len(modes)):
         op = LinearOperator.identity(basis)
@@ -258,20 +309,9 @@ def kl_check(
     if not errors:
         raise ValueError("kl_check needs at least one error operator")
     basis = errors[0].operator.domain
-    caps = basis.caps
-    max_occ = np.concatenate(
-        [psi.basis.occupations[np.abs(psi.amplitudes) > 1e-12]
-         for psi in code.logical_states]
-    ).max(axis=0)
     for e in errors:
         if e.operator.domain != basis:
             raise ValueError("error operators must share a basis")
-        if e.kind == "gain" and any(
-            occ + e.order > cap for occ, cap in zip(max_occ, caps)
-        ):
-            raise TruncationOverflow(
-                "gain operator %r needs more headroom in the enclosing basis" % e.label
-            )
     words = [embed(psi, basis) for psi in code.logical_states]
     images = np.column_stack(
         [apply(e.operator, w).amplitudes for e in errors for w in words]

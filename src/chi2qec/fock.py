@@ -7,17 +7,17 @@ plus ladder/number operators and a small operator/state algebra.
 Conventions (part of the public contract):
   * irreducible bases are ordered by ascending n per qudit group, with
     multi-group bases being lexicographic tensor products;
-  * truncated product bases (ProductBasis) are lexicographic in the
-    occupation tuple, so a state's index is the mixed-radix number of its
-    occupations (digit m has radix cap_m + 1, the last mode varies
-    fastest); ladder and monomial operators are built from those strides
-    and need such a basis;
+  * capped product bases are lexicographic in the occupation tuple;
+  * ladder and monomial operators act on any basis: each column's final
+    ket is looked up in the basis, and a column whose ket is annihilated
+    or leaves the basis is dropped;
   * operators are sparse (CSR), states are dense complex vectors;
   * the text form of a basis state is "n1,n2,...,nk".
 """
 
 from dataclasses import dataclass
 import itertools
+import math
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +38,7 @@ class MissingBasisState(KeyError):
 
 
 class TruncationOverflow(RuntimeError):
-    """A raising operator hit a photon-number cap; enlarge the space."""
+    """A requested space exceeds the size limit."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,6 @@ class ModeLayout:
             if lab == label and g == group:
                 return i
         raise KeyError((label, group))
-
-    def with_caps(self, caps: Sequence[int]) -> "ModeLayout":
-        return ModeLayout(self.modes, tuple(int(c) for c in caps))
 
 
 def three_mode_layout(cap: int, groups: int = 1) -> ModeLayout:
@@ -135,11 +132,6 @@ class BasisIndex:
         """Integer array of shape (dimension, modes); row j is states[j]."""
         return np.array(self.states, dtype=np.int64).reshape(self.dimension, -1)
 
-    @property
-    def caps(self) -> Tuple[int, ...]:
-        """Largest occupation of each mode over the basis."""
-        return tuple(int(c) for c in self.occupations.max(axis=0))
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -153,36 +145,6 @@ class BasisIndex:
             self.dimension,
             self.states[0] if self.states else None,
         )
-
-
-class ProductBasis(BasisIndex):
-    """Every occupation tuple with n_m <= caps[m], in lexicographic order.
-
-    State j has occupation n_m = (j // strides[m]) % (caps[m] + 1), so
-    changing mode m by p photons moves the index by p * strides[m].
-    """
-
-    def __init__(self, caps: Sequence[int]):
-        self._caps = tuple(int(c) for c in caps)
-        strides = []
-        stride = 1
-        for c in reversed(self._caps):
-            strides.append(stride)
-            stride *= c + 1
-        self.strides: Tuple[int, ...] = tuple(reversed(strides))
-        # The product already yields distinct tuples of ints, so the
-        # normalising copy and duplicate check of BasisIndex are skipped.
-        self.states = tuple(itertools.product(*[range(c + 1) for c in self._caps]))
-        self._lookup = {s: i for i, s in enumerate(self.states)}
-
-    @property
-    def caps(self) -> Tuple[int, ...]:
-        return self._caps
-
-    def occupation(self, mode: int) -> np.ndarray:
-        """Occupation of one mode in every basis state, by index."""
-        index = np.arange(self.dimension, dtype=np.int64)
-        return (index // self.strides[mode]) % (self._caps[mode] + 1)
 
 
 def state_label(state: FockBasisState) -> str:
@@ -237,7 +199,6 @@ class LinearOperator:
     domain: BasisIndex
     codomain: BasisIndex
     matrix: sp.csr_matrix
-    truncated: bool = False  # a raising entry was dropped at a cap
 
     def __post_init__(self):
         self.matrix = sp.csr_matrix(self.matrix, dtype=complex)
@@ -269,19 +230,13 @@ def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     """Operator product a.b (apply b first)."""
     if b.codomain != a.domain:
         raise DimensionMismatch("compose: inner bases differ")
-    return LinearOperator(
-        b.domain, a.codomain, a.matrix.dot(b.matrix),
-        truncated=a.truncated or b.truncated,
-    )
+    return LinearOperator(b.domain, a.codomain, a.matrix.dot(b.matrix))
 
 
 def tensor(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     dom = BasisIndex(sa + sb for sa in a.domain for sb in b.domain)
     cod = BasisIndex(sa + sb for sa in a.codomain for sb in b.codomain)
-    return LinearOperator(
-        dom, cod, sp.kron(a.matrix, b.matrix, format="csr"),
-        truncated=a.truncated or b.truncated,
-    )
+    return LinearOperator(dom, cod, sp.kron(a.matrix, b.matrix, format="csr"))
 
 
 def tensor_basis(a: BasisIndex, b: BasisIndex) -> BasisIndex:
@@ -289,10 +244,7 @@ def tensor_basis(a: BasisIndex, b: BasisIndex) -> BasisIndex:
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
-    return LinearOperator(
-        op.codomain, op.domain, op.matrix.conjugate().transpose().tocsr(),
-        truncated=op.truncated,
-    )
+    return LinearOperator(op.codomain, op.domain, op.matrix.conjugate().transpose().tocsr())
 
 
 def inner_product(x: StateVector, y: StateVector) -> complex:
@@ -345,75 +297,70 @@ def enumerate_irreducible_subspace(N: int, groups: int = 1) -> BasisIndex:
 _MAX_TRUNCATED_DIM = 2_000_000
 
 
-def enumerate_truncated_space(layout: ModeLayout) -> ProductBasis:
+def enumerate_truncated_space(layout: ModeLayout) -> BasisIndex:
     """Full product basis up to per-mode caps, lexicographic order."""
-    total = 1
-    for c in layout.caps:
-        total *= c + 1
-        if total > _MAX_TRUNCATED_DIM:
-            raise TruncationOverflow(
-                "truncated space would exceed %d states" % _MAX_TRUNCATED_DIM
-            )
-    return ProductBasis(layout.caps)
+    if math.prod(c + 1 for c in layout.caps) > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow("product space would exceed %d states" % _MAX_TRUNCATED_DIM)
+    return BasisIndex(itertools.product(*[range(c + 1) for c in layout.caps]))
 
 
 def monomial_operator(
-    factors: Sequence[Tuple[int, str]], basis: ProductBasis
+    factors: Sequence[Tuple[int, str]], basis: BasisIndex
 ) -> LinearOperator:
-    """Product of single-mode factors as one sparse matrix.
+    """Product of single-mode factors as one sparse matrix on `basis`.
 
     `factors` lists (mode, kind) pairs in the order they act on a ket, with
-    kind "lower" (a), "raise" (a^dag) or "number" (n).  Each factor moves
-    every column's target index by -stride, +stride or 0 and multiplies its
-    coefficient by sqrt(n), sqrt(n+1) or n, evaluated as factor * coeff in
-    that order.  Raises that would pass a cap are dropped and flag the
-    operator `truncated`.
+    kind "lower" (a), "raise" (a^dag) or "number" (n).  Each factor
+    multiplies every column's coefficient by sqrt(n), sqrt(n+1) or n,
+    evaluated as factor * coeff in that order.  A column whose ket is
+    annihilated, or whose final ket is not in the basis, is dropped.
     """
-    if not isinstance(basis, ProductBasis):
-        raise ValueError("ladder operators need a truncated product basis")
+    occupations = basis.occupations
     dim = basis.dimension
-    cols = np.arange(dim, dtype=np.int64)
     coeff = np.ones(dim)
     keep = np.ones(dim, dtype=bool)
+    shift = np.zeros(occupations.shape[1], dtype=np.int64)
     occupation = {}
-    offset = 0
-    truncated = False
     for mode, kind in factors:
         n = occupation.get(mode)
         if n is None:
-            n = basis.occupation(mode)
+            n = occupations[:, mode]
         if kind == "lower":
             # An empty mode annihilates the ket; its later factors see a
             # negative occupation, so square-root arguments are clamped.
             keep &= n > 0
             coeff = np.sqrt(np.maximum(n, 0)) * coeff
             n = n - 1
-            offset -= basis.strides[mode]
+            shift[mode] -= 1
         elif kind == "raise":
-            truncated = True
-            keep &= n < basis.caps[mode]
             coeff = np.sqrt(np.maximum(n + 1, 0)) * coeff
             n = n + 1
-            offset += basis.strides[mode]
+            shift[mode] += 1
         elif kind == "number":
             coeff = n * coeff
         else:
             raise ValueError("factor kind must be 'lower', 'raise' or 'number'")
         occupation[mode] = n
     keep &= coeff != 0
-    mat = sp.csr_matrix(
-        (coeff[keep], (cols[keep] + offset, cols[keep])), shape=(dim, dim), dtype=complex
+    cols = np.flatnonzero(keep)
+    lookup = basis._lookup
+    rows = np.array(
+        [lookup.get(ket, -1) for ket in map(tuple, (occupations[cols] + shift).tolist())],
+        dtype=np.int64,
     )
-    return LinearOperator(basis, basis, mat, truncated=truncated)
+    inside = rows >= 0
+    cols = cols[inside]
+    mat = sp.csr_matrix(
+        (coeff[cols], (rows[inside], cols)), shape=(dim, dim), dtype=complex
+    )
+    return LinearOperator(basis, basis, mat)
 
 
-def ladder(mode: int, kind: str, basis: ProductBasis) -> LinearOperator:
+def ladder(mode: int, kind: str, basis: BasisIndex) -> LinearOperator:
     """Annihilation ("lower") or creation ("raise") operator on one mode.
 
-    Matrix elements are sqrt(n) for |n-1><n| and sqrt(n+1) for |n+1><n|.
-    Raising entries whose target state is outside the basis are dropped and
-    the returned operator is flagged `truncated` (callers that need exact
-    adjoint pairs must enlarge the space).
+    Matrix elements are sqrt(n) for |n-1><n| and sqrt(n+1) for |n+1><n|;
+    entries whose target state is outside the basis are dropped.
     """
     if kind not in ("lower", "raise"):
         raise ValueError("kind must be 'lower' or 'raise'")

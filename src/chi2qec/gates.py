@@ -16,10 +16,8 @@ import numpy as np
 from .fock import (
     BasisIndex,
     enumerate_irreducible_subspace,
-    enumerate_truncated_space,
     monomial_operator,
     tensor_basis,
-    three_mode_layout,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -66,18 +64,10 @@ def canonical_to_v(matrix: np.ndarray) -> np.ndarray:
 
 
 def _three_wave_operator() -> np.ndarray:
-    """A = a_s^dag a_i^dag a_p restricted to H_2, in v order.
-
-    Built on the capped (2,2,2) product space because the intermediate
-    states of the monomial leave the irreducible basis.
-    """
-    layout = three_mode_layout(2)
-    big = enumerate_truncated_space(layout)
-    op = monomial_operator([(2, "lower"), (1, "raise"), (0, "raise")], big)
+    """A = a_s^dag a_i^dag a_p on H_2, in v order."""
     h2 = enumerate_irreducible_subspace(2)
-    idx = [big.index_of(s) for s in h2.states]
-    canonical = op.matrix.toarray()[np.ix_(idx, idx)]
-    return canonical_to_v(canonical)
+    op = monomial_operator([(2, "lower"), (1, "raise"), (0, "raise")], h2)
+    return canonical_to_v(op.dense())
 
 
 def _comm(a, b):

@@ -19,7 +19,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .codes import CodeSpec
-from .errors import _compositions, _monomial, _monomial_label, enclosing_basis
+from .errors import (
+    _closure,
+    _compositions,
+    _monomial,
+    _monomial_label,
+    _unit_shifts,
+    _xi_basis,
+    enclosing_basis,
+)
 from .fock import (
     BasisIndex,
     DimensionMismatch,
@@ -27,9 +35,7 @@ from .fock import (
     StateVector,
     apply,
     embed,
-    enumerate_truncated_space,
     ladder,
-    three_mode_layout,
 )
 from .gates import (
     cnot2_21,
@@ -120,7 +126,8 @@ def measure_parity(state: StateVector, scheme: ParityScheme, tol: float = 1e-12)
 
 def _single_mode_errors(code: CodeSpec):
     """(label, operator, group, net photon change) per single loss/gain."""
-    basis = enclosing_basis(code.layout, headroom=1)
+    nm = code.layout.n_modes
+    basis = enclosing_basis(code, _unit_shifts(nm, -1) + _unit_shifts(nm, 1))
     short = {"signal": "s", "idler": "i", "pump": "p"}
     out = []
     for delta, prefix, kind in ((-1, "a", "lower"), (+1, "adag", "raise")):
@@ -176,12 +183,12 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
             raise ValueError("BC N=%d monitors orders 1..%d, got %d"
                              % (N, N, monitored_order))
         for m in orders:
-            basis = enclosing_basis(code.layout, headroom=m)
+            basis = _xi_basis(m, code)
             words = [embed(w, basis) for w in code.logical_states]
             pb = p_bc_scheme(N)
             for kind, sign in (("loss", -1), ("gain", +1)):
                 for exps in _compositions(m, 3):
-                    op = _monomial(basis, code.layout, exps, kind)
+                    op = _monomial(basis, exps, kind)
                     label = _monomial_label(code.layout, exps, kind)
                     images = [apply(op, w) for w in words]
                     images = [im.normalized() for im in images if im.norm() > 1e-12]
@@ -235,8 +242,9 @@ _RESTORATION_MAPS = {
 
 
 def restoration_isometry(case: str, basis: BasisIndex) -> LinearOperator:
-    """Partial isometry on a three-mode (group-1) truncated basis mapping
-    the corrupted kets back into H_2; zero outside its declared domain."""
+    """Partial isometry on a basis of three-mode kets (group 1 first)
+    mapping the corrupted kets back into H_2; zero outside its declared
+    domain.  Every mapped ket must be in the basis."""
     try:
         mapping = _RESTORATION_MAPS[case]
     except KeyError:
@@ -280,13 +288,13 @@ _EECC_SEQUENCES = {
 
 
 def _recovery_pipeline(code: CodeSpec, error_label: str):
-    """(qudit groups, lowered mode, restoration case, gate unitaries) of the
-    published pipeline for one detected loss; None for error_label "none".
+    """(lowered mode, restoration case, gate unitaries) of the published
+    pipeline for one detected loss; None for error_label "none".
     Raises ValueError for a code without a published pipeline."""
     if code.name == "PCC" and code.parameters["N"] == 3:
-        groups, sequences = 2, _PCC_SEQUENCES
+        sequences = _PCC_SEQUENCES
     elif code.name == "EECC" and code.parameters["N"] == 2:
-        groups, sequences = 1, _EECC_SEQUENCES
+        sequences = _EECC_SEQUENCES
     else:
         raise ValueError("full_recovery supports qutrit PCC and qubit EECC")
     if error_label == "none":
@@ -294,7 +302,7 @@ def _recovery_pipeline(code: CodeSpec, error_label: str):
     if error_label not in sequences:
         raise KeyError("unsupported %s error %r" % (code.name, error_label))
     case, gate_seq = sequences[error_label]
-    return groups, 0 if error_label.startswith("a_s") else 2, case, gate_seq()
+    return 0 if error_label.startswith("a_s") else 2, case, gate_seq()
 
 
 def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
@@ -313,8 +321,9 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     pipeline = _recovery_pipeline(code, error_label)
     if pipeline is None:
         return states, np.ones(states.shape[1])
-    groups, mode, case, gates = pipeline
-    big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
+    mode, case, gates = pipeline
+    # The code basis and every ket the lowered mode takes it to.
+    big = _closure(code.basis.states, [_unit_shifts(code.layout.n_modes, -1)[mode]])
     rows = [big.index_of(s) for s in code.basis.states]
     embedded = np.zeros((big.dimension, states.shape[1]), dtype=complex)
     embedded[rows] = states

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from chi2qec.cli import (
     resolve_config,
     validate_report_json,
 )
+from chi2qec.fock import TruncationOverflow
 
 
 def test_run_config_validation():
@@ -101,8 +104,18 @@ def test_criteria_fail_below_floating_point_resolution(criterion):
 
 
 def test_symmetry_criterion_uses_run_tolerance():
-    with pytest.raises(ValueError, match="tol=1e-30"):
-        cli.criterion_symmetry_synthesis(RunConfig(tolerance=1e-30))
+    record = cli.criterion_symmetry_synthesis(RunConfig(tolerance=1e-30))
+    assert not record["passed"]
+    assert "tol=1e-30" in record["detail"]
+
+
+def test_report_all_survives_a_tolerance_the_svd_cannot_resolve(capsys):
+    assert main(["--tolerance", "1e-16", "report", "all"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"]) == 9
+    symmetry = doc["results"][1]
+    assert symmetry["name"] == "2_symmetry_synthesis" and not symmetry["passed"]
+    assert "tol=1e-16" in symmetry["detail"]
 
 
 def test_emit_formats():
@@ -216,6 +229,12 @@ def test_report_json_validates_against_schema():
      "--order does not apply to --errors xi1"),
     (["kl-check", "pcc", "--N", "2", "--errors", "lowest-order", "--order", "2"],
      "--order does not apply to --errors lowest-order"),
+    (["bounds", "theorems", "--n", "5"], "--n does not apply to bounds theorems"),
+    (["bounds", "--sweep"], "--sweep does not apply to bounds theorems"),
+    (["bounds", "rotation", "--sweep", "--q", "9", "--n", "3"],
+     "--n does not apply to bounds rotation --sweep"),
+    (["bounds", "loss", "--t", "4"], "--t does not apply to bounds loss"),
+    (["bounds", "loss", "--sweep"], "--sweep does not apply to bounds loss"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2
@@ -245,3 +264,44 @@ def test_main_kl_check_defaults_equal_explicit_flags(capsys, argv, flags):
     default = capsys.readouterr().out
     assert main(argv + flags) == code
     assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["bounds", "rotation"], ["--n", "1", "--q", "2", "--b", "2", "--k", "1", "--t", "1"]),
+    (["bounds", "rotation", "--sweep"], ["--b", "2", "--k", "1", "--t", "1"]),
+    (["bounds", "loss"], ["--n", "1", "--q", "2", "--b", "2", "--k", "1"]),
+])
+def test_bounds_defaults_equal_explicit_flags(capsys, argv, flags):
+    code = main(argv)
+    default = capsys.readouterr().out
+    assert main(argv + flags) == code
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("code", ["pcc", "eecc", "bc"])
+def test_main_kl_check_damping_on_three_mode_codes(capsys, code):
+    assert main(["kl-check", code, "--N", "2", "--errors", "ad"]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"][0]["alpha"]) == 3  # orders 0 and 1 on two modes
+
+
+# Guards against the capped product spaces coming back.
+
+
+def test_kl_check_stays_on_the_codeword_support(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["kl-check", "pcc", "--N", "4", "--errors", "xi2"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 20e6  # a 46,656-state product space peaked at 346 MB
+
+
+@pytest.mark.parametrize("errors", ["xi9", "xi100"])
+def test_oversized_error_set_is_refused_before_it_is_built(errors):
+    start = time.perf_counter()
+    with pytest.raises(TruncationOverflow):
+        main(["kl-check", "pcc", "--N", "6", "--errors", errors])
+    assert time.perf_counter() - start < 1.0

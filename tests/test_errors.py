@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chi2qec.codes import build_bc, build_eecc, build_pcc, build_two_mode_bc
 from chi2qec.errors import (
     ErrorOperator,
+    _compositions,
     KLViolation,
     ad_product_set,
     amplitude_damping_kraus,
@@ -27,11 +28,10 @@ from chi2qec.errors import (
 from chi2qec.fock import (
     DimensionMismatch,
     LinearOperator,
-    TruncationOverflow,
     adjoint,
+    compose,
     embed,
     enumerate_truncated_space,
-    three_mode_layout,
     two_mode_layout,
 )
 from chi2qec.syndromes import random_logical_coefficients
@@ -39,38 +39,48 @@ from chi2qec.syndromes import random_logical_coefficients
 
 @pytest.mark.parametrize("m,size", [(0, 1), (1, 7), (2, 16), (3, 27)])
 def test_xi_set_sizes_three_modes(m, size):
-    layout = three_mode_layout(3)
-    ops = xi_set(m, layout)
+    ops = xi_set(m, build_bc(2))
     assert len(ops) == size
     assert len({e.label for e in ops}) == size
 
 
 def test_xi_set_rejects_negative_order():
     with pytest.raises(ValueError):
-        xi_set(-1, three_mode_layout(2))
+        xi_set(-1, build_bc(2))
+
+
+def test_enclosing_basis_is_the_sorted_closure_of_the_support():
+    spec = build_eecc(2)  # support (0,0,2), (1,1,1), (2,2,0)
+    basis = enclosing_basis(spec, [(-1, 0, 0), (0, 0, 1)])
+    assert basis.states == ((0, 0, 2), (0, 0, 3), (0, 1, 1), (1, 1, 1), (1, 1, 2),
+                            (1, 2, 0), (2, 2, 0), (2, 2, 1))
+    assert enclosing_basis(spec, []).states == spec.basis.states
 
 
 @pytest.mark.parametrize("spec_builder", [build_pcc, build_eecc])
 def test_lowest_order_kraus_complete_on_code_basis(spec_builder):
     spec = spec_builder(2)
-    basis = enclosing_basis(spec.layout, headroom=0)
-    kraus = lowest_order_loss_kraus(0.05, spec.layout, basis)
+    kraus = lowest_order_loss_kraus(0.05, spec)
     assert loss_kraus_completeness_residual(kraus, spec.basis) < 1e-12
 
 
 def test_lowest_order_kraus_rejects_bad_gamma():
     with pytest.raises(ValueError):
-        lowest_order_loss_kraus(1.0, three_mode_layout(2))
+        lowest_order_loss_kraus(1.0, build_bc(2))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.0, 0.9))
 def test_amplitude_damping_resolves_identity(gamma):
-    layout = two_mode_layout(3)
-    basis = enumerate_truncated_space(layout)
+    spec = build_two_mode_bc(2)  # every ket below a codeword ket: n_s + n_p <= 3
+    sets = [ad_product_set(gamma, m, spec, (0, 1)) for m in range(0, 7)]
+    basis = sets[0][0].operator.domain
+    assert basis.states == tuple(s for s in enumerate_truncated_space(spec.layout).states
+                                 if sum(s) <= 3)
     total = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for m in range(0, 7):
-        for e in ad_product_set(gamma, m, basis, (0, 1)):
+    for errs in sets:
+        for e in errs:
+            assert e.operator.domain == basis
             total += adjoint(e.operator).matrix.dot(e.operator.matrix).toarray()
     assert np.max(np.abs(total - np.eye(basis.dimension))) < 1e-12
 
@@ -87,23 +97,16 @@ def test_amplitude_damping_matrix_element():
 
 def test_kl_check_xi1_binomial_qubit():
     spec = build_bc(2)
-    rep = kl_check(spec, xi_set(1, spec.layout), tol=1e-9)
+    rep = kl_check(spec, xi_set(1, spec), tol=1e-9)
     assert rep.verdict
     # alpha is Hermitian and the identity row is normalized.
     assert np.allclose(rep.alpha, rep.alpha.conjugate().transpose(), atol=1e-12)
     assert rep.alpha[0, 0] == pytest.approx(1.0)
 
 
-def test_kl_check_requires_gain_headroom():
-    spec = build_bc(2)
-    tight = enumerate_truncated_space(spec.layout)
-    with pytest.raises(TruncationOverflow):
-        kl_check(spec, xi_set(1, spec.layout, basis=tight))
-
-
 def test_kl_report_json():
     spec = build_bc(2)
-    rep = kl_check(spec, xi_set(1, spec.layout))
+    rep = kl_check(spec, xi_set(1, spec))
     doc = rep.to_json_dict()
     assert doc["verdict"] is True
     assert doc["labels"][0] == "I"
@@ -141,7 +144,7 @@ def test_bc_moment_argument_validation():
 
 def test_canonical_recovery_unit_fidelity():
     spec = build_bc(2)
-    errs = xi_set(1, spec.layout)
+    errs = xi_set(1, spec)
     recov = canonical_recovery(spec, errs, tol=1e-9)
     rng = np.random.default_rng(11)
     for err in errs:
@@ -174,7 +177,7 @@ def _codeword_weighted_error(spec, basis, w0, w1):
 
 def test_batched_recovery_fidelity_matches_per_state_loop():
     spec = build_bc(2)
-    errs = xi_set(2, spec.layout)
+    errs = xi_set(2, spec)
     recov = canonical_recovery(spec, errs, tol=1e-9)
     coeffs = random_logical_coefficients(np.random.default_rng(23), 2, 30)
     skew = _codeword_weighted_error(spec, recov[0].domain, 0.5, 1.0)
@@ -188,7 +191,7 @@ def test_batched_recovery_fidelity_matches_per_state_loop():
 
 def test_recovery_fidelity_rejects_annihilated_column_and_bad_shape():
     spec = build_bc(2)
-    errs = xi_set(1, spec.layout)
+    errs = xi_set(1, spec)
     recov = canonical_recovery(spec, errs, tol=1e-9)
     keep_one = _codeword_weighted_error(spec, recov[0].domain, 0.0, 1.0)
     recovery_fidelity(spec, recov, keep_one, np.array([[0.0], [1.0]]))
@@ -200,7 +203,7 @@ def test_recovery_fidelity_rejects_annihilated_column_and_bad_shape():
 
 def test_canonical_recovery_rejects_uncorrectable_set():
     spec = build_two_mode_bc(2)
-    joint = ad_product_set(0.01, 1, spec.basis, (0, 1))
+    joint = ad_product_set(0.01, 1, spec, (0, 1))
     with pytest.raises(KLViolation):
         canonical_recovery(spec, joint, tol=1e-9)
 
@@ -210,7 +213,159 @@ def test_two_mode_joint_set_fails_kl_at_first_order():
     # so the joint first-order set has an order-gamma cross-logical element.
     spec = build_two_mode_bc(2)
     gamma = 0.01
-    rep = kl_check(spec, ad_product_set(gamma, 1, spec.basis, (0, 1)), tol=1e-9)
+    rep = kl_check(spec, ad_product_set(gamma, 1, spec, (0, 1)), tol=1e-9)
     assert not rep.verdict
     expected = 3 * gamma * (1 - gamma) ** 2 / 2
     assert rep.max_offdiag_residual == pytest.approx(expected, rel=1e-9)
+
+
+# Reference engine: ket-by-ket action on the codewords' amplitude maps, the
+# per-state ladder composition with no enclosing basis at all.
+
+
+def _ket_action(factors, ket):
+    """(coefficient, target) of a monomial on one ket; None if annihilated."""
+    n = list(ket)
+    coeff = 1.0
+    for mode, kind in factors:
+        if kind == "lower":
+            if n[mode] == 0:
+                return None
+            coeff = math.sqrt(n[mode]) * coeff
+            n[mode] -= 1
+        elif kind == "raise":
+            coeff = math.sqrt(n[mode] + 1) * coeff
+            n[mode] += 1
+        else:
+            coeff = n[mode] * coeff
+    return coeff, tuple(n)
+
+
+def _damping_action(gamma, drops, modes, ket):
+    """(coefficient, target) of a product of per-mode damping operators."""
+    n = list(ket)
+    coeff = 1.0
+    for mode, k in zip(modes, drops):
+        if n[mode] < k:
+            return None
+        coeff *= (math.sqrt(math.comb(n[mode], k)) * gamma ** (k / 2.0)
+                  * (1 - gamma) ** ((n[mode] - k) / 2.0))
+        n[mode] -= k
+    return coeff, tuple(n)
+
+
+def _monomial_action(exps, kind, scale=1.0):
+    factors = [(mode, kind) for mode, p in enumerate(exps) for _ in range(p)]
+
+    def act(ket):
+        hit = _ket_action(factors, ket)
+        return hit and (scale * hit[0], hit[1])
+    return act
+
+
+def _xi_actions(m, modes):
+    acts = [lambda ket: (1.0, ket)]
+    if m >= 1:
+        acts += [_monomial_action(e, kind) for kind in ("lower", "raise")
+                 for e in _compositions(m, modes)]
+    if m >= 2:
+        acts += [_monomial_action(e, "number") for e in _compositions(m - 1, modes)]
+    return acts
+
+
+def _reference_kl(code, actions, tol=1e-9):
+    """(verdict, alpha) of the KL condition from ket-by-ket images."""
+    words = [dict(psi.support(0.0)) for psi in code.logical_states]
+    images = []
+    for act in actions:
+        for word in words:
+            image = {}
+            for ket, amp in word.items():
+                hit = act(ket)
+                if hit is not None:
+                    image[hit[1]] = image.get(hit[1], 0.0) + hit[0] * amp
+            images.append(image)
+    K, L = len(actions), len(words)
+    gram = np.array([[sum(np.conj(x[k]) * y[k] for k in x.keys() & y.keys())
+                      for y in images] for x in images], dtype=complex)
+    M = gram.reshape(K, L, K, L).transpose(0, 2, 1, 3)
+    alpha = M.trace(axis1=2, axis2=3) / L
+    off = M.copy()
+    for a in range(L):
+        off[:, :, a, a] = 0.0
+    dist = np.max(np.abs(np.einsum("uvaa->uva", M) - alpha[:, :, None]))
+    return bool(np.max(np.abs(off)) <= tol and dist <= tol), alpha
+
+
+def _assert_matches_reference(spec, errors, actions):
+    rep = kl_check(spec, errors, tol=1e-9)
+    verdict, alpha = _reference_kl(spec, actions)
+    assert rep.verdict == verdict
+    scale = max(1.0, float(np.max(np.abs(alpha))))
+    assert np.max(np.abs(rep.alpha - alpha)) <= 1e-14 * scale
+
+
+_SWEEP = ([(build_pcc, N, 1) for N in range(2, 7)]
+          + [(build_eecc, N, 1) for N in range(2, 7)]
+          + [(b, N, 2) for b in (build_pcc, build_eecc) for N in (3, 4)]
+          + [(build_bc, N, m) for N in range(1, 6) for m in range(1, N + 1)])
+
+
+@pytest.mark.parametrize("builder,N,m", _SWEEP,
+                         ids=["%s-N%d-xi%d" % (b.__name__[6:], N, m) for b, N, m in _SWEEP])
+def test_xi_sets_on_closures_match_the_reference_engine(builder, N, m):
+    spec = builder(N)
+    _assert_matches_reference(spec, xi_set(m, spec), _xi_actions(m, spec.layout.n_modes))
+
+
+@pytest.mark.parametrize("builder,N", [(build_pcc, 2), (build_pcc, 3), (build_eecc, 2),
+                                       (build_eecc, 3), (build_bc, 2)])
+def test_lowest_order_kraus_matches_the_reference_engine(builder, N):
+    spec = builder(N)
+    gamma = 0.05
+    nm = spec.layout.n_modes
+    actions = [lambda ket: (math.sqrt(max(1.0 - gamma * sum(ket), 0.0)), ket)]
+    actions += [_monomial_action([int(i == mode) for i in range(nm)], "lower",
+                                 math.sqrt(gamma)) for mode in range(nm)]
+    _assert_matches_reference(spec, lowest_order_loss_kraus(gamma, spec), actions)
+
+
+def _ad_family(gamma, order, spec, modes):
+    errs, actions = [], []
+    for m in range(order + 1):
+        errs += ad_product_set(gamma, m, spec, modes)
+        actions += [lambda ket, d=drops: _damping_action(gamma, d, modes, ket)
+                    for drops in _compositions(m, len(modes))]
+    return errs, actions
+
+
+@pytest.mark.parametrize("N,order", [(2, 1), (2, 3), (3, 2)])
+def test_two_mode_damping_matches_the_reference_engine(N, order):
+    spec = build_two_mode_bc(N)
+    _assert_matches_reference(spec, *_ad_family(0.05, order, spec, (0, 1)))
+
+
+def _product_space_ad_set(gamma, order, spec, modes):
+    """The damping family on the code's capped product space."""
+    basis = enumerate_truncated_space(spec.layout)
+    out = []
+    for m in range(order + 1):
+        for drops in _compositions(m, len(modes)):
+            op = LinearOperator.identity(basis)
+            for mode, k in zip(modes, drops):
+                op = compose(amplitude_damping_kraus(gamma, k, mode, basis).operator, op)
+            out.append(ErrorOperator(str(drops), op, m, "kraus"))
+    return out
+
+
+@pytest.mark.parametrize("builder,N", [(build_pcc, 2), (build_pcc, 3), (build_eecc, 2),
+                                       (build_eecc, 3), (build_bc, 2), (build_bc, 3)])
+def test_damping_on_three_mode_codes_matches_the_product_space(builder, N):
+    spec = builder(N)
+    errs, actions = _ad_family(0.01, 2, spec, (0, 2))
+    rep = kl_check(spec, errs, tol=1e-9)
+    ref = kl_check(spec, _product_space_ad_set(0.01, 2, spec, (0, 2)), tol=1e-9)
+    assert rep.verdict == ref.verdict
+    scale = max(1.0, float(np.max(np.abs(ref.alpha))))
+    assert np.max(np.abs(rep.alpha - ref.alpha)) <= 1e-14 * scale
+    _assert_matches_reference(spec, errs, actions)

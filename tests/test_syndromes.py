@@ -190,8 +190,8 @@ def _reference_random_logical_state(code, rng):
 
 
 def _reference_full_recovery(code, error_label, state):
-    groups, mode, case, gates = _recovery_pipeline(code, error_label)
-    big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
+    mode, case, gates = _recovery_pipeline(code, error_label)
+    big = enumerate_truncated_space(three_mode_layout(2, groups=code.layout.n_groups))
     corrupted = apply(ladder(mode, "lower", big), embed(state, big)).normalized()
     restored = apply(restoration_isometry(case, big), corrupted)
     out = project(restored, code.basis).amplitudes
