@@ -14,8 +14,9 @@ SEARCH_CAP_N = 64
 SEARCH_CAP_QB = 64
 
 
-class SearchCapExceeded(RuntimeError):
-    """A bound search ran past the documented caps without an answer."""
+class SearchCapExceeded(ValueError):
+    """A bound search ran past the documented caps without an answer; the
+    CLI reports it as a usage error, like any other out-of-range input."""
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,34 @@ def min_n(q: int, b: int, k: int = 1, t: int = 1) -> int:
     """Smallest n satisfying the rotation bound (cap n <= 64)."""
     BoundQuery(1, q, b, k, t)  # validates (q, b, k, t) once
     logical_dim = b ** k
+    power = 1
     for n in range(1, SEARCH_CAP_N + 1):
-        if rotation_sphere_volume(n, q, t) * logical_dim <= q ** n:
+        power *= q
+        if rotation_sphere_volume(n, q, t) * logical_dim <= power:
             return n
     raise SearchCapExceeded("no n <= %d works for q=%d b=%d k=%d t=%d"
                             % (SEARCH_CAP_N, q, b, k, t))
+
+
+def min_n_grid(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> Dict:
+    """{(q, b): min_n(q, b)} for 2 <= q, b <= cap_qb at k = t = 1.
+
+    One upward sweep of n per q: the bound's left side b(1 + n(q^2-1))
+    grows with b and its right side q^n does not, so min_n(q, b) is never
+    below min_n(q, b-1) and the search for b starts where b-1 stopped.
+    """
+    grid = {}
+    for q in range(2, cap_qb + 1):
+        n, power = 1, q
+        for b in range(2, cap_qb + 1):
+            while b * (1 + n * (q * q - 1)) > power:
+                if n == cap_n:
+                    raise SearchCapExceeded("no n <= %d works for q=%d b=%d k=1 t=1"
+                                            % (cap_n, q, b))
+                n += 1
+                power *= q
+            grid[q, b] = n
+    return grid
 
 
 def volume_ratio_bound_holds(query: BoundQuery) -> bool:
@@ -133,10 +157,10 @@ def theorem_checks(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> Li
         "detail": "n=3 fails (50>27), n=4 holds (66<=81)",
     })
 
+    grid = min_n_grid(cap_n, cap_qb)
+
     # 2: min_n over q=b: the minimum n=4 is first achieved at q=4.
-    mins = {}
-    for q in range(2, cap_qb + 1):
-        mins[q] = min_n(q, q, 1, 1)
+    mins = {q: grid[q, q] for q in range(2, cap_qb + 1)}
     first4 = min(q for q, n in mins.items() if n == 4) if 4 in mins.values() else None
     out.append({
         "name": "min_n_equals_4_first_at_q4",
@@ -145,7 +169,7 @@ def theorem_checks(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> Li
     })
 
     # 3: with b=2 the minimum n=3 first appears at q=6 (q=5 fails: 146>125).
-    mins2 = {q: min_n(q, 2, 1, 1) for q in range(2, cap_qb + 1)}
+    mins2 = {q: grid[q, 2] for q in range(2, cap_qb + 1)}
     first3 = min(q for q, n in mins2.items() if n <= 3) if any(n <= 3 for n in mins2.values()) else None
     out.append({
         "name": "min_n_equals_3_first_at_q6_b2",
@@ -155,12 +179,8 @@ def theorem_checks(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> Li
 
     # 4: volume ratio r <= 1/(1+n(q^2-1)) wherever the rotation bound holds,
     # and equality (saturation) is attained at q=b=2 (n=5).
-    ratio_ok = True
-    for q in range(2, cap_qb + 1):
-        for b in range(2, cap_qb + 1):
-            n = min_n(q, b, 1, 1)
-            if not volume_ratio_bound_holds(BoundQuery(n, q, b, 1, 1)):
-                ratio_ok = False
+    ratio_ok = all(volume_ratio_bound_holds(BoundQuery(n, q, b, 1, 1))
+                   for (q, b), n in grid.items())
     sat = rotation_sphere_volume(5, 2, 1) * 2 == 2 ** 5
     out.append({
         "name": "volume_ratio_bound_saturated_at_q2_b2",

@@ -6,6 +6,7 @@ validates against the bundled report.schema.json.
 """
 
 import argparse
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 import json
@@ -227,7 +228,7 @@ def _error_set_for(args, spec):
         return xi_set(m, spec)
     if choice == "ad":
         order = 1 if args.order is None else args.order
-        modes = (0, 1) if spec.layout.n_modes == 2 else (0, 2)
+        modes = range(spec.layout.n_modes)
         out = []
         for m in range(order + 1):
             out.extend(ad_product_set(gamma, m, spec, modes))
@@ -700,8 +701,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first `main` call, not at import, and reused after that; it
+# binds the `cmd_*` handlers as they are at that first call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

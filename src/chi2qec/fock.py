@@ -201,7 +201,10 @@ class LinearOperator:
     matrix: sp.csr_matrix
 
     def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix, dtype=complex)
+        # A complex CSR matrix is kept as given (nothing mutates `.matrix`
+        # in place, so operators may share one); anything else is converted.
+        if not (isinstance(self.matrix, sp.csr_matrix) and self.matrix.dtype == complex):
+            self.matrix = sp.csr_matrix(self.matrix, dtype=complex)
         if self.matrix.shape != (self.codomain.dimension, self.domain.dimension):
             raise DimensionMismatch(
                 "matrix shape %r vs bases (%d, %d)"

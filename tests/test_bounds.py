@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chi2qec.bounds import (
+    SEARCH_CAP_N,
+    SEARCH_CAP_QB,
     BoundQuery,
     SearchCapExceeded,
     capacity_upper,
@@ -14,6 +16,7 @@ from chi2qec.bounds import (
     corrupted_dimension,
     loss_bound_holds,
     min_n,
+    min_n_grid,
     qutrit_qubit_loss_bound_holds,
     rotation_bound_holds,
     rotation_sphere_volume,
@@ -52,6 +55,32 @@ def test_min_n_milestones():
 def test_min_n_search_cap():
     with pytest.raises(SearchCapExceeded):
         min_n(2, 2, k=200)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8), st.integers(1, 4), st.integers(0, 3))
+def test_min_n_is_the_first_n_the_bound_admits(q, b, k, t):
+    first = next((n for n in range(1, SEARCH_CAP_N + 1)
+                  if rotation_bound_holds(BoundQuery(n, q, b, k, t))), None)
+    if first is None:
+        with pytest.raises(SearchCapExceeded):
+            min_n(q, b, k, t)
+    else:
+        assert min_n(q, b, k, t) == first
+
+
+def test_min_n_grid_equals_min_n_everywhere():
+    grid = min_n_grid()
+    span = range(2, SEARCH_CAP_QB + 1)
+    assert set(grid) == {(q, b) for q in span for b in span}
+    for (q, b), n in grid.items():
+        assert n == min_n(q, b), (q, b)
+
+
+def test_min_n_grid_search_cap():
+    with pytest.raises(SearchCapExceeded, match="no n <= 4 works for q=2 b=2"):
+        min_n_grid(cap_n=4, cap_qb=2)  # q=b=2 needs n=5
+    assert min_n_grid(cap_n=5, cap_qb=2) == {(2, 2): 5}
 
 
 def test_volume_ratio_bound():
@@ -105,8 +134,21 @@ def test_corrupted_dimension_enumeration(q):
 
 
 def test_theorem_checks_all_pass():
-    for entry in theorem_checks():
-        assert entry["passed"], entry
+    # Names, verdicts and details are pinned, so the grid cannot move them.
+    assert theorem_checks() == [
+        {"name": "rotation_bound_qubit_n5_equality", "passed": True,
+         "detail": "2(1+15)=32 vs 2^5=32"},
+        {"name": "rotation_bound_qutrit_qubit_threshold", "passed": True,
+         "detail": "n=3 fails (50>27), n=4 holds (66<=81)"},
+        {"name": "min_n_equals_4_first_at_q4", "passed": True,
+         "detail": "min_n(q=q,b=q): q=2->5, q=3->5, q=4->4"},
+        {"name": "min_n_equals_3_first_at_q6_b2", "passed": True,
+         "detail": "min_n(q,b=2): q=5->4, q=6->3 (212<=216, 146>125)"},
+        {"name": "volume_ratio_bound_saturated_at_q2_b2", "passed": True,
+         "detail": "r <= 1/(1+n(q^2-1)) over caps; equality at (n,q,b)=(5,2,2)"},
+        {"name": "corrupted_dimension_is_4q_minus_3", "passed": True,
+         "detail": "enumerated single-loss images for q=2..10"},
+    ]
 
 
 def test_saturation_reports():

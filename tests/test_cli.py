@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -235,6 +238,8 @@ def test_report_json_validates_against_schema():
      "--n does not apply to bounds rotation --sweep"),
     (["bounds", "loss", "--t", "4"], "--t does not apply to bounds loss"),
     (["bounds", "loss", "--sweep"], "--sweep does not apply to bounds loss"),
+    (["bounds", "rotation", "--sweep", "--k", "200"],
+     "error: no n <= 64 works for q=2 b=2 k=200 t=1"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2
@@ -280,9 +285,14 @@ def test_bounds_defaults_equal_explicit_flags(capsys, argv, flags):
 
 @pytest.mark.parametrize("code", ["pcc", "eecc", "bc"])
 def test_main_kl_check_damping_on_three_mode_codes(capsys, code):
-    assert main(["kl-check", code, "--N", "2", "--errors", "ad"]) in (0, 1)
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["results"][0]["alpha"]) == 3  # orders 0 and 1 on two modes
+    # Every mode is damped.  Exact damping is correctable only to first
+    # order in gamma, so at N=2 each of these codes FAILs.
+    n_modes = {"pcc": 6, "eecc": 3, "bc": 3}[code]
+    assert main(["kl-check", code, "--N", "2", "--errors", "ad"]) == 1
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert len(result["alpha"]) == 1 + n_modes  # order 0, then one loss per mode
+    for mode in range(n_modes):
+        assert "A_%d(1)" % mode in result["detail"]
 
 
 # Guards against the capped product spaces coming back.
@@ -305,3 +315,46 @@ def test_oversized_error_set_is_refused_before_it_is_built(errors):
     with pytest.raises(TruncationOverflow):
         main(["kl-check", "pcc", "--N", "6", "--errors", errors])
     assert time.perf_counter() - start < 1.0
+
+
+# The parser is built once per process and reused by every `main` call.
+
+_PARSER_REUSE_CALLS = [
+    ["--tolerance", "1e-6", "bounds", "rotation", "--n", "5"],  # global flag before ...
+    ["bounds", "rotation", "--n", "5", "--tolerance", "1e-6"],  # ... and after the subcommand
+    ["bounds", "rotation", "--n", "5"],  # without it: the default tolerance again
+    ["--format", "text", "bounds", "loss", "--N", "2"],  # usage error
+    ["--help"],
+    ["bounds", "--help"],
+    ["--format", "csv", "bounds", "theorems", "--q", "3"],  # flag theorems does not read
+    ["--format", "csv", "bounds", "loss", "--n", "2", "--q", "3", "--b", "3"],
+]
+
+
+def _outcomes(capsys, calls):
+    out = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch):
+    reused = _outcomes(capsys, _PARSER_REUSE_CALLS)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert reused == _outcomes(capsys, _PARSER_REUSE_CALLS)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 2, 0]
+    tolerances = [json.loads(out)["config"]["tolerance"] for _, out, _ in reused[:3]]
+    assert tolerances == [1e-6, 1e-6, 1e-9]
+
+
+def test_parser_is_not_built_at_import():
+    code = ("import chi2qec.cli as cli; print(cli._parser.cache_info().currsize); "
+            "cli.main(['bounds', 'loss']); print(cli._parser.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split()[0] == "0" and out.split()[-1] == "1"

@@ -132,6 +132,37 @@ def test_apply_dimension_mismatch():
         apply(op, psi)
 
 
+@pytest.mark.parametrize("make", [
+    lambda m: sp.csr_matrix(m.real),
+    lambda m: sp.coo_matrix(m),
+    lambda m: sp.csr_array(m),
+    lambda m: m,
+], ids=["real-csr", "coo", "csr-array", "dense"])
+def test_linear_operator_converts_to_complex_csr(make):
+    basis = enumerate_irreducible_subspace(2)  # three kets
+    dense = np.arange(9).reshape(3, 3) + 0j
+    op = LinearOperator(basis, basis, make(dense))
+    assert type(op.matrix) is sp.csr_matrix
+    assert op.matrix.dtype == complex
+    assert np.array_equal(op.dense(), dense)
+
+
+def test_linear_operator_keeps_a_complex_csr_matrix():
+    basis = enumerate_irreducible_subspace(2)
+    mat = sp.csr_matrix(np.eye(3, dtype=complex))
+    assert LinearOperator(basis, basis, mat).matrix is mat
+
+
+@pytest.mark.parametrize("mat", [
+    sp.csr_matrix((3, 4), dtype=complex),
+    np.zeros((4, 3)),
+], ids=["complex-csr", "dense"])
+def test_linear_operator_rejects_a_wrong_shape(mat):
+    basis = enumerate_irreducible_subspace(2)
+    with pytest.raises(DimensionMismatch):
+        LinearOperator(basis, basis, mat)
+
+
 def test_state_label():
     assert state_label((1, 0, 2)) == "1,0,2"
 
