@@ -56,21 +56,19 @@ def min_n(q: int, b: int, k: int = 1, t: int = 1) -> int:
                             % (SEARCH_CAP_N, q, b, k, t))
 
 
-def min_n_grid(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> Dict:
-    """{(q, b): min_n(q, b)} for 2 <= q, b <= cap_qb at k = t = 1.
+def min_n_grid() -> Dict:
+    """{(q, b): min_n(q, b)} for 2 <= q, b <= SEARCH_CAP_QB at k = t = 1.
 
     One upward sweep of n per q: the bound's left side b(1 + n(q^2-1))
     grows with b and its right side q^n does not, so min_n(q, b) is never
     below min_n(q, b-1) and the search for b starts where b-1 stopped.
+    No n on this grid comes near SEARCH_CAP_N.
     """
     grid = {}
-    for q in range(2, cap_qb + 1):
+    for q in range(2, SEARCH_CAP_QB + 1):
         n, power = 1, q
-        for b in range(2, cap_qb + 1):
+        for b in range(2, SEARCH_CAP_QB + 1):
             while b * (1 + n * (q * q - 1)) > power:
-                if n == cap_n:
-                    raise SearchCapExceeded("no n <= %d works for q=%d b=%d k=1 t=1"
-                                            % (cap_n, q, b))
                 n += 1
                 power *= q
             grid[q, b] = n
@@ -137,7 +135,7 @@ def corrupted_dimension(q: int) -> int:
     return len(kets)
 
 
-def theorem_checks(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> List[Dict]:
+def theorem_checks() -> List[Dict]:
     """Finite-range verification of the five bound statements; each entry
     reports a name, a verdict, and the witnessing arithmetic."""
     out = []
@@ -157,10 +155,10 @@ def theorem_checks(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> Li
         "detail": "n=3 fails (50>27), n=4 holds (66<=81)",
     })
 
-    grid = min_n_grid(cap_n, cap_qb)
+    grid = min_n_grid()
 
     # 2: min_n over q=b: the minimum n=4 is first achieved at q=4.
-    mins = {q: grid[q, q] for q in range(2, cap_qb + 1)}
+    mins = {q: grid[q, q] for q in range(2, SEARCH_CAP_QB + 1)}
     first4 = min(q for q, n in mins.items() if n == 4) if 4 in mins.values() else None
     out.append({
         "name": "min_n_equals_4_first_at_q4",
@@ -169,7 +167,7 @@ def theorem_checks(cap_n: int = SEARCH_CAP_N, cap_qb: int = SEARCH_CAP_QB) -> Li
     })
 
     # 3: with b=2 the minimum n=3 first appears at q=6 (q=5 fails: 146>125).
-    mins2 = {q: grid[q, 2] for q in range(2, cap_qb + 1)}
+    mins2 = {q: grid[q, 2] for q in range(2, SEARCH_CAP_QB + 1)}
     first3 = min(q for q, n in mins2.items() if n <= 3) if any(n <= 3 for n in mins2.values()) else None
     out.append({
         "name": "min_n_equals_3_first_at_q6_b2",

@@ -277,14 +277,29 @@ def ad_product_set(
     Damping only lowers the damped modes, so the operators act on the
     code's support and every ket below a support ket on `modes`: one basis
     for every order m, on which the products of all orders resolve the
-    identity.
+    identity.  As for xi_m, the image entries a KL check of the set would
+    stack are counted, and an oversized set refused, before anything is
+    built.
     """
+    modes = list(modes)
     support = _support(code)
-    drops = itertools.product(*[range(max(k[mode] for k in support) + 1) for mode in modes])
-    nm = code.layout.n_modes
-    basis = enclosing_basis(
-        code, [[-dict(zip(modes, d)).get(i, 0) for i in range(nm)] for d in drops]
-    )
+    down_sets = [[range(ket[mode] + 1) for mode in modes] for ket in support]
+    rows = sum(math.prod(len(r) for r in ranges) for ranges in down_sets)
+    operators = math.comb(m + len(modes) - 1, len(modes) - 1)
+    entries = operators * len(code.logical_states) * rows
+    if entries > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow(
+            "order-%d damping on %s would stack %d image entries, over the limit of %d"
+            % (m, code.name, entries, _MAX_TRUNCATED_DIM)
+        )
+    kets = set()
+    for ket, ranges in zip(support, down_sets):
+        for drop in itertools.product(*ranges):
+            moved = list(ket)
+            for mode, d in zip(modes, drop):
+                moved[mode] -= d
+            kets.add(tuple(moved))
+    basis = BasisIndex(sorted(kets))
     out = []
     for exps in _compositions(m, len(modes)):
         op = LinearOperator.identity(basis)

@@ -77,12 +77,6 @@ def test_min_n_grid_equals_min_n_everywhere():
         assert n == min_n(q, b), (q, b)
 
 
-def test_min_n_grid_search_cap():
-    with pytest.raises(SearchCapExceeded, match="no n <= 4 works for q=2 b=2"):
-        min_n_grid(cap_n=4, cap_qb=2)  # q=b=2 needs n=5
-    assert min_n_grid(cap_n=5, cap_qb=2) == {(2, 2): 5}
-
-
 def test_volume_ratio_bound():
     assert volume_ratio_bound_holds(BoundQuery(5, 2, 2, 1, 1))  # equality
     assert not volume_ratio_bound_holds(BoundQuery(4, 2, 2, 1, 1))

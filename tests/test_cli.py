@@ -317,6 +317,14 @@ def test_oversized_error_set_is_refused_before_it_is_built(errors):
     assert time.perf_counter() - start < 1.0
 
 
+def test_oversized_damping_set_is_refused_before_it_is_built():
+    # Every mode of PCC N=20 damped: about 3e7 closure kets.
+    start = time.perf_counter()
+    with pytest.raises(TruncationOverflow, match="damping on PCC"):
+        main(["kl-check", "pcc", "--N", "20", "--errors", "ad"])
+    assert time.perf_counter() - start < 1.0
+
+
 # The parser is built once per process and reused by every `main` call.
 
 _PARSER_REUSE_CALLS = [
