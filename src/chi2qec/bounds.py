@@ -9,6 +9,8 @@ import math
 from typing import Dict, List
 
 from .codes import CodeSpec
+from .errors import _closure, _unit_shifts
+from .fock import enumerate_irreducible_subspace
 
 SEARCH_CAP_N = 64
 SEARCH_CAP_QB = 64
@@ -88,13 +90,6 @@ def loss_bound_holds(n: int, q: int, b: int, k: int = 1) -> bool:
     return (1 + 3 * n) * b ** k <= (4 * q - 3) ** n
 
 
-def qutrit_qubit_loss_bound_holds(n: int) -> bool:
-    """Special case 2(1+3n) <= 9^n of the loss bound at q=3, b=2, k=1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2 * (1 + 3 * n) <= 9 ** n
-
-
 def code_rate(n: int, q: int, b: int, k: int = 1) -> float:
     return k * math.log2(b) / (n * math.log2(q))
 
@@ -117,22 +112,11 @@ def capacity_upper(gamma: float, mean_N: float) -> float:
 
 
 def corrupted_dimension(q: int) -> int:
-    """Dimension of span{H_{q-1} kets and their single-loss images} by
-    explicit enumeration: the distinct triples (n,n,M-n), (n-1,n,M-n),
-    (n,n-1,M-n), (n,n,M-n-1) for 0 <= n <= M = q-1."""
+    """Dimension of span{H_{q-1} kets and their single-loss images}, by
+    listing the distinct kets."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    M = q - 1
-    kets = set()
-    for n in range(M + 1):
-        base = (n, n, M - n)
-        kets.add(base)
-        for mode in range(3):
-            t = list(base)
-            if t[mode] > 0:
-                t[mode] -= 1
-                kets.add(tuple(t))
-    return len(kets)
+    return len(_closure(enumerate_irreducible_subspace(q - 1), _unit_shifts(3, -1)))
 
 
 def theorem_checks() -> List[Dict]:
@@ -175,9 +159,12 @@ def theorem_checks() -> List[Dict]:
         "detail": "min_n(q,b=2): q=5->%d, q=6->%d (212<=216, 146>125)" % (mins2[5], mins2[6]),
     })
 
-    # 4: volume ratio r <= 1/(1+n(q^2-1)) wherever the rotation bound holds,
-    # and equality (saturation) is attained at q=b=2 (n=5).
+    # 4: the volume ratio r = b/q^n <= 1/(1+n(q^2-1)) has the rotation
+    # bound's threshold at every grid point (it holds at min_n and fails at
+    # min_n - 1, which is at least 2), and equality (saturation) is
+    # attained at q=b=2 (n=5).
     ratio_ok = all(volume_ratio_bound_holds(BoundQuery(n, q, b, 1, 1))
+                   and not volume_ratio_bound_holds(BoundQuery(n - 1, q, b, 1, 1))
                    for (q, b), n in grid.items())
     sat = rotation_sphere_volume(5, 2, 1) * 2 == 2 ** 5
     out.append({

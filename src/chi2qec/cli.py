@@ -67,8 +67,9 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive, got %r"
+                             % self.tolerance)
         if self.format not in ("json", "csv", "text"):
             raise ValueError("format must be json, csv or text")
 
@@ -160,7 +161,7 @@ def pcc_operator_set(N: int):
     if N % 2 == 1:
         pi1 = symmetry_mod.signal_parity_operator(basis, group=1).operator
         pi2 = symmetry_mod.signal_parity_operator(basis, group=2).operator
-        prod = LinearOperator(basis, basis, pi1.matrix.dot(pi2.matrix))
+        prod = LinearOperator(basis, pi1.matrix.dot(pi2.matrix))
         ops.append(symmetry_mod.SymmetryOperator("Pi_s1 Pi_s2", prod))
     return basis, ops
 
@@ -228,10 +229,9 @@ def _error_set_for(args, spec):
         return xi_set(m, spec)
     if choice == "ad":
         order = 1 if args.order is None else args.order
-        modes = range(spec.layout.n_modes)
         out = []
         for m in range(order + 1):
-            out.extend(ad_product_set(gamma, m, spec, modes))
+            out.extend(ad_product_set(gamma, m, spec))
         return out
     raise ValueError("unknown error family %r" % choice)
 
@@ -288,7 +288,7 @@ def _gate_rows() -> List[Dict]:
         {"name": c["name"], "passed": c["passed"],
          "detail": "decomposition=%s max_deviation=%.3e" % (
              c["decomposition"], c["max_deviation"])}
-        for c in gates_mod.verify_gates(tol=1e-10)
+        for c in gates_mod.verify_gates()
     ]
 
 
@@ -477,7 +477,7 @@ def criterion_two_mode_bc(config: RunConfig = RunConfig()) -> Dict:
         spec = build_two_mode_bc(N)
         for gamma in (0.01, 0.05):
             for m in range(1, N + 1):
-                singles = ad_product_set(gamma, m, spec, (0, 1))
+                singles = ad_product_set(gamma, m, spec)
                 for err in singles:
                     rep = kl_check(spec, [err], tol=tol)
                     if not rep.verdict:

@@ -61,8 +61,8 @@ class CodeSpec:
             ],
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
 
 def _sqrt2():

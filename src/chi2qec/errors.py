@@ -10,7 +10,6 @@ allowed, which is exactly the projection-correctability relaxation.
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
-import json
 import math
 from typing import List, Sequence
 
@@ -44,8 +43,6 @@ class KLViolation(RuntimeError):
 class ErrorOperator:
     label: str
     operator: LinearOperator
-    order: int
-    kind: str  # loss | gain | dephasing | identity | kraus
 
 
 @dataclass
@@ -68,9 +65,6 @@ class KLReport:
             "verdict": bool(self.verdict),
             "tolerance": self.tolerance,
         }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def _mode_tag(layout: ModeLayout, mode: int) -> str:
@@ -185,12 +179,12 @@ def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
         raise ValueError("m must be >= 0")
     basis = _xi_basis(m, code)
     layout = code.layout
-    ops = [ErrorOperator("I", LinearOperator.identity(basis), 0, "identity")]
+    ops = [ErrorOperator("I", LinearOperator.identity(basis))]
     families = [("loss", m), ("gain", m)] if m else []
     if m >= 2:
         families.append(("dephasing", m - 1))
     for kind, degree in families:
-        ops += [ErrorOperator(_monomial_label(layout, e, kind), _monomial(basis, e, kind), m, kind)
+        ops += [ErrorOperator(_monomial_label(layout, e, kind), _monomial(basis, e, kind))
                 for e in _compositions(degree, layout.n_modes)]
     return ops
 
@@ -212,15 +206,13 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     basis = enclosing_basis(code, _unit_shifts(nm, -1))
     totals = basis.occupations.sum(axis=1).astype(float)
     diag = np.sqrt(np.clip(1.0 - gamma * totals, 0.0, None))
-    e0 = LinearOperator(basis, basis, sp.diags(diag.astype(complex), format="csr"))
-    out = [ErrorOperator("E_0", e0, 0, "kraus")]
+    e0 = LinearOperator(basis, sp.diags(diag.astype(complex), format="csr"))
+    out = [ErrorOperator("E_0", e0)]
     if gamma > 0:
         for mode in range(nm):
             op = ladder(mode, "lower", basis)
-            op = LinearOperator(basis, basis, math.sqrt(gamma) * op.matrix)
-            out.append(
-                ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(layout, mode), op, 1, "kraus")
-            )
+            op = LinearOperator(basis, math.sqrt(gamma) * op.matrix)
+            out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(layout, mode), op))
     return out
 
 
@@ -265,50 +257,40 @@ def amplitude_damping_kraus(
     mat = sp.csr_matrix(
         (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
     )
-    return ErrorOperator("A_%d(mode %d)" % (m, mode), LinearOperator(basis, basis, mat), m, "kraus")
+    return ErrorOperator("A_%d(mode %d)" % (m, mode), LinearOperator(basis, mat))
 
 
-def ad_product_set(
-    gamma: float, m: int, code: CodeSpec, modes: Sequence[int]
-) -> List[ErrorOperator]:
+def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
     """All products of per-mode amplitude-damping Kraus operators with total
-    loss order m over the given modes.
+    loss order m over every mode of the code.
 
-    Damping only lowers the damped modes, so the operators act on the
-    code's support and every ket below a support ket on `modes`: one basis
-    for every order m, on which the products of all orders resolve the
-    identity.  As for xi_m, the image entries a KL check of the set would
-    stack are counted, and an oversized set refused, before anything is
-    built.
+    Damping only lowers photon numbers, so the operators act on the code's
+    support and every ket below a support ket: one basis for every order m,
+    on which the products of all orders resolve the identity.  As for xi_m,
+    the image entries a KL check of the set would stack are counted, and an
+    oversized set refused, before anything is built.
     """
-    modes = list(modes)
+    nm = code.layout.n_modes
     support = _support(code)
-    down_sets = [[range(ket[mode] + 1) for mode in modes] for ket in support]
-    rows = sum(math.prod(len(r) for r in ranges) for ranges in down_sets)
-    operators = math.comb(m + len(modes) - 1, len(modes) - 1)
+    rows = sum(math.prod(n + 1 for n in ket) for ket in support)
+    operators = math.comb(m + nm - 1, nm - 1)
     entries = operators * len(code.logical_states) * rows
     if entries > _MAX_TRUNCATED_DIM:
         raise TruncationOverflow(
             "order-%d damping on %s would stack %d image entries, over the limit of %d"
             % (m, code.name, entries, _MAX_TRUNCATED_DIM)
         )
-    kets = set()
-    for ket, ranges in zip(support, down_sets):
-        for drop in itertools.product(*ranges):
-            moved = list(ket)
-            for mode, d in zip(modes, drop):
-                moved[mode] -= d
-            kets.add(tuple(moved))
-    basis = BasisIndex(sorted(kets))
+    basis = BasisIndex(sorted({
+        below for ket in support
+        for below in itertools.product(*(range(n + 1) for n in ket))
+    }))
     out = []
-    for exps in _compositions(m, len(modes)):
+    for exps in _compositions(m, nm):
         op = LinearOperator.identity(basis)
-        parts = []
-        for mode, k in zip(modes, exps):
-            a = amplitude_damping_kraus(gamma, k, mode, basis)
-            op = compose(a.operator, op)
-            parts.append("A_%s(%d)" % (str(mode), k))
-        out.append(ErrorOperator(" ".join(parts), op, m, "kraus"))
+        for mode, k in enumerate(exps):
+            op = compose(amplitude_damping_kraus(gamma, k, mode, basis).operator, op)
+        label = " ".join("A_%d(%d)" % (mode, k) for mode, k in enumerate(exps))
+        out.append(ErrorOperator(label, op))
     return out
 
 
@@ -453,7 +435,7 @@ def canonical_recovery(
         )
         Vk = FkW / math.sqrt(d)  # isometry from code space into error sector
         Rk = W @ Vk.conjugate().transpose()  # maps error sector back to code space
-        kraus.append(LinearOperator.from_dense(basis, basis, Rk))
+        kraus.append(LinearOperator.from_dense(basis, Rk))
     return kraus
 
 

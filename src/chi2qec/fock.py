@@ -2,15 +2,20 @@
 
 Basis enumeration for the three-wave-mixing irreducible subspaces
 H_N = Span{|n,n,N-n> : 0 <= n <= N} and for capped product spaces,
-plus ladder/number operators and a small operator/state algebra.
+plus ladder/number monomials, ket maps and a small operator/state algebra.
 
 Conventions (part of the public contract):
   * irreducible bases are ordered by ascending n per qudit group, with
     multi-group bases being lexicographic tensor products;
   * capped product bases are lexicographic in the occupation tuple;
+  * every operator is square: it maps one basis (its `domain`) into
+    itself;
   * ladder and monomial operators act on any basis: each column's final
     ket is looked up in the basis, and a column whose ket is annihilated
     or leaves the basis is dropped;
+  * `ket_map_operator` builds the 0/1 operators that send kets to kets
+    (inversions, swaps, restorations): a ket with no image leaves its
+    column empty, and an image outside the basis is an error;
   * operators are sparse (CSR), states are dense complex vectors;
   * the text form of a basis state is "n1,n2,...,nk".
 """
@@ -18,7 +23,7 @@ Conventions (part of the public contract):
 from dataclasses import dataclass
 import itertools
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,10 +199,9 @@ class StateVector:
 
 @dataclass
 class LinearOperator:
-    """Sparse complex matrix with explicit domain/codomain bases."""
+    """Sparse complex matrix mapping the `domain` basis into itself."""
 
     domain: BasisIndex
-    codomain: BasisIndex
     matrix: sp.csr_matrix
 
     def __post_init__(self):
@@ -205,19 +209,19 @@ class LinearOperator:
         # in place, so operators may share one); anything else is converted.
         if not (isinstance(self.matrix, sp.csr_matrix) and self.matrix.dtype == complex):
             self.matrix = sp.csr_matrix(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.codomain.dimension, self.domain.dimension):
+        dim = self.domain.dimension
+        if self.matrix.shape != (dim, dim):
             raise DimensionMismatch(
-                "matrix shape %r vs bases (%d, %d)"
-                % (self.matrix.shape, self.codomain.dimension, self.domain.dimension)
+                "matrix shape %r vs basis dimension %d" % (self.matrix.shape, dim)
             )
 
     @classmethod
-    def from_dense(cls, domain, codomain, dense, **kw) -> "LinearOperator":
-        return cls(domain, codomain, sp.csr_matrix(np.asarray(dense, dtype=complex)), **kw)
+    def from_dense(cls, basis, dense) -> "LinearOperator":
+        return cls(basis, sp.csr_matrix(np.asarray(dense, dtype=complex)))
 
     @classmethod
     def identity(cls, basis: BasisIndex) -> "LinearOperator":
-        return cls(basis, basis, sp.identity(basis.dimension, dtype=complex, format="csr"))
+        return cls(basis, sp.identity(basis.dimension, dtype=complex, format="csr"))
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -226,20 +230,14 @@ class LinearOperator:
 def apply(op: LinearOperator, state: StateVector) -> StateVector:
     if op.domain != state.basis:
         raise DimensionMismatch("operator domain does not match state basis")
-    return StateVector(op.codomain, op.matrix.dot(state.amplitudes))
+    return StateVector(op.domain, op.matrix.dot(state.amplitudes))
 
 
 def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     """Operator product a.b (apply b first)."""
-    if b.codomain != a.domain:
-        raise DimensionMismatch("compose: inner bases differ")
-    return LinearOperator(b.domain, a.codomain, a.matrix.dot(b.matrix))
-
-
-def tensor(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    dom = BasisIndex(sa + sb for sa in a.domain for sb in b.domain)
-    cod = BasisIndex(sa + sb for sa in a.codomain for sb in b.codomain)
-    return LinearOperator(dom, cod, sp.kron(a.matrix, b.matrix, format="csr"))
+    if b.domain != a.domain:
+        raise DimensionMismatch("compose: bases differ")
+    return LinearOperator(a.domain, a.matrix.dot(b.matrix))
 
 
 def tensor_basis(a: BasisIndex, b: BasisIndex) -> BasisIndex:
@@ -247,17 +245,13 @@ def tensor_basis(a: BasisIndex, b: BasisIndex) -> BasisIndex:
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
-    return LinearOperator(op.codomain, op.domain, op.matrix.conjugate().transpose().tocsr())
+    return LinearOperator(op.domain, op.matrix.conjugate().transpose().tocsr())
 
 
 def inner_product(x: StateVector, y: StateVector) -> complex:
     if x.basis != y.basis:
         raise DimensionMismatch("inner product over different bases")
     return complex(np.vdot(x.amplitudes, y.amplitudes))
-
-
-def expectation(op: LinearOperator, state: StateVector) -> complex:
-    return inner_product(state, apply(op, state))
 
 
 def embed(state: StateVector, into: BasisIndex) -> StateVector:
@@ -356,7 +350,26 @@ def monomial_operator(
     mat = sp.csr_matrix(
         (coeff[cols], (rows[inside], cols)), shape=(dim, dim), dtype=complex
     )
-    return LinearOperator(basis, basis, mat)
+    return LinearOperator(basis, mat)
+
+
+def ket_map_operator(
+    basis: BasisIndex, image: Callable[[FockBasisState], Optional[FockBasisState]]
+) -> LinearOperator:
+    """The operator |image(ket)><ket| summed over the kets of `basis`.
+
+    A ket whose image is None leaves its column empty; an image outside the
+    basis raises MissingBasisState.
+    """
+    rows, cols = [], []
+    for j, ket in enumerate(basis.states):
+        target = image(ket)
+        if target is not None:
+            rows.append(basis.index_of(target))
+            cols.append(j)
+    dim = basis.dimension
+    mat = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim), dtype=complex)
+    return LinearOperator(basis, mat)
 
 
 def ladder(mode: int, kind: str, basis: BasisIndex) -> LinearOperator:
@@ -369,12 +382,3 @@ def ladder(mode: int, kind: str, basis: BasisIndex) -> LinearOperator:
         raise ValueError("kind must be 'lower' or 'raise'")
     return monomial_operator([(mode, kind)], basis)
 
-
-def number_operator(mode: int, basis: BasisIndex) -> LinearOperator:
-    diag = basis.occupations[:, mode].astype(complex)
-    return LinearOperator(basis, basis, sp.diags(diag, format="csr"))
-
-
-def total_number_operator(basis: BasisIndex) -> LinearOperator:
-    diag = basis.occupations.sum(axis=1).astype(complex)
-    return LinearOperator(basis, basis, sp.diags(diag, format="csr"))

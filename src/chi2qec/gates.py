@@ -364,9 +364,10 @@ def _restrict(U: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
     return V.conjugate().transpose() @ U @ V
 
 
-def verify_gates(tol: float = 1e-10) -> List[dict]:
+def verify_gates() -> List[dict]:
     """Run every decomposition/identity check; returns JSON-ready records
-    (name, decomposition, max deviation, extracted phase, verdict).
+    (name, decomposition, max deviation, extracted phase, verdict), each
+    judged at the absolute tolerance 1e-10.
 
     Known red entries (documented): the two-factor X_P form (the G6
     factor is exp(i pi sigma_x/2) = i sigma_x on the {|220>,|002>} block,
@@ -384,7 +385,7 @@ def verify_gates(tol: float = 1e-10) -> List[dict]:
         if restrict is not None:
             A = _restrict(A, restrict)
             B = _restrict(B, restrict)
-        ok, phase, dev = equal_up_to_global_phase(A, B, tol)
+        ok, phase, dev = equal_up_to_global_phase(A, B)
         results.append(
             {
                 "name": name,
@@ -441,7 +442,7 @@ def verify_gates(tol: float = 1e-10) -> List[dict]:
             "decomposition": "(F x F)^dag CZ22 (F x F)",
             "max_deviation": unit_dev,
             "global_phase": 0.0,
-            "passed": bool(unit_dev <= tol),
+            "passed": bool(unit_dev <= 1e-10),
         }
     )
 

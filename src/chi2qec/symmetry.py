@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .codes import build_bc
-from .fock import BasisIndex, LinearOperator, StateVector, embed
+from .fock import BasisIndex, LinearOperator, StateVector, embed, ket_map_operator
 
 DEFAULT_TOL = 1e-9
 
@@ -31,7 +31,6 @@ class EmptyEigenspace(ValueError):
 class SymmetryOperator:
     name: str
     operator: LinearOperator
-    expected_eigenvalue: complex = 1.0 + 0.0j
 
     def unitarity_defect(self) -> float:
         U = self.operator.matrix
@@ -66,7 +65,7 @@ def z_pair_operator(M: int, pair: str, group: int, basis: BasisIndex) -> Symmetr
     phases = np.array(
         [np.exp(2j * np.pi * (1 + st[a] + st[b]) / M) for st in basis.states]
     )
-    op = LinearOperator(basis, basis, sp.diags(phases, format="csr"))
+    op = LinearOperator(basis, sp.diags(phases, format="csr"))
     return SymmetryOperator("Z_%s^(M=%d) group %d" % (pair, M, group), op)
 
 
@@ -76,24 +75,17 @@ def inversion_operator(M: int, group: int, basis: BasisIndex) -> SymmetryOperato
     Defined on bases whose group occupations lie in H_M; an involution.
     """
     s, i, p = _group_mode_positions(basis, group)
-    rows, cols = [], []
-    for j, st in enumerate(basis.states):
+
+    def image(st):
         n, n2, np_ = st[s], st[i], st[p]
         if n != n2 or n + np_ != M:
             raise ValueError(
                 "inversion_operator: state %r outside H_%d on group %d"
                 % (st, M, group)
             )
-        target = list(st)
-        target[s], target[i], target[p] = M - n, M - n, n
-        rows.append(basis.index_of(tuple(target)))
-        cols.append(j)
-    mat = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
-        shape=(basis.dimension, basis.dimension),
-        dtype=complex,
-    )
-    return SymmetryOperator("V^(%d) group %d" % (M, group), LinearOperator(basis, basis, mat))
+        return st[:s] + (M - n, M - n, n) + st[p + 1:]
+
+    return SymmetryOperator("V^(%d) group %d" % (M, group), ket_map_operator(basis, image))
 
 
 def inversion_operator_all_groups(M: int, basis: BasisIndex) -> SymmetryOperator:
@@ -102,9 +94,7 @@ def inversion_operator_all_groups(M: int, basis: BasisIndex) -> SymmetryOperator
     op = None
     for g in range(1, n_groups + 1):
         part = inversion_operator(M, g, basis).operator
-        op = part if op is None else LinearOperator(
-            basis, basis, part.matrix.dot(op.matrix)
-        )
+        op = part if op is None else LinearOperator(basis, part.matrix.dot(op.matrix))
     return SymmetryOperator("V^(%d) all groups" % M, op)
 
 
@@ -113,24 +103,14 @@ def swap_operator(basis: BasisIndex) -> SymmetryOperator:
     width = len(basis.states[0])
     if width != 6:
         raise ValueError("swap_operator requires a two-group (6-mode) basis")
-    rows, cols = [], []
-    for j, st in enumerate(basis.states):
-        target = st[3:] + st[:3]
-        rows.append(basis.index_of(target))
-        cols.append(j)
-    mat = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
-        shape=(basis.dimension, basis.dimension),
-        dtype=complex,
-    )
-    return SymmetryOperator("X_{1,2}", LinearOperator(basis, basis, mat))
+    return SymmetryOperator("X_{1,2}", ket_map_operator(basis, lambda st: st[3:] + st[:3]))
 
 
 def signal_parity_operator(basis: BasisIndex, group: int = 1) -> SymmetryOperator:
     """Pi_s = (-1)^{n_s}, diagonal."""
     s, _, _ = _group_mode_positions(basis, group)
     phases = np.array([(-1.0) ** st[s] for st in basis.states], dtype=complex)
-    op = LinearOperator(basis, basis, sp.diags(phases, format="csr"))
+    op = LinearOperator(basis, sp.diags(phases, format="csr"))
     return SymmetryOperator("Pi_s", op)
 
 
@@ -178,7 +158,7 @@ def pseudo_beamsplitter(N: int, basis: BasisIndex) -> SymmetryOperator:
         ket = np.zeros(dim, dtype=complex)
         ket[basis.index_of((j, j, M - j))] = 1.0
         U += np.outer(ej, ket.conjugate())
-    return SymmetryOperator("U_BS(N=%d)" % N, LinearOperator.from_dense(basis, basis, U))
+    return SymmetryOperator("U_BS(N=%d)" % N, LinearOperator.from_dense(basis, U))
 
 
 def bc_symmetry_operator(N: int, basis: BasisIndex) -> SymmetryOperator:
@@ -189,7 +169,7 @@ def bc_symmetry_operator(N: int, basis: BasisIndex) -> SymmetryOperator:
     pi = signal_parity_operator(basis).operator.dense()
     S = pi @ ubs @ v @ ubs.conjugate().transpose()
     return SymmetryOperator("Pi_s U_BS V U_BS^dag (N=%d)" % N,
-                            LinearOperator.from_dense(basis, basis, S))
+                            LinearOperator.from_dense(basis, S))
 
 
 def joint_unity_eigenspace(

@@ -16,7 +16,6 @@ import io
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .codes import CodeSpec
 from .errors import (
@@ -35,6 +34,7 @@ from .fock import (
     StateVector,
     apply,
     embed,
+    ket_map_operator,
     ladder,
 )
 from .gates import (
@@ -100,13 +100,9 @@ def p_bc_scheme(N: int) -> ParityScheme:
     )
 
 
-def q_bc_scheme(N: int) -> ParityScheme:
-    return _pair_scheme("qBC", [((0, 1), (1, 1), (2, 1))], 6 * N - 3)
-
-
-def measure_parity(state: StateVector, scheme: ParityScheme, tol: float = 1e-12) -> Tuple[int, ...]:
+def measure_parity(state: StateVector, scheme: ParityScheme) -> Tuple[int, ...]:
     """Common modular value of each component over the state's support."""
-    support = [s for s, _ in state.support(tol)]
+    support = [s for s, _ in state.support()]
     if not support:
         raise ValueError("empty state")
     out = []
@@ -122,19 +118,6 @@ def measure_parity(state: StateVector, scheme: ParityScheme, tol: float = 1e-12)
             )
         out.append(values.pop())
     return tuple(out)
-
-
-def _single_mode_errors(code: CodeSpec):
-    """(label, operator, group, net photon change) per single loss/gain."""
-    nm = code.layout.n_modes
-    basis = enclosing_basis(code, _unit_shifts(nm, -1) + _unit_shifts(nm, 1))
-    short = {"signal": "s", "idler": "i", "pump": "p"}
-    out = []
-    for delta, prefix, kind in ((-1, "a", "lower"), (+1, "adag", "raise")):
-        for mode, (label, group) in enumerate(code.layout.modes):
-            tag = short[label] + (str(group) if code.layout.n_groups > 1 else "")
-            out.append(("%s_%s" % (prefix, tag), ladder(mode, kind, basis), group, delta))
-    return basis, out
 
 
 def _measure_consistent(states, scheme):
@@ -154,7 +137,6 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
     change mod 3).  EECC: 6 rows with (p3, net change mod 3).  BC: loss and
     gain monomials of each order m in 1..N (default: all) with (pBC, qBC).
     """
-    records: List[SyndromeRecord] = []
     if code.name in ("PCC", "EECC"):
         if monitored_order is not None:
             raise ValueError("the %s syndrome table has no monitored order" % code.name)
@@ -162,18 +144,18 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
         # net photon-number change per group mod 3 (a single ladder operator
         # shifts every ket's group total by exactly +-1, while the absolute
         # group totals are not ket-definite on these codewords).
-        basis, errs = _single_mode_errors(code)
-        p_scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
+        layout = code.layout
+        units = _unit_shifts(layout.n_modes, 1)
+        basis = enclosing_basis(code, _unit_shifts(layout.n_modes, -1) + units)
         words = [embed(w, basis) for w in code.logical_states]
-        for label, op, group, delta in errs:
-            images = [apply(op, w) for w in words]
-            images = [im.normalized() for im in images if im.norm() > 1e-12]
-            p = _measure_consistent(images, p_scheme)
-            q = [0] * code.layout.n_groups
-            q[group - 1] = delta % 3
-            records.append(SyndromeRecord(label, p, tuple(q)))
-        return records
-    if code.name == "BC":
+        scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
+        cases = []
+        for kind, delta in (("loss", -1), ("gain", 1)):
+            for unit, (_, group) in zip(units, layout.modes):
+                q = [0] * layout.n_groups
+                q[group - 1] = delta % 3
+                cases.append((words, kind, unit, tuple(q)))
+    elif code.name == "BC":
         N = code.parameters["N"]
         if monitored_order is None:
             orders = range(1, N + 1)
@@ -182,21 +164,24 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
         else:
             raise ValueError("BC N=%d monitors orders 1..%d, got %d"
                              % (N, N, monitored_order))
+        scheme = p_bc_scheme(N)
+        cases = []
         for m in orders:
             basis = _xi_basis(m, code)
             words = [embed(w, basis) for w in code.logical_states]
-            pb = p_bc_scheme(N)
-            for kind, sign in (("loss", -1), ("gain", +1)):
-                for exps in _compositions(m, 3):
-                    op = _monomial(basis, exps, kind)
-                    label = _monomial_label(code.layout, exps, kind)
-                    images = [apply(op, w) for w in words]
-                    images = [im.normalized() for im in images if im.norm() > 1e-12]
-                    p = _measure_consistent(images, pb)
-                    q = (sign * m % (6 * N - 3),)
-                    records.append(SyndromeRecord(label, p, q))
-        return records
-    raise ValueError("no syndrome table for code %r" % code.name)
+            cases += [(words, kind, exps, (sign * m % (6 * N - 3),))
+                      for kind, sign in (("loss", -1), ("gain", 1))
+                      for exps in _compositions(m, 3)]
+    else:
+        raise ValueError("no syndrome table for code %r" % code.name)
+    records = []
+    for words, kind, exps, q in cases:
+        op = _monomial(words[0].basis, exps, kind)
+        images = [apply(op, w) for w in words]
+        images = [im.normalized() for im in images if im.norm() > 1e-12]
+        p = _measure_consistent(images, scheme)
+        records.append(SyndromeRecord(_monomial_label(code.layout, exps, kind), p, q))
+    return records
 
 
 def bc_configuration_count_ok(N: int, m: int) -> bool:
@@ -249,17 +234,12 @@ def restoration_isometry(case: str, basis: BasisIndex) -> LinearOperator:
         mapping = _RESTORATION_MAPS[case]
     except KeyError:
         raise KeyError("unknown restoration case %r" % case)
-    rows, cols = [], []
-    for j, st in enumerate(basis.states):
-        dst = mapping.get(st[:3])
-        if dst is not None:
-            rows.append(basis.index_of(dst + st[3:]))
-            cols.append(j)
-    dim = basis.dimension
-    mat = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(dim, dim), dtype=complex
-    )
-    return LinearOperator(basis, basis, mat)
+
+    def image(ket):
+        dst = mapping.get(ket[:3])
+        return None if dst is None else dst + ket[3:]
+
+    return ket_map_operator(basis, image)
 
 
 def _eecc_recovery_gates() -> List[np.ndarray]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chi2qec import bounds
 from chi2qec.bounds import (
     SEARCH_CAP_N,
     SEARCH_CAP_QB,
@@ -17,7 +18,6 @@ from chi2qec.bounds import (
     loss_bound_holds,
     min_n,
     min_n_grid,
-    qutrit_qubit_loss_bound_holds,
     rotation_bound_holds,
     rotation_sphere_volume,
     saturation_report,
@@ -86,11 +86,8 @@ def test_loss_bound_values():
     assert loss_bound_holds(2, 2, 2)  # PCC qubit: 14 <= 25
     assert not loss_bound_holds(1, 2, 2)  # 8 > 5
     assert loss_bound_holds(1, 3, 2)  # EECC qubit: 8 <= 9
-    assert qutrit_qubit_loss_bound_holds(1)
     with pytest.raises(ValueError):
         loss_bound_holds(0, 2, 2)
-    with pytest.raises(ValueError):
-        qutrit_qubit_loss_bound_holds(0)
 
 
 def test_bound_query_validation():
@@ -143,6 +140,15 @@ def test_theorem_checks_all_pass():
         {"name": "corrupted_dimension_is_4q_minus_3", "passed": True,
          "detail": "enumerated single-loss images for q=2..10"},
     ]
+
+
+def test_ratio_row_needs_the_rotation_threshold(monkeypatch):
+    # A ratio form that holds everywhere, also one photon mode below min_n,
+    # must turn row 4 red: the row checks the threshold, not only min_n.
+    monkeypatch.setattr(bounds, "volume_ratio_bound_holds", lambda query: True)
+    verdicts = {r["name"]: r["passed"] for r in theorem_checks()}
+    assert not verdicts.pop("volume_ratio_bound_saturated_at_q2_b2")
+    assert all(verdicts.values())
 
 
 def test_saturation_reports():

@@ -69,6 +69,26 @@ def test_resolve_config_rejects_unknown_keys(tmp_path):
         resolve_config(Args())
 
 
+@pytest.mark.parametrize("argv", [
+    ["kl-check", "pcc", "--N", "3", "--errors", "xi2"],  # inf passed a set PCC cannot correct
+    ["kl-check", "bc", "--N", "2", "--errors", "xi2"],  # nan gave a silent FAIL
+    ["report", "all"],  # inf crashed inside numpy
+])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_tolerance_must_be_finite(capsys, tmp_path, route, value, argv):
+    if route == "flag":
+        given = ["--tolerance=" + value]  # argparse reads a bare "-inf" as a flag
+    else:
+        path = tmp_path / "cfg"
+        path.write_text("tolerance=%s\n" % value)
+        given = ["--config", str(path)]
+    assert main(given + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and positive" in captured.err
+
+
 @pytest.mark.parametrize("line", ["threads=2", "headroom=1"])
 def test_removed_config_keys_are_usage_errors(capsys, tmp_path, line):
     path = tmp_path / "cfg"

@@ -73,7 +73,7 @@ def test_lowest_order_kraus_rejects_bad_gamma():
 @given(st.floats(0.0, 0.9))
 def test_amplitude_damping_resolves_identity(gamma):
     spec = build_two_mode_bc(2)  # every ket below a codeword ket: n_s + n_p <= 3
-    sets = [ad_product_set(gamma, m, spec, (0, 1)) for m in range(0, 7)]
+    sets = [ad_product_set(gamma, m, spec) for m in range(0, 7)]
     basis = sets[0][0].operator.domain
     assert basis.states == tuple(s for s in enumerate_truncated_space(spec.layout).states
                                  if sum(s) <= 3)
@@ -172,7 +172,7 @@ def _codeword_weighted_error(spec, basis, w0, w1):
     states by different amounts."""
     zero, one = (embed(psi, basis).amplitudes for psi in spec.logical_states)
     mat = w0 * np.outer(zero, zero.conj()) + w1 * np.outer(one, one.conj())
-    return ErrorOperator("W", LinearOperator.from_dense(basis, basis, mat), 0, "kraus")
+    return ErrorOperator("W", LinearOperator.from_dense(basis, mat))
 
 
 def test_batched_recovery_fidelity_matches_per_state_loop():
@@ -203,7 +203,7 @@ def test_recovery_fidelity_rejects_annihilated_column_and_bad_shape():
 
 def test_canonical_recovery_rejects_uncorrectable_set():
     spec = build_two_mode_bc(2)
-    joint = ad_product_set(0.01, 1, spec, (0, 1))
+    joint = ad_product_set(0.01, 1, spec)
     with pytest.raises(KLViolation):
         canonical_recovery(spec, joint, tol=1e-9)
 
@@ -213,7 +213,7 @@ def test_two_mode_joint_set_fails_kl_at_first_order():
     # so the joint first-order set has an order-gamma cross-logical element.
     spec = build_two_mode_bc(2)
     gamma = 0.01
-    rep = kl_check(spec, ad_product_set(gamma, 1, spec, (0, 1)), tol=1e-9)
+    rep = kl_check(spec, ad_product_set(gamma, 1, spec), tol=1e-9)
     assert not rep.verdict
     expected = 3 * gamma * (1 - gamma) ** 2 / 2
     assert rep.max_offdiag_residual == pytest.approx(expected, rel=1e-9)
@@ -330,10 +330,11 @@ def test_lowest_order_kraus_matches_the_reference_engine(builder, N):
     _assert_matches_reference(spec, lowest_order_loss_kraus(gamma, spec), actions)
 
 
-def _ad_family(gamma, order, spec, modes):
+def _ad_family(gamma, order, spec):
+    modes = range(spec.layout.n_modes)
     errs, actions = [], []
     for m in range(order + 1):
-        errs += ad_product_set(gamma, m, spec, modes)
+        errs += ad_product_set(gamma, m, spec)
         actions += [lambda ket, d=drops: _damping_action(gamma, d, modes, ket)
                     for drops in _compositions(m, len(modes))]
     return errs, actions
@@ -342,11 +343,12 @@ def _ad_family(gamma, order, spec, modes):
 @pytest.mark.parametrize("N,order", [(2, 1), (2, 3), (3, 2)])
 def test_two_mode_damping_matches_the_reference_engine(N, order):
     spec = build_two_mode_bc(N)
-    _assert_matches_reference(spec, *_ad_family(0.05, order, spec, (0, 1)))
+    _assert_matches_reference(spec, *_ad_family(0.05, order, spec))
 
 
-def _product_space_ad_set(gamma, order, spec, modes):
+def _product_space_ad_set(gamma, order, spec):
     """The damping family on the code's capped product space."""
+    modes = range(spec.layout.n_modes)
     basis = enumerate_truncated_space(spec.layout)
     out = []
     for m in range(order + 1):
@@ -354,7 +356,7 @@ def _product_space_ad_set(gamma, order, spec, modes):
             op = LinearOperator.identity(basis)
             for mode, k in zip(modes, drops):
                 op = compose(amplitude_damping_kraus(gamma, k, mode, basis).operator, op)
-            out.append(ErrorOperator(str(drops), op, m, "kraus"))
+            out.append(ErrorOperator(str(drops), op))
     return out
 
 
@@ -362,9 +364,9 @@ def _product_space_ad_set(gamma, order, spec, modes):
                                        (build_eecc, 3), (build_bc, 2), (build_bc, 3)])
 def test_damping_on_three_mode_codes_matches_the_product_space(builder, N):
     spec = builder(N)
-    errs, actions = _ad_family(0.01, 2, spec, (0, 2))
+    errs, actions = _ad_family(0.01, 2, spec)
     rep = kl_check(spec, errs, tol=1e-9)
-    ref = kl_check(spec, _product_space_ad_set(0.01, 2, spec, (0, 2)), tol=1e-9)
+    ref = kl_check(spec, _product_space_ad_set(0.01, 2, spec), tol=1e-9)
     assert rep.verdict == ref.verdict
     scale = max(1.0, float(np.max(np.abs(ref.alpha))))
     assert np.max(np.abs(rep.alpha - ref.alpha)) <= 1e-14 * scale

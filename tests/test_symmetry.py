@@ -133,7 +133,7 @@ def test_non_commuting_operators_rejected():
     basis = enumerate_irreducible_subspace(2)
     phases = np.exp(2j * np.pi * np.array([s[0] for s in basis.states]) / 3)
     Z = SymmetryOperator(
-        "Z_s", LinearOperator(basis, basis, sp.diags(phases, format="csr"))
+        "Z_s", LinearOperator(basis, sp.diags(phases, format="csr"))
     )
     V = inversion_operator(2, 1, basis)
     with pytest.raises(NonCommutingOperators):
@@ -143,7 +143,7 @@ def test_non_commuting_operators_rejected():
 def test_empty_eigenspace_raises():
     basis = enumerate_irreducible_subspace(1)
     minus = SymmetryOperator(
-        "-I", LinearOperator(basis, basis, -sp.identity(2, dtype=complex, format="csr"))
+        "-I", LinearOperator(basis, -sp.identity(2, dtype=complex, format="csr"))
     )
     with pytest.raises(EmptyEigenspace):
         joint_unity_eigenspace([minus])

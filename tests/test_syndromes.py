@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chi2qec.cli import expected_syndrome_rows
 from chi2qec.codes import build_bc, build_eecc, build_pcc
 from chi2qec.fock import (
     DimensionMismatch,
@@ -29,7 +30,6 @@ from chi2qec.syndromes import (
     measure_parity,
     p3_scheme,
     p_bc_scheme,
-    q_bc_scheme,
     random_logical_states,
     restoration_isometry,
     syndrome_table,
@@ -100,6 +100,37 @@ def test_bc_table_net_change_parities():
     # a_s shifts n_s by -1: components (n_s-n_i, n_s+n_p, n_i+n_p) mod 3.
     assert rows["a_s"] == (2, 2, 0)
     assert rows["a_p"] == (0, 2, 2)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("builder,groups", [(build_pcc, 2), (build_eecc, 1)])
+def test_pcc_and_eecc_tables_over_N(builder, groups, N):
+    # The flips land on the codewords' own parities: a PCC group's kets are
+    # |n,n,N-1-n>, so (s+i, s+p, i+p) mod 2 is (0, N-1, N-1); the EECC's
+    # are |n,n,2N-2-n>, all even.
+    base = (0, (N - 1) % 2, (N - 1) % 2) * 2 if builder is build_pcc else (0, 0, 0)
+    expected = [(label, tuple(f ^ b for f, b in zip(p, base)), q)
+                for label, p, q in expected_syndrome_rows(groups)]
+    table = syndrome_table(builder(N))
+    assert [(r.error_label, r.p, r.q) for r in table] == expected
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_bc_tables_over_N(N):
+    table = syndrome_table(build_bc(N))
+    modulus = 6 * N - 3
+    # Orders 1..N in turn, each its (m+1)(m+2)/2 losses, then as many gains.
+    assert [r.q for r in table] == [
+        (sign * m % modulus,) for m in range(1, N + 1) for sign in (-1, 1)
+        for _ in range((m + 1) * (m + 2) // 2)
+    ]
+    for r in table:
+        (q,) = r.q
+        m = min(q, modulus - q)
+        powers = [int(t.split("^")[1]) if "^" in t else 1 for t in r.error_label.split()]
+        assert sum(powers) == m
+        assert r.error_label.startswith("adag_") == (q == m)
+    assert len({(r.p, r.q) for r in table}) == len(table)
 
 
 def test_bc_configuration_count():
@@ -206,7 +237,7 @@ def _reference_restoration(case, basis):
         for j, st in enumerate(basis.states):
             if st[:3] == src:
                 mat[basis.index_of(dst + st[3:]), j] = 1.0
-    return LinearOperator.from_dense(basis, basis, mat)
+    return LinearOperator.from_dense(basis, mat)
 
 
 @pytest.mark.parametrize("groups", [1, 2])
