@@ -209,6 +209,5 @@ def saturation_report(code: CodeSpec) -> Dict:
         "code": code.name,
         "saturates": holds and fails_below,
         "n": n,
-        "margin": rhs - lhs,
         "detail": "(1+3n)b^k=%d <= (4q-3)^n=%d; fails at %s" % (lhs, rhs, shrunk),
     }

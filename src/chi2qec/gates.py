@@ -30,7 +30,6 @@ _CANONICAL = ((0, 0, 2), (1, 1, 1), (2, 2, 0))
 
 @dataclass
 class Generator:
-    index: int
     name: str
     matrix: np.ndarray  # 3x3 Hermitian, v-basis order
 
@@ -39,8 +38,6 @@ class Generator:
 class GateDef:
     name: str
     unitary: np.ndarray
-    basis: str  # "v3" (H_2, v order), "pair9" (H_2 x H_2), "pair81"
-    decomposition: str = ""
 
 
 def _perm_v_to_canonical() -> np.ndarray:
@@ -89,23 +86,23 @@ def generator(k: int) -> Generator:
     g1 = 0.5j * (A - A.conjugate().transpose())
     g2 = 0.5 * (A + A.conjugate().transpose())
     if k == 1:
-        return Generator(1, "G1", g1)
+        return Generator("G1", g1)
     if k == 2:
-        return Generator(2, "G2", g2)
+        return Generator("G2", g2)
     g3 = 1j * _comm(g1, g2)
     if k == 3:
-        return Generator(3, "G3", g3)
+        return Generator("G3", g3)
     g4 = 1j * _comm(g3, g1)
     if k == 4:
-        return Generator(4, "G4", g4)
+        return Generator("G4", g4)
     g5 = 1j * _comm(g3, g2)
     if k == 5:
-        return Generator(5, "G5", g5)
+        return Generator("G5", g5)
     if k == 6:
         g6 = (1j * _comm(g1, g4) + 1j * _comm(g5, g2)) / (4 * SQRT2)
-        return Generator(6, "G6", g6)
+        return Generator("G6", g6)
     g7 = 1j * _comm(g2, g4) / (2 * SQRT2)
-    return Generator(7, "G7", g7)
+    return Generator("G7", g7)
 
 
 def expm_hermitian(H: np.ndarray, angle: float) -> np.ndarray:
@@ -160,7 +157,7 @@ def xp_gate() -> GateDef:
     U[0, 0] = 1.0
     U[:, 1] = (_ket(1) - _ket(2)) / SQRT2
     U[:, 2] = (_ket(1) + _ket(2)) / SQRT2
-    return GateDef("XP", U, "v3", "e^{i 2pi G6/3} e^{i pi G7/3}")
+    return GateDef("XP", U)
 
 
 def hprime_gate() -> GateDef:
@@ -169,7 +166,7 @@ def hprime_gate() -> GateDef:
     U[:, 0] = (_ket(1) - _ket(0)) / SQRT2
     U[:, 1] = (_ket(1) + _ket(0)) / SQRT2
     U[2, 2] = 1.0
-    return GateDef("Hprime", U, "v3", "e^{i pi G4/6} e^{-i pi G5/12}")
+    return GateDef("Hprime", U)
 
 
 def hadamard_gate() -> GateDef:
@@ -184,7 +181,7 @@ def hadamard_gate() -> GateDef:
         + np.outer((zero - one) / SQRT2, one.conjugate())
         + np.outer(w, w.conjugate())
     )
-    return GateDef("H", U, "v3", "XP^-1 Hprime XP")
+    return GateDef("H", U)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,7 @@ def cnot3_12() -> GateDef:
         + np.kron(_proj(_C002), _CYCLE)
         + np.kron(_proj(_C220), _CYCLE.conjugate().transpose())
     )
-    return GateDef("CNOT3_12", U, "pair9")
+    return GateDef("CNOT3_12", U)
 
 
 def cnot2_21() -> GateDef:
@@ -236,31 +233,31 @@ def cnot2_21() -> GateDef:
     U = np.kron(_I3, _proj(_C002) + _proj(_C220)) + np.kron(
         _proj(_C002) + _shift(_C111, _C220) + _shift(_C220, _C111), _proj(_C111)
     )
-    return GateDef("CNOT2_21", U, "pair9")
+    return GateDef("CNOT2_21", U)
 
 
 def lambda21_h() -> GateDef:
     U = np.kron(_I3, _proj(_C002) + _proj(_C111)) + np.kron(_MPLUS, _proj(_C220))
-    return GateDef("Lambda21H", U, "pair9")
+    return GateDef("Lambda21H", U)
 
 
 def lambda21_h_bar() -> GateDef:
     U = np.kron(_I3, _proj(_C111) + _proj(_C220)) + np.kron(_MPLUS, _proj(_C002))
-    return GateDef("Lambda21Hbar", U, "pair9")
+    return GateDef("Lambda21Hbar", U)
 
 
 def cnot2p_12() -> GateDef:
     U = np.kron(_proj(_C111) + _proj(_C220), _I3) + np.kron(
         _proj(_C002), _SWAP02 + _proj(_C111)
     )
-    return GateDef("CNOT2p_12", U, "pair9")
+    return GateDef("CNOT2p_12", U)
 
 
 def cnot2pp_12() -> GateDef:
     U = np.kron(_proj(_C002) + _proj(_C111), _I3) + np.kron(
         _proj(_C220), _SWAP02 + _proj(_C111)
     )
-    return GateDef("CNOT2pp_12", U, "pair9")
+    return GateDef("CNOT2pp_12", U)
 
 
 def fredkin() -> GateDef:
@@ -268,7 +265,7 @@ def fredkin() -> GateDef:
     unitary as CNOT2pp, used to shuttle logical content onto one physical
     qutrit before the CZ."""
     g = cnot2pp_12()
-    return GateDef("F", g.unitary, "pair9")
+    return GateDef("F", g.unitary)
 
 
 _DIGIT = {(1, 1, 1): 0, (0, 0, 2): 1, (2, 2, 0): 2}
@@ -285,7 +282,7 @@ def cz22() -> GateDef:
         d1 = _DIGIT[st[3:6]]
         d2 = _DIGIT[st[9:12]]
         diag[idx] = omega ** (d1 * d2)
-    return GateDef("CZ22", np.diag(diag), "pair81")
+    return GateDef("CZ22", np.diag(diag))
 
 
 def cz_gate() -> GateDef:
@@ -293,7 +290,7 @@ def cz_gate() -> GateDef:
     F = fredkin().unitary
     FF = np.kron(F, F)
     U = FF.conjugate().transpose() @ cz22().unitary @ FF
-    return GateDef("CZ", U, "pair81", "(F x F)^dag CZ22 (F x F)")
+    return GateDef("CZ", U)
 
 
 def lambda_s_gate() -> GateDef:
@@ -306,7 +303,7 @@ def lambda_s_gate() -> GateDef:
     D[i11, i11] = 1j
     XX = np.kron(xp, xp)
     U = XX.conjugate().transpose() @ D @ XX
-    return GateDef("LambdaS", U, "pair9", "(XP x XP)^dag diag(...,i) (XP x XP)")
+    return GateDef("LambdaS", U)
 
 
 _GATES = {
@@ -366,8 +363,8 @@ def _restrict(U: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 def verify_gates() -> List[dict]:
     """Run every decomposition/identity check; returns JSON-ready records
-    (name, decomposition, max deviation, extracted phase, verdict), each
-    judged at the absolute tolerance 1e-10.
+    (name, decomposition, max deviation, verdict), each judged at the
+    absolute tolerance 1e-10.
 
     Known red entries (documented): the two-factor X_P form (the G6
     factor is exp(i pi sigma_x/2) = i sigma_x on the {|220>,|002>} block,
@@ -385,13 +382,12 @@ def verify_gates() -> List[dict]:
         if restrict is not None:
             A = _restrict(A, restrict)
             B = _restrict(B, restrict)
-        ok, phase, dev = equal_up_to_global_phase(A, B)
+        ok, _, dev = equal_up_to_global_phase(A, B)
         results.append(
             {
                 "name": name,
                 "decomposition": decomposition,
                 "max_deviation": dev,
-                "global_phase": phase,
                 "passed": bool(ok),
             }
         )
@@ -441,7 +437,6 @@ def verify_gates() -> List[dict]:
             "name": "CZ_unitary",
             "decomposition": "(F x F)^dag CZ22 (F x F)",
             "max_deviation": unit_dev,
-            "global_phase": 0.0,
             "passed": bool(unit_dev <= 1e-10),
         }
     )

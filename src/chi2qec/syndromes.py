@@ -4,6 +4,10 @@ A parity scheme is a list of components; each component is a signed sum of
 mode occupations reduced by a modulus.  Signed coefficients are needed
 because the binomial code's first component is n_s - n_i.
 
+Syndrome tables build no operators: a loss or gain monomial moves each
+support ket of a codeword by one fixed photon-number shift, so a row's
+parities are read off the codewords' shifted support kets.
+
 The generalized parity of the binomial code is recorded as the net
 total-photon-number *change* modulo 6N-3 (-m for an m-loss, +m for an
 m-gain): the absolute total is not ket-definite on the binomial codewords
@@ -18,22 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .codes import CodeSpec
-from .errors import (
-    _closure,
-    _compositions,
-    _monomial,
-    _monomial_label,
-    _unit_shifts,
-    _xi_basis,
-    enclosing_basis,
-)
+from .errors import _closure, _compositions, _monomial_label, _shift, _unit_shifts
 from .fock import (
     BasisIndex,
     DimensionMismatch,
     LinearOperator,
     StateVector,
-    apply,
-    embed,
     ket_map_operator,
     ladder,
 )
@@ -100,16 +94,15 @@ def p_bc_scheme(N: int) -> ParityScheme:
     )
 
 
-def measure_parity(state: StateVector, scheme: ParityScheme) -> Tuple[int, ...]:
-    """Common modular value of each component over the state's support."""
-    support = [s for s, _ in state.support()]
-    if not support:
+def _parity(kets, scheme: ParityScheme) -> Tuple[int, ...]:
+    """Common modular value of each component over `kets`."""
+    if not kets:
         raise ValueError("empty state")
     out = []
     for terms, modulus in scheme.components:
         values = {
             sum(coeff * ket[mode] for mode, coeff in terms) % modulus
-            for ket in support
+            for ket in kets
         }
         if len(values) != 1:
             raise IndefiniteParity(
@@ -120,18 +113,19 @@ def measure_parity(state: StateVector, scheme: ParityScheme) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _measure_consistent(states, scheme):
-    values = {measure_parity(s, scheme) for s in states}
-    if len(values) != 1:
-        raise IndefiniteParity(
-            "codewords disagree on %s: %r" % (scheme.name, sorted(values))
-        )
-    return values.pop()
+def measure_parity(state: StateVector, scheme: ParityScheme) -> Tuple[int, ...]:
+    """Common modular value of each component over the state's support."""
+    return _parity([s for s, _ in state.support()], scheme)
 
 
 def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> List[SyndromeRecord]:
-    """Apply each declared single-error operator to every codeword and
-    measure the code's parity schemes.
+    """Parities of each declared single error's image of every codeword.
+
+    A loss or gain monomial moves every support ket it does not annihilate
+    by one fixed shift (a loss keeps a ket only if no occupation drops
+    below zero; a gain keeps every ket).  The shift is injective, so the
+    moved kets are exactly the image's support and the parities are read
+    off them directly.  A codeword the error annihilates is skipped.
 
     PCC: 12 rows (single loss + single gain on 6 modes) with (p12, net
     change mod 3).  EECC: 6 rows with (p3, net change mod 3).  BC: loss and
@@ -145,16 +139,13 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
         # shifts every ket's group total by exactly +-1, while the absolute
         # group totals are not ket-definite on these codewords).
         layout = code.layout
-        units = _unit_shifts(layout.n_modes, 1)
-        basis = enclosing_basis(code, _unit_shifts(layout.n_modes, -1) + units)
-        words = [embed(w, basis) for w in code.logical_states]
         scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
         cases = []
         for kind, delta in (("loss", -1), ("gain", 1)):
-            for unit, (_, group) in zip(units, layout.modes):
+            for unit, (_, group) in zip(_unit_shifts(layout.n_modes, 1), layout.modes):
                 q = [0] * layout.n_groups
                 q[group - 1] = delta % 3
-                cases.append((words, kind, unit, tuple(q)))
+                cases.append((kind, unit, tuple(q)))
     elif code.name == "BC":
         N = code.parameters["N"]
         if monitored_order is None:
@@ -165,22 +156,28 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
             raise ValueError("BC N=%d monitors orders 1..%d, got %d"
                              % (N, N, monitored_order))
         scheme = p_bc_scheme(N)
-        cases = []
-        for m in orders:
-            basis = _xi_basis(m, code)
-            words = [embed(w, basis) for w in code.logical_states]
-            cases += [(words, kind, exps, (sign * m % (6 * N - 3),))
-                      for kind, sign in (("loss", -1), ("gain", 1))
-                      for exps in _compositions(m, 3)]
+        cases = [(kind, exps, (sign * m % (6 * N - 3),))
+                 for m in orders
+                 for kind, sign in (("loss", -1), ("gain", 1))
+                 for exps in _compositions(m, 3)]
     else:
         raise ValueError("no syndrome table for code %r" % code.name)
+    supports = [[ket for ket, _ in w.support()] for w in code.logical_states]
     records = []
-    for words, kind, exps, q in cases:
-        op = _monomial(words[0].basis, exps, kind)
-        images = [apply(op, w) for w in words]
-        images = [im.normalized() for im in images if im.norm() > 1e-12]
-        p = _measure_consistent(images, scheme)
-        records.append(SyndromeRecord(_monomial_label(code.layout, exps, kind), p, q))
+    for kind, exps, q in cases:
+        shift = _shift(exps, kind)
+        parities = set()
+        for kets in supports:
+            moved = [tuple(n + d for n, d in zip(ket, shift)) for ket in kets]
+            moved = [ket for ket in moved if min(ket) >= 0]
+            if moved:
+                parities.add(_parity(moved, scheme))
+        if len(parities) != 1:
+            raise IndefiniteParity(
+                "codewords disagree on %s: %r" % (scheme.name, sorted(parities))
+            )
+        records.append(SyndromeRecord(_monomial_label(code.layout, exps, kind),
+                                      parities.pop(), q))
     return records
 
 
@@ -218,11 +215,10 @@ def decode_syndrome(
 # Restoration isometries and full recovery pipelines.
 
 _RESTORATION_MAPS = {
-    # Per-qutrit basis-state maps realized by the restoration circuits.
-    "pcc_signal_loss": {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)},
-    "pcc_pump_loss": {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)},
-    "eecc_signal_loss": {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)},
-    "eecc_pump_loss": {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)},
+    # Per-qutrit basis-state maps realized by the restoration circuits, one
+    # per lowered mode; the PCC and EECC pipelines share them.
+    "signal_loss": {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)},
+    "pump_loss": {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)},
 }
 
 
@@ -253,18 +249,13 @@ def _eecc_recovery_gates() -> List[np.ndarray]:
 
 
 _PCC_SEQUENCES = {
-    "a_s1": ("pcc_signal_loss",
-             lambda: [cnot2_21().unitary, lambda21_h().unitary,
-                      lambda21_h_bar().unitary, cnot2p_12().unitary]),
-    "a_p1": ("pcc_pump_loss",
-             lambda: [lambda21_h().unitary, lambda21_h_bar().unitary,
-                      cnot2_21().unitary, cnot2pp_12().unitary]),
+    "a_s1": lambda: [cnot2_21().unitary, lambda21_h().unitary,
+                     lambda21_h_bar().unitary, cnot2p_12().unitary],
+    "a_p1": lambda: [lambda21_h().unitary, lambda21_h_bar().unitary,
+                     cnot2_21().unitary, cnot2pp_12().unitary],
 }
 
-_EECC_SEQUENCES = {
-    "a_s": ("eecc_signal_loss", _eecc_recovery_gates),
-    "a_p": ("eecc_pump_loss", _eecc_recovery_gates),
-}
+_EECC_SEQUENCES = {"a_s": _eecc_recovery_gates, "a_p": _eecc_recovery_gates}
 
 
 def _recovery_pipeline(code: CodeSpec, error_label: str):
@@ -281,8 +272,8 @@ def _recovery_pipeline(code: CodeSpec, error_label: str):
         return None
     if error_label not in sequences:
         raise KeyError("unsupported %s error %r" % (code.name, error_label))
-    case, gate_seq = sequences[error_label]
-    return 0 if error_label.startswith("a_s") else 2, case, gate_seq()
+    mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
+    return mode, case, sequences[error_label]()
 
 
 def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):

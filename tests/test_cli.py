@@ -279,6 +279,15 @@ def test_main_syndromes_bc_single_order(capsys):
     assert doc["results"][-1]["detail"] == "12 rows"  # 18 for all orders
 
 
+def test_main_syndromes_bc_past_operator_size_limit(capsys):
+    # The xi_12 operators are too large to build (TruncationOverflow); the
+    # table needs none of them.
+    assert main(["syndromes", "bc", "--N", "12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"][-1] == {"name": "syndromes_distinct", "passed": True,
+                                  "detail": "908 rows"}
+
+
 @pytest.mark.parametrize("argv,flags", [
     (["kl-check", "pcc", "--N", "2", "--errors", "lowest-order"], ["--gamma", "0.01"]),
     (["kl-check", "bc2mode", "--N", "2", "--errors", "ad"],

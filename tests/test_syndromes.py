@@ -1,10 +1,20 @@
 """Parity measurement, syndrome tables, decoding and full recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chi2qec.cli import expected_syndrome_rows
 from chi2qec.codes import build_bc, build_eecc, build_pcc
+from chi2qec.errors import (
+    _compositions,
+    _monomial,
+    _monomial_label,
+    _shift,
+    _unit_shifts,
+    enclosing_basis,
+)
 from chi2qec.fock import (
     DimensionMismatch,
     LinearOperator,
@@ -28,6 +38,7 @@ from chi2qec.syndromes import (
     decode_syndrome,
     full_recovery,
     measure_parity,
+    p12_scheme,
     p3_scheme,
     p_bc_scheme,
     random_logical_states,
@@ -115,7 +126,7 @@ def test_pcc_and_eecc_tables_over_N(builder, groups, N):
     assert [(r.error_label, r.p, r.q) for r in table] == expected
 
 
-@pytest.mark.parametrize("N", range(2, 7))
+@pytest.mark.parametrize("N", range(2, 13))
 def test_bc_tables_over_N(N):
     table = syndrome_table(build_bc(N))
     modulus = 6 * N - 3
@@ -133,6 +144,49 @@ def test_bc_tables_over_N(N):
     assert len({(r.p, r.q) for r in table}) == len(table)
 
 
+def _reference_syndrome_rows(code):
+    """(label, p) of each row the operator way: the row's monomial on the
+    codewords' enclosing basis, applied to every embedded codeword, and the
+    parity of the nonzero normalized images."""
+    if code.name == "BC":
+        N = code.parameters["N"]
+        scheme = p_bc_scheme(N)
+        errors = [(kind, exps) for m in range(1, N + 1)
+                  for kind in ("loss", "gain") for exps in _compositions(m, 3)]
+    else:
+        scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
+        errors = [(kind, exps) for kind in ("loss", "gain")
+                  for exps in _unit_shifts(code.layout.n_modes, 1)]
+    rows = []
+    for kind, exps in errors:
+        basis = enclosing_basis(code, [_shift(exps, kind)])
+        op = _monomial(basis, exps, kind)
+        images = [apply(op, embed(w, basis)) for w in code.logical_states]
+        values = {measure_parity(im.normalized(), scheme)
+                  for im in images if im.norm() > 1e-12}
+        assert len(values) == 1
+        rows.append((_monomial_label(code.layout, exps, kind), values.pop()))
+    return rows
+
+
+@pytest.mark.parametrize("builder,Ns", [
+    (build_pcc, range(2, 7)), (build_eecc, range(2, 7)), (build_bc, range(2, 9)),
+], ids=["pcc", "eecc", "bc"])
+def test_syndrome_tables_match_operator_reference(builder, Ns):
+    for N in Ns:
+        code = builder(N)
+        table = syndrome_table(code)
+        assert [(r.error_label, r.p) for r in table] == _reference_syndrome_rows(code)
+
+
+def test_syndrome_row_with_every_codeword_annihilated_raises():
+    # a_s annihilates |0,0,2>, so its row has no image kets to read.
+    eecc = build_eecc(2)
+    word = StateVector.from_terms(eecc.basis, {(0, 0, 2): 1.0})
+    with pytest.raises(IndefiniteParity):
+        syndrome_table(dataclasses.replace(eecc, logical_states=[word]))
+
+
 def test_bc_configuration_count():
     assert bc_configuration_count_ok(2, 2)
     assert bc_configuration_count_ok(3, 3)
@@ -140,7 +194,7 @@ def test_bc_configuration_count():
 
 
 def test_decode_round_trip():
-    for spec in (build_pcc(3), build_eecc(2)):
+    for spec in (build_pcc(3), build_eecc(2), build_bc(2), build_bc(3), build_bc(4)):
         for r in syndrome_table(spec):
             assert decode_syndrome(spec, r.p, r.q) == r.error_label
 
@@ -160,7 +214,7 @@ def test_decode_bc_order_guard():
 
 def test_restoration_isometry_maps_and_partial_isometry():
     big = enumerate_truncated_space(three_mode_layout(2, groups=1))
-    R = restoration_isometry("eecc_signal_loss", big)
+    R = restoration_isometry("signal_loss", big)
     src = big.index_of((1, 2, 0))
     dst = big.index_of((0, 0, 2))
     assert R.matrix[dst, src] == 1.0
