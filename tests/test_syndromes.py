@@ -285,9 +285,19 @@ def _reference_full_recovery(code, error_label, state):
     return out, float(abs(np.vdot(state.amplitudes, out)))
 
 
-def _reference_restoration(case, basis):
+# Per-qutrit maps of each published restoration circuit, keyed by pipeline
+# and lowered mode: (code builder, N, detected loss, map).
+_PUBLISHED_RESTORATIONS = {
+    "pcc_signal_loss": (build_pcc, 3, "a_s1", {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)}),
+    "pcc_pump_loss": (build_pcc, 3, "a_p1", {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)}),
+    "eecc_signal_loss": (build_eecc, 2, "a_s", {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)}),
+    "eecc_pump_loss": (build_eecc, 2, "a_p", {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)}),
+}
+
+
+def _reference_restoration(mapping, basis):
     mat = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for src, dst in _RESTORATION_MAPS[case].items():
+    for src, dst in mapping.items():
         for j, st in enumerate(basis.states):
             if st[:3] == src:
                 mat[basis.index_of(dst + st[3:]), j] = 1.0
@@ -295,11 +305,16 @@ def _reference_restoration(case, basis):
 
 
 @pytest.mark.parametrize("groups", [1, 2])
-@pytest.mark.parametrize("case", sorted(_RESTORATION_MAPS))
+@pytest.mark.parametrize("case", sorted(_PUBLISHED_RESTORATIONS))
 def test_restoration_isometry_matches_dense_reference(case, groups):
+    # Each pipeline's restoration, through the shared per-mode map it
+    # selects, is the published circuit's map.
+    builder, N, label, mapping = _PUBLISHED_RESTORATIONS[case]
+    _, shared_case, _ = _recovery_pipeline(builder(N), label)
+    assert shared_case in _RESTORATION_MAPS
     big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
-    got = restoration_isometry(case, big).matrix
-    want = _reference_restoration(case, big).matrix
+    got = restoration_isometry(shared_case, big).matrix
+    want = _reference_restoration(mapping, big).matrix
     assert (got != want).nnz == 0
 
 
