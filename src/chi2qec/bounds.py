@@ -4,9 +4,8 @@ All bound evaluations compare exact Python integers; floats only appear in
 code_rate and capacity_upper.
 """
 
-from dataclasses import dataclass
 import math
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from .codes import CodeSpec
 from .errors import _closure, _unit_shifts
@@ -21,17 +20,25 @@ class SearchCapExceeded(ValueError):
     CLI reports it as a usage error, like any other out-of-range input."""
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class _BoundFields(NamedTuple):
     n: int
     q: int
     b: int
     k: int
     t: int = 1
 
-    def __post_init__(self):
-        if self.q < 2 or self.b < 2 or self.n < 1 or self.k < 1 or self.t < 0:
+
+class BoundQuery(_BoundFields):
+    """Validated (n, q, b, k, t); a tuple, so theorem 4's grid check can
+    build thousands of them cheaply."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, q: int, b: int, k: int, t: int = 1):
+        self = tuple.__new__(cls, (n, q, b, k, t))
+        if q < 2 or b < 2 or n < 1 or k < 1 or t < 0:
             raise ValueError("invalid bound query %r" % (self,))
+        return self
 
 
 def rotation_sphere_volume(n: int, q: int, t: int) -> int:

@@ -14,7 +14,6 @@ import math
 from typing import List, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .codes import CodeSpec
 from .fock import (
@@ -206,12 +205,11 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     basis = enclosing_basis(code, _unit_shifts(nm, -1))
     totals = basis.occupations.sum(axis=1).astype(float)
     diag = np.sqrt(np.clip(1.0 - gamma * totals, 0.0, None))
-    e0 = LinearOperator(basis, sp.diags(diag.astype(complex), format="csr"))
-    out = [ErrorOperator("E_0", e0)]
+    out = [ErrorOperator("E_0", LinearOperator.diagonal(basis, diag))]
     if gamma > 0:
         for mode in range(nm):
-            op = ladder(mode, "lower", basis)
-            op = LinearOperator(basis, math.sqrt(gamma) * op.matrix)
+            a = ladder(mode, "lower", basis)
+            op = LinearOperator(basis, a.rows, math.sqrt(gamma) * a.coeffs)
             out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(layout, mode), op))
     return out
 
@@ -222,12 +220,9 @@ def loss_kraus_completeness_residual(
     """Max-entry deviation of sum E^dag E from the identity, restricted to
     the given sub-basis of the Kraus domain."""
     basis = kraus[0].operator.domain
-    total = None
-    for e in kraus:
-        term = adjoint(e.operator).matrix.dot(e.operator.matrix)
-        total = term if total is None else total + term
+    total = sum(compose(adjoint(e.operator), e.operator).dense() for e in kraus)
     idx = [basis.index_of(s) for s in on.states]
-    dense = total.toarray()[np.ix_(idx, idx)]
+    dense = total[np.ix_(idx, idx)]
     return float(np.max(np.abs(dense - np.eye(len(idx)))))
 
 
@@ -236,28 +231,24 @@ def amplitude_damping_kraus(
 ) -> ErrorOperator:
     """A(m) = sum_{n>=m} sqrt(C(n,m)) gamma^{m/2} (1-gamma)^{(n-m)/2} |n-m><n|
     on one mode of `basis`; a column whose target is not in the basis is
-    dropped.  On a basis that holds every ket below each of its kets on
+    left empty.  On a basis that holds every ket below each of its kets on
     that mode, summing A(m)^dag A(m) over m resolves the identity exactly."""
     if not 0 <= gamma < 1:
         raise ValueError("gamma must satisfy 0 <= gamma < 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    rows, cols, vals = [], [], []
+    rows = np.full(basis.dimension, -1, dtype=np.int64)
+    coeffs = np.zeros(basis.dimension)
     for j, s in enumerate(basis.states):
         n = s[mode]
         target = s[:mode] + (n - m,) + s[mode + 1:]
         if n < m or target not in basis:
             continue
-        coeff = math.sqrt(math.comb(n, m)) * gamma ** (m / 2.0) * (1 - gamma) ** (
+        rows[j] = basis.index_of(target)
+        coeffs[j] = math.sqrt(math.comb(n, m)) * gamma ** (m / 2.0) * (1 - gamma) ** (
             (n - m) / 2.0
         )
-        rows.append(basis.index_of(target))
-        cols.append(j)
-        vals.append(coeff)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
-    )
-    return ErrorOperator("A_%d(mode %d)" % (m, mode), LinearOperator(basis, mat))
+    return ErrorOperator("A_%d(mode %d)" % (m, mode), LinearOperator(basis, rows, coeffs))
 
 
 def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
@@ -409,10 +400,11 @@ def bc_moment_sum(N: int, h: int, g: int, m: int, side: str, kind: str) -> Fract
 
 def canonical_recovery(
     code: CodeSpec, errors: Sequence[ErrorOperator], tol: float = DEFAULT_KL_TOL
-) -> List[LinearOperator]:
+) -> List[np.ndarray]:
     """Standard KL recovery: diagonalize alpha, orthonormalize the error
     subspaces and return the projector-conjugated isometries as Kraus
-    elements.  Requires the error set to pass kl_check."""
+    matrices on the errors' basis.  Requires the error set to pass
+    kl_check."""
     report = kl_check(code, errors, tol)
     if not report.verdict:
         raise KLViolation(
@@ -431,23 +423,23 @@ def canonical_recovery(
             continue
         # F_k restricted to the code space: dim x L.
         FkW = sum(
-            U[u, k] * errors[u].operator.matrix.dot(W) for u in range(len(errors))
+            U[u, k] * errors[u].operator.apply(W) for u in range(len(errors))
         )
         Vk = FkW / math.sqrt(d)  # isometry from code space into error sector
-        Rk = W @ Vk.conjugate().transpose()  # maps error sector back to code space
-        kraus.append(LinearOperator.from_dense(basis, Rk))
+        kraus.append(W @ Vk.conjugate().transpose())  # error sector back to code space
     return kraus
 
 
 def recovery_fidelity(
     code: CodeSpec,
-    recovery: Sequence[LinearOperator],
+    recovery: Sequence[np.ndarray],
     error: ErrorOperator,
     coeffs: np.ndarray,
 ) -> np.ndarray:
     """Channel fidelity of error-then-recovery on each column of an L x T
-    block of logical amplitudes; returns the T fidelities."""
-    basis = recovery[0].domain
+    block of logical amplitudes; returns the T fidelities.  The recovery
+    Kraus matrices act on the error's basis."""
+    basis = error.operator.domain
     words = np.column_stack(
         [embed(psi, basis).amplitudes for psi in code.logical_states]
     )
@@ -458,13 +450,13 @@ def recovery_fidelity(
         )
     psi = words @ coeffs
     psi = psi / np.linalg.norm(psi, axis=0)
-    corrupted = error.operator.matrix @ psi
+    corrupted = error.operator.apply(psi)
     nc = np.linalg.norm(corrupted, axis=0)
     if np.any(nc == 0):
         raise ValueError("error annihilates a state of the block")
     corrupted /= nc
     fid_sq = sum(
-        np.abs(np.sum(psi.conjugate() * (R.matrix @ corrupted), axis=0)) ** 2
+        np.abs(np.sum(psi.conjugate() * (R @ corrupted), axis=0)) ** 2
         for R in recovery
     )
     return np.sqrt(np.minimum(fid_sq, 1.0))

@@ -11,10 +11,9 @@ import math
 from typing import List, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .codes import build_bc
-from .fock import BasisIndex, LinearOperator, StateVector, embed, ket_map_operator
+from .fock import BasisIndex, LinearOperator, StateVector, compose, embed, ket_map_operator
 
 DEFAULT_TOL = 1e-9
 
@@ -33,12 +32,8 @@ class SymmetryOperator:
     operator: LinearOperator
 
     def unitarity_defect(self) -> float:
-        U = self.operator.matrix
-        d = U.shape[0]
-        return float(
-            np.max(np.abs((U.conjugate().transpose().dot(U)
-                           - sp.identity(d, dtype=complex)).toarray()))
-        )
+        U = self.operator.dense()
+        return float(np.max(np.abs(U.conjugate().transpose() @ U - np.eye(len(U)))))
 
 
 def _group_mode_positions(basis: BasisIndex, group: int):
@@ -65,7 +60,7 @@ def z_pair_operator(M: int, pair: str, group: int, basis: BasisIndex) -> Symmetr
     phases = np.array(
         [np.exp(2j * np.pi * (1 + st[a] + st[b]) / M) for st in basis.states]
     )
-    op = LinearOperator(basis, sp.diags(phases, format="csr"))
+    op = LinearOperator.diagonal(basis, phases)
     return SymmetryOperator("Z_%s^(M=%d) group %d" % (pair, M, group), op)
 
 
@@ -94,7 +89,7 @@ def inversion_operator_all_groups(M: int, basis: BasisIndex) -> SymmetryOperator
     op = None
     for g in range(1, n_groups + 1):
         part = inversion_operator(M, g, basis).operator
-        op = part if op is None else LinearOperator(basis, part.matrix.dot(op.matrix))
+        op = part if op is None else compose(part, op)
     return SymmetryOperator("V^(%d) all groups" % M, op)
 
 
@@ -110,12 +105,11 @@ def signal_parity_operator(basis: BasisIndex, group: int = 1) -> SymmetryOperato
     """Pi_s = (-1)^{n_s}, diagonal."""
     s, _, _ = _group_mode_positions(basis, group)
     phases = np.array([(-1.0) ** st[s] for st in basis.states], dtype=complex)
-    op = LinearOperator(basis, sp.diags(phases, format="csr"))
-    return SymmetryOperator("Pi_s", op)
+    return SymmetryOperator("Pi_s", LinearOperator.diagonal(basis, phases))
 
 
-def pseudo_beamsplitter(N: int, basis: BasisIndex) -> SymmetryOperator:
-    """Pseudo-beam-splitter on H_{2N-1}.
+def pseudo_beamsplitter(N: int, basis: BasisIndex) -> np.ndarray:
+    """Pseudo-beam-splitter matrix on H_{2N-1}.
 
     U_BS = |0~><+| + |1~><-| + sum_j |e_j~><j,j,2N-1-j| where
     |+/-> = (|0,0,2N-1> +/- |2N-1,2N-1,0>)/sqrt(2), |0~>,|1~> are the
@@ -158,18 +152,16 @@ def pseudo_beamsplitter(N: int, basis: BasisIndex) -> SymmetryOperator:
         ket = np.zeros(dim, dtype=complex)
         ket[basis.index_of((j, j, M - j))] = 1.0
         U += np.outer(ej, ket.conjugate())
-    return SymmetryOperator("U_BS(N=%d)" % N, LinearOperator.from_dense(basis, U))
+    return U
 
 
-def bc_symmetry_operator(N: int, basis: BasisIndex) -> SymmetryOperator:
-    """Pi_s U_BS V^{(2N-1)} U_BS^dagger — the bosonic-code symmetry whose
-    unity eigenvectors include both codewords."""
-    ubs = pseudo_beamsplitter(N, basis).operator.dense()
+def bc_symmetry_operator(N: int, basis: BasisIndex) -> np.ndarray:
+    """Matrix of Pi_s U_BS V^{(2N-1)} U_BS^dagger — the bosonic-code
+    symmetry whose unity eigenvectors include both codewords."""
+    ubs = pseudo_beamsplitter(N, basis)
     v = inversion_operator(2 * N - 1, 1, basis).operator.dense()
     pi = signal_parity_operator(basis).operator.dense()
-    S = pi @ ubs @ v @ ubs.conjugate().transpose()
-    return SymmetryOperator("Pi_s U_BS V U_BS^dag (N=%d)" % N,
-                            LinearOperator.from_dense(basis, S))
+    return pi @ ubs @ v @ ubs.conjugate().transpose()
 
 
 def joint_unity_eigenspace(

@@ -172,12 +172,17 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
             moved = [ket for ket in moved if min(ket) >= 0]
             if moved:
                 parities.add(_parity(moved, scheme))
-        if len(parities) != 1:
+        label = _monomial_label(code.layout, exps, kind)
+        if not parities:
+            raise IndefiniteParity(
+                "%s annihilates every codeword: no image kets to read %s from"
+                % (label, scheme.name)
+            )
+        if len(parities) > 1:
             raise IndefiniteParity(
                 "codewords disagree on %s: %r" % (scheme.name, sorted(parities))
             )
-        records.append(SyndromeRecord(_monomial_label(code.layout, exps, kind),
-                                      parities.pop(), q))
+        records.append(SyndromeRecord(label, parities.pop(), q))
     return records
 
 
@@ -298,11 +303,11 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     rows = [big.index_of(s) for s in code.basis.states]
     embedded = np.zeros((big.dimension, states.shape[1]), dtype=complex)
     embedded[rows] = states
-    corrupted = ladder(mode, "lower", big).matrix @ embedded
+    corrupted = ladder(mode, "lower", big).apply(embedded)
     norms = np.linalg.norm(corrupted, axis=0)
     if np.any(norms == 0):
         raise ValueError("the error annihilates a state of the block")
-    out = (restoration_isometry(case, big).matrix @ (corrupted / norms))[rows]
+    out = restoration_isometry(case, big).apply(corrupted / norms)[rows]
     for U in gates:
         out = U @ out
     fidelities = np.abs(np.sum(states.conjugate() * out, axis=0))

@@ -81,7 +81,7 @@ def test_amplitude_damping_resolves_identity(gamma):
     for errs in sets:
         for e in errs:
             assert e.operator.domain == basis
-            total += adjoint(e.operator).matrix.dot(e.operator.matrix).toarray()
+            total += compose(adjoint(e.operator), e.operator).dense()
     assert np.max(np.abs(total - np.eye(basis.dimension))) < 1e-12
 
 
@@ -92,7 +92,7 @@ def test_amplitude_damping_matrix_element():
     src = basis.index_of((3, 0))
     dst = basis.index_of((2, 0))
     expected = math.sqrt(3) * math.sqrt(gamma) * (1 - gamma)
-    assert A1.operator.matrix[dst, src] == pytest.approx(expected)
+    assert A1.operator.dense()[dst, src] == pytest.approx(expected)
 
 
 def test_kl_check_xi1_binomial_qubit():
@@ -157,22 +157,25 @@ def test_canonical_recovery_unit_fidelity():
 
 def _reference_recovery_fidelity(code, recovery, error, logical_amplitudes):
     """One logical state at a time, as the fidelity was computed per trial."""
-    basis = recovery[0].domain
+    basis = error.operator.domain
     words = [embed(psi, basis).amplitudes for psi in code.logical_states]
     psi = sum(c * w for c, w in zip(logical_amplitudes, words))
     psi = psi / np.linalg.norm(psi)
-    corrupted = error.operator.matrix.dot(psi)
+    corrupted = error.operator.dense() @ psi
     corrupted /= np.linalg.norm(corrupted)
-    fid_sq = sum(abs(np.vdot(psi, R.matrix.dot(corrupted))) ** 2 for R in recovery)
+    fid_sq = sum(abs(np.vdot(psi, R @ corrupted)) ** 2 for R in recovery)
     return math.sqrt(min(fid_sq, 1.0))
 
 
 def _codeword_weighted_error(spec, basis, w0, w1):
-    """w0 |0~><0~| + w1 |1~><1~|: outside the KL set, it shrinks logical
-    states by different amounts."""
+    """Weight w0 on the kets of |0~> and w1 on those of |1~>: the codewords
+    have disjoint supports, so on the code space this is w0 |0~><0~| +
+    w1 |1~><1~|.  Outside the KL set, it shrinks logical states by
+    different amounts."""
     zero, one = (embed(psi, basis).amplitudes for psi in spec.logical_states)
-    mat = w0 * np.outer(zero, zero.conj()) + w1 * np.outer(one, one.conj())
-    return ErrorOperator("W", LinearOperator.from_dense(basis, mat))
+    assert not np.any(zero * one)
+    weights = w0 * (zero != 0) + w1 * (one != 0)
+    return ErrorOperator("W", LinearOperator.diagonal(basis, weights))
 
 
 def test_batched_recovery_fidelity_matches_per_state_loop():
@@ -180,7 +183,7 @@ def test_batched_recovery_fidelity_matches_per_state_loop():
     errs = xi_set(2, spec)
     recov = canonical_recovery(spec, errs, tol=1e-9)
     coeffs = random_logical_coefficients(np.random.default_rng(23), 2, 30)
-    skew = _codeword_weighted_error(spec, recov[0].domain, 0.5, 1.0)
+    skew = _codeword_weighted_error(spec, errs[0].operator.domain, 0.5, 1.0)
     for err in errs + [skew]:
         fids = recovery_fidelity(spec, recov, err, coeffs)
         assert fids.shape == (30,)
@@ -193,7 +196,7 @@ def test_recovery_fidelity_rejects_annihilated_column_and_bad_shape():
     spec = build_bc(2)
     errs = xi_set(1, spec)
     recov = canonical_recovery(spec, errs, tol=1e-9)
-    keep_one = _codeword_weighted_error(spec, recov[0].domain, 0.0, 1.0)
+    keep_one = _codeword_weighted_error(spec, errs[0].operator.domain, 0.0, 1.0)
     recovery_fidelity(spec, recov, keep_one, np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
         recovery_fidelity(spec, recov, keep_one, np.eye(2))

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -57,12 +56,13 @@ def test_ladder_matrix_elements():
     a = ladder(0, "lower", basis)
     src = basis.index_of((2, 0, 0))
     dst = basis.index_of((1, 0, 0))
-    assert a.matrix[dst, src] == pytest.approx(math.sqrt(2))
+    assert a.dense()[dst, src] == pytest.approx(math.sqrt(2))
     araise = ladder(0, "raise", basis)
-    assert araise.matrix[src, dst] == pytest.approx(math.sqrt(2))
-    # Raising out of the truncated space drops the element.
+    assert araise.dense()[src, dst] == pytest.approx(math.sqrt(2))
+    # Raising out of the truncated space leaves the column empty.
     top = basis.index_of((3, 0, 0))
-    assert abs(araise.matrix[:, top]).sum() == 0
+    assert araise.rows[top] == -1
+    assert abs(araise.dense()[:, top]).sum() == 0
 
 
 def test_number_operator_expectation():
@@ -130,35 +130,60 @@ def test_apply_dimension_mismatch():
         apply(op, psi)
 
 
-@pytest.mark.parametrize("make", [
-    lambda m: sp.csr_matrix(m.real),
-    lambda m: sp.coo_matrix(m),
-    lambda m: sp.csr_array(m),
-    lambda m: m,
-], ids=["real-csr", "coo", "csr-array", "dense"])
-def test_linear_operator_converts_to_complex_csr(make):
+def test_linear_operator_holds_a_weighted_ket_map():
     basis = enumerate_irreducible_subspace(2)  # three kets
-    dense = np.arange(9).reshape(3, 3) + 0j
-    op = LinearOperator(basis, make(dense))
-    assert type(op.matrix) is sp.csr_matrix
-    assert op.matrix.dtype == complex
-    assert np.array_equal(op.dense(), dense)
+    op = LinearOperator(basis, [2, -1, 0], [0.5, 0, 1j])
+    assert op.rows.dtype == np.int64
+    assert op.coeffs.dtype == complex
+    assert np.array_equal(op.dense(), [[0, 0, 1j], [0, 0, 0], [0.5, 0, 0]])
 
 
-def test_linear_operator_keeps_a_complex_csr_matrix():
-    basis = enumerate_irreducible_subspace(2)
-    mat = sp.csr_matrix(np.eye(3, dtype=complex))
-    assert LinearOperator(basis, mat).matrix is mat
-
-
-@pytest.mark.parametrize("mat", [
-    sp.csr_matrix((3, 4), dtype=complex),
-    np.zeros((4, 3)),
-], ids=["complex-csr", "dense"])
-def test_linear_operator_rejects_a_wrong_shape(mat):
+@pytest.mark.parametrize("rows,coeffs", [
+    ([0, 1, 2], np.eye(3)),
+    ([0, 1], [1, 1, 1]),
+    ([0, 1, 2], [1, 1]),
+    ([0, 1, 3], [1, 1, 1]),
+    ([0, 1, -2], [1, 1, 1]),
+], ids=["dense", "short-rows", "short-coeffs", "row-past-end", "row-below-empty"])
+def test_linear_operator_rejects_a_wrong_shape(rows, coeffs):
     basis = enumerate_irreducible_subspace(2)
     with pytest.raises(DimensionMismatch):
-        LinearOperator(basis, mat)
+        LinearOperator(basis, rows, coeffs)
+
+
+def _sample_operators(basis):
+    """Ket maps of every builder: ladders that empty columns, a number
+    monomial that empties its zero-coefficient columns, complex phases and
+    a permutation."""
+    phases = np.exp(1j * np.arange(basis.dimension))
+    return [
+        ladder(0, "lower", basis),
+        ladder(2, "raise", basis),
+        monomial_operator([(0, "number"), (1, "lower")], basis),
+        LinearOperator.diagonal(basis, phases),
+        LinearOperator(basis, np.roll(np.arange(basis.dimension), 1), phases),
+    ]
+
+
+def test_compose_adjoint_and_apply_equal_the_dense_products():
+    basis = enumerate_truncated_space(three_mode_layout(2))
+    ops = _sample_operators(basis)
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(basis.dimension, 4)) + 1j * rng.normal(size=(basis.dimension, 4))
+    for a in ops:
+        assert np.allclose(adjoint(a).dense(), a.dense().conjugate().transpose(),
+                           rtol=0, atol=1e-15)
+        assert np.allclose(a.apply(block), a.dense() @ block, rtol=0, atol=1e-12)
+        assert np.allclose(a.apply(block[:, 0]), a.dense() @ block[:, 0], rtol=0, atol=1e-12)
+        for b in ops:
+            assert np.allclose(compose(a, b).dense(), a.dense() @ b.dense(),
+                               rtol=0, atol=1e-12)
+
+
+def test_adjoint_refuses_a_map_that_merges_kets():
+    basis = enumerate_irreducible_subspace(2)
+    with pytest.raises(ValueError):
+        adjoint(LinearOperator(basis, [0, 0, -1], [1, 1, 0]))
 
 
 def test_state_label():
@@ -175,7 +200,8 @@ def test_two_mode_layout():
 def _reference_ladder(mode, kind, basis):
     """Per-state ladder over any BasisIndex: |n-1><n| sqrt(n) or
     |n+1><n| sqrt(n+1), dropping targets outside the basis."""
-    rows, cols, vals = [], [], []
+    rows = [-1] * basis.dimension
+    vals = [0.0] * basis.dimension
     for j, s in enumerate(basis.states):
         n = s[mode]
         if kind == "lower":
@@ -187,18 +213,13 @@ def _reference_ladder(mode, kind, basis):
             target = s[:mode] + (n + 1,) + s[mode + 1:]
             coeff = math.sqrt(n + 1)
         if target in basis:
-            rows.append(basis.index_of(target))
-            cols.append(j)
-            vals.append(coeff)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=complex
-    )
-    return LinearOperator(basis, mat)
+            rows[j] = basis.index_of(target)
+            vals[j] = coeff
+    return LinearOperator(basis, rows, vals)
 
 
 def _reference_number(mode, basis):
-    diag = np.array([s[mode] for s in basis.states], dtype=complex)
-    return LinearOperator(basis, sp.diags(diag, format="csr"))
+    return LinearOperator.diagonal(basis, [s[mode] for s in basis.states])
 
 
 def _reference_product(factors, basis):
@@ -213,9 +234,16 @@ def _reference_product(factors, basis):
     return op
 
 
+def _entries(op):
+    """{(source ket, target ket): coefficient} over the nonzero entries."""
+    states = op.domain.states
+    return {(states[j], states[op.rows[j]]): op.coeffs[j]
+            for j in np.flatnonzero((op.rows >= 0) & (op.coeffs != 0))}
+
+
 def _assert_same_operator(got, want):
     assert got.domain == want.domain
-    assert (got.matrix != want.matrix).nnz == 0
+    assert _entries(got) == _entries(want)
 
 
 def _layout(caps):
@@ -256,11 +284,11 @@ def test_monomial_kernel_equals_composed_ladders(case):
     raises = [sum(1 for m, kind in factors if m == mode and kind == "raise")
               for mode in range(len(caps))]
     full = enumerate_truncated_space(_layout([c + r for c, r in zip(caps, raises)]))
-    idx = [full.index_of(s) for s in subset.states]
-    want = _reference_product(factors, full).matrix[idx][:, idx]
+    want = {(src, dst): c for (src, dst), c in _entries(_reference_product(factors, full)).items()
+            if src in subset and dst in subset}
     got = monomial_operator(factors, subset)
     assert got.domain == subset
-    assert (got.matrix != want).nnz == 0
+    assert _entries(got) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,9 +310,9 @@ def test_error_monomials_equal_composed_ladders(data):
 
 def test_ladder_on_an_irreducible_basis_drops_targets_outside_it():
     h2 = enumerate_irreducible_subspace(2)
-    assert ladder(0, "lower", h2).matrix.nnz == 0  # |n-1,n,2-n> leaves H_2
+    assert np.all(ladder(0, "lower", h2).rows == -1)  # |n-1,n,2-n> leaves H_2
     # a_s^dag a_i^dag a_p stays in H_2: |0,0,2> -> sqrt(2) |1,1,1>.
     A = monomial_operator([(2, "lower"), (1, "raise"), (0, "raise")], h2)
-    assert A.matrix[h2.index_of((1, 1, 1)), h2.index_of((0, 0, 2))] == pytest.approx(
+    assert A.dense()[h2.index_of((1, 1, 1)), h2.index_of((0, 0, 2))] == pytest.approx(
         math.sqrt(2))
-    assert A.matrix.nnz == 2
+    assert np.count_nonzero(A.dense()) == 2

@@ -1,7 +1,11 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and importing
+the package loads numpy only."""
 
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +73,20 @@ def test_scanner_finds_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_every_module_loads_no_scipy():
+    # A fresh interpreter, so modules other tests imported do not count.
+    names = ["chi2qec"] + ["chi2qec." + p.stem for p in MODULES]
+    code = (
+        "import importlib, sys\n"
+        "for name in %r: importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n" % names
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert len(names) == 9
+    assert out.stdout.strip() == "[]"
