@@ -5,7 +5,7 @@ symmetry (symmetry operators and eigenspace synthesis), codes (code
 constructors), errors (error families and Knill-Laflamme checks),
 syndromes (parity measurement and recovery), gates (logical-gate
 decompositions), bounds (quantum Hamming bounds), cli (command-line
-front end).
+front end), schema (run-time check of JSON reports).
 """
 
 __version__ = "0.1.0"
@@ -17,6 +17,7 @@ __all__ = [
     "errors",
     "fock",
     "gates",
+    "schema",
     "symmetry",
     "syndromes",
 ]

@@ -22,6 +22,7 @@ Conventions (part of the public contract):
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Optional, Sequence, Tuple
@@ -107,7 +108,7 @@ class BasisIndex:
 
     def __init__(self, states: Iterable[FockBasisState]):
         self.states: Tuple[FockBasisState, ...] = tuple(
-            tuple(int(n) for n in s) for s in states
+            tuple(map(int, s)) for s in states
         )
         self._lookup = {s: i for i, s in enumerate(self.states)}
         if len(self._lookup) != len(self.states):
@@ -132,10 +133,16 @@ class BasisIndex:
     def __len__(self):
         return len(self.states)
 
-    @property
+    @functools.cached_property
     def occupations(self) -> np.ndarray:
-        """Integer array of shape (dimension, modes); row j is states[j]."""
-        return np.array(self.states, dtype=np.int64).reshape(self.dimension, -1)
+        """Integer array of shape (dimension, modes); row j is states[j].
+
+        Built on first use and shared by every later reader, so it is
+        read-only.
+        """
+        out = np.array(self.states, dtype=np.int64).reshape(self.dimension, -1)
+        out.flags.writeable = False
+        return out
 
     def __eq__(self, other):
         if self is other:

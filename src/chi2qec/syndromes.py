@@ -148,6 +148,9 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
                 cases.append((kind, unit, tuple(q)))
     elif code.name == "BC":
         N = code.parameters["N"]
+        if N < 2:
+            raise ValueError("BC N=%d has no syndrome table: its pBC modulus "
+                             "2N-1 = %d is below 2" % (N, 2 * N - 1))
         if monitored_order is None:
             orders = range(1, N + 1)
         elif 1 <= monitored_order <= N:

@@ -21,7 +21,7 @@ from chi2qec.cli import (
     resolve_config,
     validate_report_json,
 )
-from chi2qec.fock import TruncationOverflow
+from chi2qec.schema import SchemaViolation
 
 
 def test_run_config_validation():
@@ -232,10 +232,17 @@ def test_report_json_validates_against_schema():
     cfg = RunConfig()
     text = emit(cfg, "bounds", True, [{"name": "x", "passed": True}])
     validate_report_json(text)
-    import jsonschema
-
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaViolation, match=r"^\$: missing required keys"):
         validate_report_json(json.dumps({"tool": "chi2qec"}))
+
+
+def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
+    # The check needs no jsonschema: importing it would fail here.
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    monkeypatch.setattr(cli, "CRITERIA", [lambda config: {"passed": True}])
+    with pytest.raises(SchemaViolation, match=r"^\$\.results\[0\]: missing required keys \['name'\]"):
+        main(["report", "all"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -260,6 +267,14 @@ def test_report_json_validates_against_schema():
     (["bounds", "loss", "--sweep"], "--sweep does not apply to bounds loss"),
     (["bounds", "rotation", "--sweep", "--k", "200"],
      "error: no n <= 64 works for q=2 b=2 k=200 t=1"),
+    (["syndromes", "bc", "--N", "1"],
+     "error: BC N=1 has no syndrome table: its pBC modulus 2N-1 = 1 is below 2"),
+    (["kl-check", "pcc", "--N", "6", "--errors", "xi9"],
+     "error: xi_9 on PCC would stack 1526001120 image entries"),
+    (["kl-check", "bc", "--N", "30", "--errors", "xi30"],
+     "error: xi_30 on BC would stack 173735280 image entries"),
+    (["kl-check", "pcc", "--N", "12", "--errors", "ad"],
+     "error: order-0 damping on PCC would stack 12549264 image entries"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2
@@ -339,19 +354,19 @@ def test_kl_check_stays_on_the_codeword_support(capsys):
 
 
 @pytest.mark.parametrize("errors", ["xi9", "xi100"])
-def test_oversized_error_set_is_refused_before_it_is_built(errors):
+def test_oversized_error_set_is_refused_before_it_is_built(capsys, errors):
     start = time.perf_counter()
-    with pytest.raises(TruncationOverflow):
-        main(["kl-check", "pcc", "--N", "6", "--errors", errors])
+    assert main(["kl-check", "pcc", "--N", "6", "--errors", errors]) == 2
     assert time.perf_counter() - start < 1.0
+    assert "would stack" in capsys.readouterr().err
 
 
-def test_oversized_damping_set_is_refused_before_it_is_built():
+def test_oversized_damping_set_is_refused_before_it_is_built(capsys):
     # Every mode of PCC N=20 damped: about 3e7 closure kets.
     start = time.perf_counter()
-    with pytest.raises(TruncationOverflow, match="damping on PCC"):
-        main(["kl-check", "pcc", "--N", "20", "--errors", "ad"])
+    assert main(["kl-check", "pcc", "--N", "20", "--errors", "ad"]) == 2
     assert time.perf_counter() - start < 1.0
+    assert "damping on PCC" in capsys.readouterr().err
 
 
 # The parser is built once per process and reused by every `main` call.

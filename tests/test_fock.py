@@ -41,6 +41,16 @@ def test_irreducible_subspace_states():
     assert pair.states[0] == (0, 0, 1, 0, 0, 1)
 
 
+def test_occupations_are_built_once_and_read_only():
+    basis = BasisIndex([(0, 0, 2), (np.int64(1), 1, 1)])
+    assert basis.states[1] == (1, 1, 1) and type(basis.states[1][0]) is int
+    occ = basis.occupations
+    assert occ is basis.occupations
+    assert occ.tolist() == [[0, 0, 2], [1, 1, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        occ[0, 0] = 5
+
+
 def test_truncated_space_enumeration_and_overflow():
     layout = three_mode_layout(2)
     basis = enumerate_truncated_space(layout)

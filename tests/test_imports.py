@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and importing
-the package loads numpy only."""
+"""Every module of the package uses every name it imports, importing the
+package loads numpy only, and `report all` checks its JSON without
+jsonschema."""
 
 import ast
 import os
@@ -75,18 +76,31 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_importing_every_module_loads_no_scipy():
-    # A fresh interpreter, so modules other tests imported do not count.
-    names = ["chi2qec"] + ["chi2qec." + p.stem for p in MODULES]
-    code = (
-        "import importlib, sys\n"
-        "for name in %r: importlib.import_module(name)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n" % names
-    )
+def _loaded_in_fresh_interpreter(code, package):
+    """Run `code` in a fresh interpreter, so modules other tests imported do
+    not count, and return the `package` modules it left loaded."""
+    code += ("\nprint(sorted(m for m in sys.modules if m.split('.')[0] == %r))\n"
+             % package)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert len(names) == 9
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_every_module_loads_no_scipy():
+    names = ["chi2qec"] + ["chi2qec." + p.stem for p in MODULES]
+    code = ("import importlib, sys\n"
+            "for name in %r: importlib.import_module(name)" % names)
+    assert len(names) == 10
+    assert _loaded_in_fresh_interpreter(code, "scipy") == "[]"
+
+
+def test_report_all_validates_its_json_without_jsonschema():
+    code = ("import contextlib, io, sys\n"
+            "from chi2qec import cli, schema\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['report', 'all']) == 1\n"  # the red gate identities
+            "assert schema.report_schema.cache_info().currsize == 1")
+    assert _loaded_in_fresh_interpreter(code, "jsonschema") == "[]"
