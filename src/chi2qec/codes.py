@@ -1,27 +1,32 @@
 """Closed-form constructors for the three chi(2) codes and their metadata.
 
-The closed forms are the source of truth; symmetry synthesis (symmetry
-module) is used as a cross-check because degenerate nullspaces only fix the
-subspace, not a preferred logical basis.
+The closed forms are the source of truth, written once per family as exact
+integer weights; float amplitudes and photon numbers are derived from them.
+Symmetry synthesis (symmetry module) is used as a cross-check because
+degenerate nullspaces only fix the subspace, not a preferred logical basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 import json
 import math
-from typing import Dict, List
-
-import numpy as np
+from typing import Callable, Dict, List, Tuple
 
 from .fock import (
     BasisIndex,
     ModeLayout,
     StateVector,
     enumerate_irreducible_subspace,
+    enumerate_truncated_space,
     state_label,
     three_mode_layout,
     two_mode_layout,
 )
+
+
+# One codeword: {ket: integer weight}; the ket's amplitude is
+# sqrt(weight / denominator) for the code's common denominator.
+Weights = Dict[Tuple[int, ...], int]
 
 
 @dataclass
@@ -29,20 +34,31 @@ class CodeSpec:
     """A named code instance: layout, parameters and logical basis states.
 
     parameters: N (family size parameter), n (physical qudits), q (physical
-    qudit dimension), b (logical dimension), k (logical qudits).
+    qudit dimension), b (logical dimension), k (logical qudits).  Each
+    codeword is stated once, exactly, in `weights` over the unreduced
+    `denominator`; `logical_states` holds their float amplitudes, and the
+    photon numbers are derived from the weights.
     """
 
     name: str
     parameters: Dict[str, int]
     layout: ModeLayout
+    weights: List[Weights]
+    denominator: int
     logical_states: List[StateVector]
-    total_photons: Fraction
 
     @property
     def basis(self) -> BasisIndex:
         return self.logical_states[0].basis
 
+    @property
+    def total_photons(self) -> Fraction:
+        """Mean photon number, averaged over the codewords."""
+        means = mean_total_photons(self)
+        return sum(means) / len(means)
+
     def to_json_dict(self) -> dict:
+        total = self.total_photons
         return {
             "name": self.name,
             "parameters": dict(self.parameters),
@@ -50,8 +66,7 @@ class CodeSpec:
                 "modes": [list(m) for m in self.layout.modes],
                 "caps": list(self.layout.caps),
             },
-            "total_photons": [self.total_photons.numerator,
-                              self.total_photons.denominator],
+            "total_photons": [total.numerator, total.denominator],
             "codewords": [
                 [
                     [state_label(s), amp.real, amp.imag]
@@ -65,8 +80,30 @@ class CodeSpec:
         return json.dumps(self.to_json_dict())
 
 
-def _sqrt2():
-    return math.sqrt(2.0)
+def _code(name: str, parameters: Dict[str, int], layout: ModeLayout,
+          space: Callable[[], BasisIndex], weights: List[Weights],
+          denominator: int) -> CodeSpec:
+    """CodeSpec whose codewords are `weights` / `denominator` on the basis
+    `space()` lists.
+
+    Each amplitude is sqrt(w) divided by the integer root of a
+    perfect-square denominator, else by sqrt(denominator), which keeps the
+    float bits of the closed forms (reducing a weight would not).  The
+    amplitudes are converted before `space` is called, so a weight too
+    large for a float is refused before any basis is listed.
+    """
+    root = math.isqrt(denominator)
+    if root * root != denominator:
+        root = math.sqrt(denominator)
+    try:
+        amplitudes = [{ket: math.sqrt(w) / root for ket, w in word.items()}
+                      for word in weights]
+    except OverflowError:
+        raise ValueError("%s N=%d: codeword weights are too large for float "
+                         "amplitudes" % (name, parameters["N"])) from None
+    basis = space()
+    return CodeSpec(name, parameters, layout, weights, denominator,
+                    [StateVector.from_terms(basis, a) for a in amplitudes])
 
 
 def build_pcc(N: int) -> CodeSpec:
@@ -82,48 +119,27 @@ def build_pcc(N: int) -> CodeSpec:
     """
     if N < 2:
         raise ValueError("PCC requires N >= 2")
-    basis = enumerate_irreducible_subspace(N - 1, groups=2)
-    states: List[StateVector] = [None] * N
-
-    def mixed(x, y):
-        return StateVector.from_terms(
-            basis, {x + y: 1 / _sqrt2(), y + x: 1 / _sqrt2()}
-        )
-
-    if N == 2:
-        a, b = (1, 1, 0), (0, 0, 1)
-        states[0] = StateVector.from_terms(
-            basis, {a + a: 1 / _sqrt2(), b + b: 1 / _sqrt2()}
-        )
-        states[1] = mixed(a, b)
-    elif N % 2 == 0:
+    words: List[Weights] = []
+    if N % 2 == 0:
         m = N // 2
         for k in range(m):
             a = (m + k, m + k, m - 1 - k)
             b = (m - 1 - k, m - 1 - k, m + k)
-            states[2 * k] = mixed(a, b)
-            states[2 * k + 1] = StateVector.from_terms(
-                basis, {a + a: 1 / _sqrt2(), b + b: 1 / _sqrt2()}
-            )
+            words += [{a + b: 1, b + a: 1}, {a + a: 1, b + b: 1}]
+        if N == 2:
+            words.reverse()
     else:
         m = (N - 1) // 2
         c = (m, m, m)
-        states[0] = StateVector.from_terms(basis, {c + c: 1.0})
+        words.append({c + c: 2})
         for k in range(1, m + 1):
             a = (m + k, m + k, m - k)
             b = (m - k, m - k, m + k)
-            states[2 * k - 1] = StateVector.from_terms(
-                basis, {a + a: 1 / _sqrt2(), b + b: 1 / _sqrt2()}
-            )
-            states[2 * k] = mixed(a, b)
-
-    return CodeSpec(
-        name="PCC",
-        parameters={"N": N, "n": 2, "q": N, "b": N, "k": 1},
-        layout=three_mode_layout(N - 1, groups=2),
-        logical_states=states,
-        total_photons=Fraction(3 * (N - 1)),
-    )
+            words += [{a + a: 1, b + b: 1}, {a + b: 1, b + a: 1}]
+    return _code(
+        "PCC", {"N": N, "n": 2, "q": N, "b": N, "k": 1},
+        three_mode_layout(N - 1, groups=2),
+        lambda: enumerate_irreducible_subspace(N - 1, groups=2), words, 2)
 
 
 def build_eecc(N: int) -> CodeSpec:
@@ -136,26 +152,19 @@ def build_eecc(N: int) -> CodeSpec:
     if N < 2:
         raise ValueError("EECC requires N >= 2")
     M = 2 * N - 2
-    basis = enumerate_irreducible_subspace(M, groups=1)
-    states = []
-    for j in range(N - 1):
-        states.append(
-            StateVector.from_terms(
-                basis,
-                {
-                    (M - j, M - j, j): 1 / _sqrt2(),
-                    (j, j, M - j): 1 / _sqrt2(),
-                },
-            )
-        )
-    states.append(StateVector.from_terms(basis, {(N - 1, N - 1, N - 1): 1.0}))
-    return CodeSpec(
-        name="EECC",
-        parameters={"N": N, "n": 1, "q": 2 * N - 1, "b": N, "k": 1},
-        layout=three_mode_layout(M, groups=1),
-        logical_states=states,
-        total_photons=Fraction(3 * (N - 1)),
-    )
+    words = [{(M - j, M - j, j): 1, (j, j, M - j): 1} for j in range(N - 1)]
+    words.append({(N - 1, N - 1, N - 1): 2})
+    return _code(
+        "EECC", {"N": N, "n": 1, "q": 2 * N - 1, "b": N, "k": 1},
+        three_mode_layout(M, groups=1),
+        lambda: enumerate_irreducible_subspace(M, groups=1), words, 2)
+
+
+def _binomial_weights(N: int, parity: int) -> Dict[int, int]:
+    """{p: C(2N-1, p)} for the p of the given parity; over 4^{N-1} these
+    are the binomial codes' branch weights."""
+    M = 2 * N - 1
+    return {p: math.comb(M, p) for p in range(parity, M + 1, 2)}
 
 
 def build_bc(N: int) -> CodeSpec:
@@ -163,32 +172,17 @@ def build_bc(N: int) -> CodeSpec:
     against every homogeneous error set of order m <= N.
 
     |0~> = sum_j sqrt(C(2N-1,2j)) |2j,2j,2N-1-2j> / 2^{N-1} and |1~> with
-    the odd binomial indices.  Amplitudes come from exact integer binomials
-    with a single final float conversion.
+    the odd binomial indices.
     """
     if N < 1:
         raise ValueError("BC requires N >= 1")
     M = 2 * N - 1
-    basis = enumerate_irreducible_subspace(M, groups=1)
-    norm = 2 ** (N - 1)
-    zero = {
-        (2 * j, 2 * j, M - 2 * j): math.sqrt(math.comb(M, 2 * j)) / norm
-        for j in range(N)
-    }
-    one = {
-        (2 * j + 1, 2 * j + 1, 2 * (N - 1 - j)): math.sqrt(math.comb(M, 2 * j + 1)) / norm
-        for j in range(N)
-    }
-    return CodeSpec(
-        name="BC",
-        parameters={"N": N, "n": 1, "q": 2 * N, "b": 2, "k": 1},
-        layout=three_mode_layout(M, groups=1),
-        logical_states=[
-            StateVector.from_terms(basis, zero),
-            StateVector.from_terms(basis, one),
-        ],
-        total_photons=Fraction(3 * (2 * N - 1), 2),
-    )
+    words = [{(p, p, M - p): w for p, w in _binomial_weights(N, parity).items()}
+             for parity in (0, 1)]
+    return _code(
+        "BC", {"N": N, "n": 1, "q": 2 * N, "b": 2, "k": 1},
+        three_mode_layout(M, groups=1),
+        lambda: enumerate_irreducible_subspace(M, groups=1), words, 4 ** (N - 1))
 
 
 def build_two_mode_bc(N: int) -> CodeSpec:
@@ -202,26 +196,12 @@ def build_two_mode_bc(N: int) -> CodeSpec:
         raise ValueError("two-mode BC requires N >= 1")
     M = 2 * N - 1
     layout = two_mode_layout(M)
-    from .fock import enumerate_truncated_space
-
-    basis = enumerate_truncated_space(layout)
-    norm = 2 ** (N - 1)
-    zero = {
-        (2 * j, M - 2 * j): math.sqrt(math.comb(M, 2 * j)) / norm for j in range(N)
-    }
-    one = {
-        (M - 2 * j, 2 * j): math.sqrt(math.comb(M, 2 * j)) / norm for j in range(N)
-    }
-    return CodeSpec(
-        name="BC2mode",
-        parameters={"N": N, "n": 1, "q": 2 * N, "b": 2, "k": 1},
-        layout=layout,
-        logical_states=[
-            StateVector.from_terms(basis, zero),
-            StateVector.from_terms(basis, one),
-        ],
-        total_photons=Fraction(2 * N - 1),
-    )
+    even = _binomial_weights(N, 0)
+    words = [{(p, M - p): w for p, w in even.items()},
+             {(M - p, p): w for p, w in even.items()}]
+    return _code(
+        "BC2mode", {"N": N, "n": 1, "q": 2 * N, "b": 2, "k": 1}, layout,
+        lambda: enumerate_truncated_space(layout), words, 4 ** (N - 1))
 
 
 def code_rate(spec: CodeSpec) -> float:
@@ -229,18 +209,20 @@ def code_rate(spec: CodeSpec) -> float:
     return p["k"] * math.log2(p["b"]) / (p["n"] * math.log2(p["q"]))
 
 
-def mean_photons_per_mode(spec: CodeSpec) -> np.ndarray:
-    """Per-logical-state, per-mode mean photon numbers (rows = codewords)."""
-    out = np.zeros((len(spec.logical_states), spec.layout.n_modes))
-    for r, psi in enumerate(spec.logical_states):
-        probs = np.abs(psi.amplitudes) ** 2
-        for i, st in enumerate(psi.basis.states):
-            out[r] += probs[i] * np.array(st, dtype=float)
-    return out
+def mean_photons_per_mode(spec: CodeSpec) -> List[List[Fraction]]:
+    """Exact mean photon number of each mode (columns) in each codeword
+    (rows)."""
+    return [
+        [Fraction(sum(w * ket[i] for ket, w in word.items()), spec.denominator)
+         for i in range(spec.layout.n_modes)]
+        for word in spec.weights
+    ]
 
 
-def mean_total_photons(spec: CodeSpec) -> np.ndarray:
-    return mean_photons_per_mode(spec).sum(axis=1)
+def mean_total_photons(spec: CodeSpec) -> List[Fraction]:
+    """Exact mean total photon number of each codeword."""
+    return [Fraction(sum(w * sum(ket) for ket, w in word.items()), spec.denominator)
+            for word in spec.weights]
 
 
 _BUILDERS = {

@@ -9,13 +9,14 @@ allowed, which is exactly the projection-correctability relaxation.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import itertools
 import math
 from typing import List, Sequence
 
 import numpy as np
 
-from .codes import CodeSpec
+from .codes import CodeSpec, build_bc
 from .fock import (
     _MAX_TRUNCATED_DIM,
     BasisIndex,
@@ -346,18 +347,16 @@ def _rising(n: int, k: int) -> int:
     return out
 
 
-def _bc_occupations(N: int, side: str):
-    """(weight, n_s, n_p) per branch of the requested codeword; n_i = n_s."""
-    M = 2 * N - 1
-    for j in range(N):
-        if side == "zero":
-            yield math.comb(M, 2 * j), 2 * j, M - 2 * j
-        else:
-            yield math.comb(M, 2 * j + 1), 2 * j + 1, M - 2 * j - 1
+@functools.cache
+def _bc_code(N: int) -> CodeSpec:
+    """The BC of size N, built once: criterion 3 reads its weights for
+    about a thousand moment sums."""
+    return build_bc(N)
 
 
 def bc_moment_numerator(N: int, h: int, g: int, m: int, side: str, kind: str) -> int:
-    """Exact integer 2^{2N-2} <side| E^dag E |side> for the binomial code.
+    """Exact integer 4^{N-1} <side| E^dag E |side> for the binomial code,
+    summed over the codeword's integer weights.
 
     kind "loss": E = a_s^h a_i^g a_p^{m-h-g} (0 <= h+g <= m <= N);
     kind "gain": the adjoint monomial of the same exponents;
@@ -378,20 +377,21 @@ def bc_moment_numerator(N: int, h: int, g: int, m: int, side: str, kind: str) ->
             raise ValueError("require h+g <= m <= N")
         lp = m - h - g
     total = 0
-    for w, ns, npump in _bc_occupations(N, side):
+    for (ns, ni, npump), w in _bc_code(N).weights[("zero", "one").index(side)].items():
         if kind == "loss":
-            term = _falling(ns, h) * _falling(ns, g) * _falling(npump, lp)
+            term = _falling(ns, h) * _falling(ni, g) * _falling(npump, lp)
         elif kind == "gain":
-            term = _rising(ns, h) * _rising(ns, g) * _rising(npump, lp)
+            term = _rising(ns, h) * _rising(ni, g) * _rising(npump, lp)
         else:
-            term = ns ** (2 * h) * ns ** (2 * g) * npump ** (2 * lp)
+            term = ns ** (2 * h) * ni ** (2 * g) * npump ** (2 * lp)
         total += w * term
     return total
 
 
 def bc_moment_sum(N: int, h: int, g: int, m: int, side: str, kind: str) -> Fraction:
-    """Exact rational <side| E^dag E |side> (numerator over 4^{N-1})."""
-    return Fraction(bc_moment_numerator(N, h, g, m, side, kind), 4 ** (N - 1))
+    """Exact rational <side| E^dag E |side>."""
+    return Fraction(bc_moment_numerator(N, h, g, m, side, kind),
+                    _bc_code(N).denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,9 @@ def check_schema(value, schema, path: str = "$") -> None:
         problem = "%s is not %r" % (reprlib.repr(value), schema["const"])
     elif "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
         problem = "%s is not one of %r" % (reprlib.repr(value), schema["enum"])
-    elif _is_number(value) and "minimum" in schema and value < schema["minimum"]:
+    elif "minimum" in schema and _is_number(value) and value < schema["minimum"]:
         problem = "%r is below the minimum %r" % (value, schema["minimum"])
-    elif (_is_number(value) and "exclusiveMinimum" in schema
+    elif ("exclusiveMinimum" in schema and _is_number(value)
           and value <= schema["exclusiveMinimum"]):
         problem = "%r is not above %r" % (value, schema["exclusiveMinimum"])
     elif isinstance(value, dict):

@@ -13,7 +13,16 @@ from typing import List, Sequence
 import numpy as np
 
 from .codes import build_bc
-from .fock import BasisIndex, LinearOperator, StateVector, compose, embed, ket_map_operator
+from .fock import (
+    _MAX_TRUNCATED_DIM,
+    BasisIndex,
+    LinearOperator,
+    StateVector,
+    TruncationOverflow,
+    compose,
+    embed,
+    ket_map_operator,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -173,16 +182,21 @@ def joint_unity_eigenspace(
     singular-value threshold `tol`.  The returned vectors are canonicalized
     (Gram-Schmidt of canonical-basis projections in index order, first
     nonzero amplitude made real-positive) so results are deterministic.
+    Operators whose dense blocks would exceed the size limit raise
+    TruncationOverflow before any is made dense.
     """
     if not ops:
         raise ValueError("need at least one operator")
     basis = ops[0].operator.domain
     dim = basis.dimension
-    mats = []
-    for s in ops:
-        if s.operator.domain != basis:
-            raise ValueError("operators must share a domain")
-        mats.append(s.operator.dense())
+    if any(s.operator.domain != basis for s in ops):
+        raise ValueError("operators must share a domain")
+    entries = len(ops) * dim * dim
+    if entries > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow(
+            "%d dense operators on %d kets would hold %d entries, over the limit of %d"
+            % (len(ops), dim, entries, _MAX_TRUNCATED_DIM))
+    mats = [s.operator.dense() for s in ops]
 
     # Commutation pre-check at the synthesis tolerance.
     max_comm = 0.0

@@ -19,9 +19,10 @@ from chi2qec.cli import (
     load_config_file,
     main,
     resolve_config,
-    validate_report_json,
 )
-from chi2qec.schema import SchemaViolation
+from chi2qec.schema import SchemaViolation, report_schema
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def test_run_config_validation():
@@ -229,11 +230,22 @@ def test_config_file_drives_output_format(capsys, tmp_path):
 
 
 def test_report_json_validates_against_schema():
+    # `emit` checks every JSON document before it renders it.
     cfg = RunConfig()
     text = emit(cfg, "bounds", True, [{"name": "x", "passed": True}])
-    validate_report_json(text)
-    with pytest.raises(SchemaViolation, match=r"^\$: missing required keys"):
-        validate_report_json(json.dumps({"tool": "chi2qec"}))
+    assert json.loads(text)["results"] == [{"name": "x", "passed": True}]
+    with pytest.raises(SchemaViolation, match=r"^\$\.results\[0\]: missing required keys"):
+        emit(cfg, "bounds", True, [{"passed": True}])
+
+
+def test_every_json_document_is_checked_before_it_is_printed(capsys, monkeypatch):
+    # A schema that admits only `report` documents rejects a synth document.
+    schema = dict(report_schema())
+    schema["properties"] = dict(schema["properties"], command={"const": "report"})
+    monkeypatch.setattr(cli, "report_schema", lambda: schema)
+    with pytest.raises(SchemaViolation, match=r"^\$\.command: 'synth' is not 'report'"):
+        main(["synth", "bc", "--N", "2"])
+    assert capsys.readouterr().out == ""
 
 
 def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
@@ -275,6 +287,17 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "error: xi_30 on BC would stack 173735280 image entries"),
     (["kl-check", "pcc", "--N", "12", "--errors", "ad"],
      "error: order-0 damping on PCC would stack 12549264 image entries"),
+    (["--config", TESTS_DIR, "synth", "bc", "--N", "2"], "error: [Errno 21] Is a directory"),
+    (["synth", "bc", "--N", "600"],
+     "error: BC N=600: codeword weights are too large for float amplitudes"),
+    (["kl-check", "bc", "--N", "600", "--errors", "xi1"],
+     "error: BC N=600: codeword weights are too large for float amplitudes"),
+    (["syndromes", "bc", "--N", "600"],
+     "error: BC N=600: codeword weights are too large for float amplitudes"),
+    (["synth", "bc2mode", "--N", "600"],
+     "error: BC2mode N=600: codeword weights are too large for float amplitudes"),
+    (["synth", "pcc", "--N", "25"],
+     "error: 7 dense operators on 625 kets would hold 2734375 entries, over the limit of 2000000"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2

@@ -17,7 +17,8 @@ from chi2qec.codes import (
     mean_photons_per_mode,
     mean_total_photons,
 )
-from chi2qec.fock import inner_product
+from chi2qec import codes
+from chi2qec.fock import StateVector, inner_product
 
 
 def _gram(spec):
@@ -110,15 +111,15 @@ def test_two_mode_bc_kets_sum_to_2N_minus_1(N):
 def test_per_mode_photon_numbers_identical_across_codewords(builder, N):
     spec = builder(N)
     means = mean_photons_per_mode(spec)
-    assert np.allclose(means, means[0], atol=1e-12)
-    assert np.allclose(mean_total_photons(spec), float(spec.total_photons))
+    assert all(row == means[0] for row in means)
+    assert mean_total_photons(spec) == [spec.total_photons] * N
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_bc_mean_total_photons(N):
     spec = build_bc(N)
     assert spec.total_photons == Fraction(3 * (2 * N - 1), 2)
-    assert np.allclose(mean_total_photons(spec), float(spec.total_photons))
+    assert mean_total_photons(spec) == [spec.total_photons] * 2
 
 
 def test_bc_trivial_code_averages_over_codewords():
@@ -126,7 +127,112 @@ def test_bc_trivial_code_averages_over_codewords():
     # equals 3/2.
     spec = build_bc(1)
     assert spec.total_photons == Fraction(3, 2)
-    assert np.allclose(mean_total_photons(spec), [1.0, 2.0])
+    assert mean_total_photons(spec) == [1, 2]
+
+
+# The closed forms as float expressions, written out term by term: the
+# weights must reproduce these amplitudes bit for bit.
+_S = 1 / math.sqrt(2.0)
+
+
+def _pcc_closed_form(N):
+    def mixed(x, y):
+        return {x + y: _S, y + x: _S}
+
+    def same(x, y):
+        return {x + x: _S, y + y: _S}
+
+    if N == 2:
+        a, b = (1, 1, 0), (0, 0, 1)
+        return [same(a, b), mixed(a, b)]
+    out = []
+    if N % 2 == 0:
+        m = N // 2
+        for k in range(m):
+            a, b = (m + k, m + k, m - 1 - k), (m - 1 - k, m - 1 - k, m + k)
+            out += [mixed(a, b), same(a, b)]
+        return out
+    m = (N - 1) // 2
+    out.append({(m,) * 6: 1.0})
+    for k in range(1, m + 1):
+        a, b = (m + k, m + k, m - k), (m - k, m - k, m + k)
+        out += [same(a, b), mixed(a, b)]
+    return out
+
+
+def _eecc_closed_form(N):
+    M = 2 * N - 2
+    return ([{(M - j, M - j, j): _S, (j, j, M - j): _S} for j in range(N - 1)]
+            + [{(N - 1,) * 3: 1.0}])
+
+
+def _bc_closed_form(N):
+    M = 2 * N - 1
+    return [{(p, p, M - p): math.sqrt(math.comb(M, p)) / 2 ** (N - 1)
+             for p in range(parity, M + 1, 2)} for parity in (0, 1)]
+
+
+def _two_mode_bc_closed_form(N):
+    M = 2 * N - 1
+    amp = {p: math.sqrt(math.comb(M, p)) / 2 ** (N - 1) for p in range(0, M + 1, 2)}
+    return [{(p, M - p): a for p, a in amp.items()},
+            {(M - p, p): a for p, a in amp.items()}]
+
+
+FAMILIES = [
+    (build_pcc, range(2, 13), _pcc_closed_form),
+    (build_eecc, range(2, 13), _eecc_closed_form),
+    (build_bc, range(1, 13), _bc_closed_form),
+    (build_two_mode_bc, range(1, 13), _two_mode_bc_closed_form),
+]
+
+
+@pytest.mark.parametrize("builder,Ns,closed_form", FAMILIES)
+def test_weights_sum_to_the_denominator(builder, Ns, closed_form):
+    for N in Ns:
+        spec = builder(N)
+        assert len(spec.weights) == len(spec.logical_states)
+        for word in spec.weights:
+            assert all(isinstance(w, int) and w > 0 for w in word.values())
+            assert sum(word.values()) == spec.denominator
+
+
+@pytest.mark.parametrize("builder,Ns,closed_form", FAMILIES)
+def test_amplitudes_equal_the_closed_forms_bit_for_bit(builder, Ns, closed_form):
+    for N in Ns:
+        spec = builder(N)
+        for psi, terms in zip(spec.logical_states, closed_form(N), strict=True):
+            assert dict(psi.support(0.0)).keys() == terms.keys()
+            want = StateVector.from_terms(spec.basis, terms).amplitudes
+            assert psi.amplitudes.tobytes() == want.tobytes()
+
+
+def test_largest_bc_keeps_its_amplitudes_and_the_next_is_refused(monkeypatch):
+    spec = build_bc(515)
+    for psi, terms in zip(spec.logical_states, _bc_closed_form(515), strict=True):
+        assert psi.amplitudes.tobytes() == StateVector.from_terms(
+            spec.basis, terms).amplitudes.tobytes()
+    with pytest.raises(ValueError, match="BC N=516: codeword weights are too large"):
+        build_bc(516)
+
+    # The two-mode code is refused before its million-ket basis is listed.
+    def listed(layout):
+        raise AssertionError("basis listed")
+
+    monkeypatch.setattr(codes, "enumerate_truncated_space", listed)
+    with pytest.raises(ValueError, match="BC2mode N=516: codeword weights"):
+        build_two_mode_bc(516)
+
+
+@pytest.mark.parametrize("builder,Ns,closed_form", FAMILIES)
+def test_each_codeword_holds_the_total_photon_number(builder, Ns, closed_form):
+    for N in Ns:
+        spec = builder(N)
+        means = mean_total_photons(spec)
+        if spec.name == "BC" and N == 1:
+            assert means == [1, 2]  # only their average is 3/2
+        else:
+            assert means == [spec.total_photons] * len(means)
 
 
 def test_code_rates():

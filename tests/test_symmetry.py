@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from chi2qec.cli import pcc_operator_set
 from chi2qec.fock import (
     LinearOperator,
     StateVector,
+    TruncationOverflow,
     apply,
     compose,
     enumerate_irreducible_subspace,
@@ -161,3 +163,11 @@ def test_inversion_all_groups():
     psi = StateVector.from_terms(basis, {(0, 0, 1, 1, 1, 0): 1.0})
     out = apply(V.operator, psi)
     assert out.support() == [((1, 1, 0, 0, 0, 1), 1.0 + 0.0j)]
+
+
+def test_oversized_eigenspace_is_refused_before_any_operator_is_densified(monkeypatch):
+    # 7 operators on the 625 kets of PCC N=25: 2,734,375 dense entries.
+    _, ops = pcc_operator_set(25)
+    monkeypatch.setattr(LinearOperator, "dense", lambda self: pytest.fail("densified"))
+    with pytest.raises(TruncationOverflow, match="7 dense operators on 625 kets"):
+        joint_unity_eigenspace(ops)
