@@ -1,11 +1,14 @@
 """Generalized quantum Hamming bounds, code-rate arithmetic and capacity.
 
-All bound evaluations compare exact Python integers; floats only appear in
-code_rate and capacity_upper.
+All bound evaluations compare exact integers: Python integers, or int64
+arrays over theorem 4's grid, whose values stay far below 2^63; floats only
+appear in code_rate and capacity_upper.
 """
 
 import math
 from typing import Dict, List, NamedTuple
+
+import numpy as np
 
 from .codes import CodeSpec
 from .errors import _closure, _unit_shifts
@@ -29,8 +32,7 @@ class _BoundFields(NamedTuple):
 
 
 class BoundQuery(_BoundFields):
-    """Validated (n, q, b, k, t); a tuple, so theorem 4's grid check can
-    build thousands of them cheaply."""
+    """Validated (n, q, b, k, t)."""
 
     __slots__ = ()
 
@@ -86,7 +88,8 @@ def min_n_grid() -> Dict:
 
 def volume_ratio_bound_holds(query: BoundQuery) -> bool:
     """Packing-ratio inequality b^k / q^n <= 1/(1 + n(q^2-1)), exact via
-    cross-multiplication."""
+    cross-multiplication.  Fields that are integer arrays give the verdict
+    per element."""
     return query.b ** query.k * (1 + query.n * (query.q ** 2 - 1)) <= query.q ** query.n
 
 
@@ -169,10 +172,13 @@ def theorem_checks() -> List[Dict]:
     # 4: the volume ratio r = b/q^n <= 1/(1+n(q^2-1)) has the rotation
     # bound's threshold at every grid point (it holds at min_n and fails at
     # min_n - 1, which is at least 2), and equality (saturation) is
-    # attained at q=b=2 (n=5).
-    ratio_ok = all(volume_ratio_bound_holds(BoundQuery(n, q, b, 1, 1))
-                   and not volume_ratio_bound_holds(BoundQuery(n - 1, q, b, 1, 1))
-                   for (q, b), n in grid.items())
+    # attained at q=b=2 (n=5).  The whole grid goes through the inequality
+    # as int64 arrays, twice; q^n stays below 2^25 at min_n (2^24 at
+    # q=b=64, n=4), so no product overflows.
+    q, b = np.array(list(grid), dtype=np.int64).T
+    n = np.fromiter(grid.values(), dtype=np.int64, count=len(grid))
+    ratio_ok = bool(np.all(volume_ratio_bound_holds(_BoundFields(n, q, b, 1, 1)))
+                    and not np.any(volume_ratio_bound_holds(_BoundFields(n - 1, q, b, 1, 1))))
     sat = rotation_sphere_volume(5, 2, 1) * 2 == 2 ** 5
     out.append({
         "name": "volume_ratio_bound_saturated_at_q2_b2",

@@ -29,6 +29,7 @@ from .errors import (
     ad_product_set,
     bc_moment_numerator,
     canonical_recovery,
+    check_ad_set_size,
     enclosing_basis,
     kl_check,
     lowest_order_loss_kraus,
@@ -235,6 +236,10 @@ def _error_set_for(args, spec):
         return xi_set(m, spec)
     if choice == "ad":
         order = 1 if args.order is None else args.order
+        # Every order's size is checked before any set is built, so an
+        # oversized order is refused without building the orders below it.
+        for m in range(order + 1):
+            check_ad_set_size(m, spec)
         out = []
         for m in range(order + 1):
             out.extend(ad_product_set(gamma, m, spec))
@@ -600,7 +605,7 @@ def criterion_bounds(config: RunConfig = RunConfig()) -> Dict:
 
 def criterion_metadata(config: RunConfig = RunConfig()) -> Dict:
     failures = []
-    for N in range(2, 7):
+    for N in range(2, 9):
         pcc, bc = build_pcc(N), build_bc(N)
         if codes_mod.code_rate(pcc) != 0.5:
             failures.append("PCC N=%d rate" % N)

@@ -252,19 +252,12 @@ def amplitude_damping_kraus(
     return ErrorOperator("A_%d(mode %d)" % (m, mode), LinearOperator(basis, rows, coeffs))
 
 
-def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
-    """All products of per-mode amplitude-damping Kraus operators with total
-    loss order m over every mode of the code.
-
-    Damping only lowers photon numbers, so the operators act on the code's
-    support and every ket below a support ket: one basis for every order m,
-    on which the products of all orders resolve the identity.  As for xi_m,
-    the image entries a KL check of the set would stack are counted, and an
-    oversized set refused, before anything is built.
-    """
+def check_ad_set_size(m: int, code: CodeSpec) -> None:
+    """Refuse, with TruncationOverflow, an order-m damping set whose KL
+    check would stack more than _MAX_TRUNCATED_DIM image entries: K*L image
+    columns over the support kets and every ket below them."""
     nm = code.layout.n_modes
-    support = _support(code)
-    rows = sum(math.prod(n + 1 for n in ket) for ket in support)
+    rows = sum(math.prod(n + 1 for n in ket) for ket in _support(code))
     operators = math.comb(m + nm - 1, nm - 1)
     entries = operators * len(code.logical_states) * rows
     if entries > _MAX_TRUNCATED_DIM:
@@ -272,6 +265,21 @@ def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
             "order-%d damping on %s would stack %d image entries, over the limit of %d"
             % (m, code.name, entries, _MAX_TRUNCATED_DIM)
         )
+
+
+def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
+    """All products of per-mode amplitude-damping Kraus operators with total
+    loss order m over every mode of the code.
+
+    Damping only lowers photon numbers, so the operators act on the code's
+    support and every ket below a support ket: one basis for every order m,
+    on which the products of all orders resolve the identity.  As for xi_m,
+    an oversized set is refused (`check_ad_set_size`) before anything is
+    built.
+    """
+    check_ad_set_size(m, code)
+    nm = code.layout.n_modes
+    support = _support(code)
     basis = BasisIndex(sorted({
         below for ket in support
         for below in itertools.product(*(range(n + 1) for n in ket))

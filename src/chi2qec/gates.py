@@ -8,6 +8,7 @@ complement.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 from typing import List, Sequence, Tuple
 
@@ -71,6 +72,25 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
+@functools.cache
+def _generator_matrices() -> Tuple[np.ndarray, ...]:
+    """(G1, ..., G7) as read-only arrays, built on first use: A and its
+    commutator chain are fixed, and `verify_gates` alone asks for a
+    generator 27 times."""
+    A = _three_wave_operator()
+    g1 = 0.5j * (A - A.conjugate().transpose())
+    g2 = 0.5 * (A + A.conjugate().transpose())
+    g3 = 1j * _comm(g1, g2)
+    g4 = 1j * _comm(g3, g1)
+    g5 = 1j * _comm(g3, g2)
+    g6 = (1j * _comm(g1, g4) + 1j * _comm(g5, g2)) / (4 * SQRT2)
+    g7 = 1j * _comm(g2, g4) / (2 * SQRT2)
+    matrices = (g1, g2, g3, g4, g5, g6, g7)
+    for M in matrices:
+        M.flags.writeable = False
+    return matrices
+
+
 def generator(k: int) -> Generator:
     """The seven chi(2) generators on H_2 (coupling kappa = 1).
 
@@ -78,31 +98,11 @@ def generator(k: int) -> Generator:
     G3 = i[G1,G2], G4 = i[G3,G1], G5 = i[G3,G2],
     G6 = (i[G1,G4] + i[G5,G2]) / (4 sqrt 2), G7 = i[G2,G4] / (2 sqrt 2).
     The normalizations reproduce the printed 3x3 matrices; see the tests
-    for the printed forms.
+    for the printed forms.  The matrix is shared and read-only.
     """
     if not 1 <= k <= 7:
         raise ValueError("generator index must be in 1..7")
-    A = _three_wave_operator()
-    g1 = 0.5j * (A - A.conjugate().transpose())
-    g2 = 0.5 * (A + A.conjugate().transpose())
-    if k == 1:
-        return Generator("G1", g1)
-    if k == 2:
-        return Generator("G2", g2)
-    g3 = 1j * _comm(g1, g2)
-    if k == 3:
-        return Generator("G3", g3)
-    g4 = 1j * _comm(g3, g1)
-    if k == 4:
-        return Generator("G4", g4)
-    g5 = 1j * _comm(g3, g2)
-    if k == 5:
-        return Generator("G5", g5)
-    if k == 6:
-        g6 = (1j * _comm(g1, g4) + 1j * _comm(g5, g2)) / (4 * SQRT2)
-        return Generator("G6", g6)
-    g7 = 1j * _comm(g2, g4) / (2 * SQRT2)
-    return Generator("G7", g7)
+    return Generator("G%d" % k, _generator_matrices()[k - 1])
 
 
 def expm_hermitian(H: np.ndarray, angle: float) -> np.ndarray:

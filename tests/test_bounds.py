@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,32 @@ def test_ratio_row_needs_the_rotation_threshold(monkeypatch):
     verdicts = {r["name"]: r["passed"] for r in theorem_checks()}
     assert not verdicts.pop("volume_ratio_bound_saturated_at_q2_b2")
     assert all(verdicts.values())
+
+
+def test_ratio_row_needs_every_grid_point_at_its_threshold(monkeypatch):
+    # One grid point's n moved up by one: the inequality then also holds one
+    # below it, and only row 4 turns red.
+    grid = min_n_grid()
+    grid[7, 5] += 1
+    monkeypatch.setattr(bounds, "min_n_grid", lambda: grid)
+    verdicts = {r["name"]: r["passed"] for r in theorem_checks()}
+    assert not verdicts.pop("volume_ratio_bound_saturated_at_q2_b2")
+    assert all(verdicts.values())
+
+
+def test_ratio_inequality_on_int64_grid_arrays_matches_python_ints():
+    # Row 4 evaluates the inequality on int64 arrays over the whole grid; the
+    # largest term, q^n at min_n, is 2^24, far below 2^63.
+    grid = min_n_grid()
+    assert max(q ** n for (q, b), n in grid.items()) == 2 ** 24
+    q, b = np.array(list(grid), dtype=np.int64).T
+    n = np.array(list(grid.values()), dtype=np.int64)
+    for below in (0, 1):
+        arrays = volume_ratio_bound_holds(bounds._BoundFields(n - below, q, b, 1, 1))
+        points = [volume_ratio_bound_holds(BoundQuery(m - below, qq, bb, 1, 1))
+                  for (qq, bb), m in grid.items()]
+        assert arrays.tolist() == points
+        assert all(points) if below == 0 else not any(points)
 
 
 def test_saturation_reports():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from chi2qec import cli
+from chi2qec import errors as errors_mod
 from chi2qec.cli import (
     RunConfig,
     criterion_two_mode_bc,
@@ -390,6 +391,28 @@ def test_oversized_damping_set_is_refused_before_it_is_built(capsys):
     assert main(["kl-check", "pcc", "--N", "20", "--errors", "ad"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "damping on PCC" in capsys.readouterr().err
+
+
+def test_oversized_damping_order_is_refused_before_lower_orders_are_built(
+        capsys, monkeypatch):
+    # Orders 0-2 of PCC N=6 fit and order 3 does not; every order's size is
+    # checked before any damping operator is built.
+    calls = []
+    monkeypatch.setattr(errors_mod, "amplitude_damping_kraus",
+                        lambda *args: calls.append(args))
+    assert main(["kl-check", "pcc", "--N", "6", "--errors", "ad", "--order", "3"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "error: order-3 damping on PCC would stack 4609920 image entries,"
+        " over the limit of 2000000\n")
+
+
+def test_damping_labels_run_in_ascending_order(capsys):
+    assert main(["kl-check", "bc2mode", "--N", "2", "--errors", "ad", "--order", "2"]) == 1
+    detail = json.loads(capsys.readouterr().out)["results"][0]["detail"]
+    assert detail.endswith(
+        "labels ['A_0(0) A_1(0)', 'A_0(0) A_1(1)', 'A_0(1) A_1(0)',"
+        " 'A_0(0) A_1(2)', 'A_0(1) A_1(1)', 'A_0(2) A_1(0)']")
 
 
 # The parser is built once per process and reused by every `main` call.

@@ -10,6 +10,8 @@ import pytest
 
 from chi2qec.gates import (
     _GATES,
+    SQRT2,
+    _three_wave_operator,
     canonical_to_v,
     equal_up_to_global_phase,
     evolve,
@@ -41,6 +43,36 @@ def test_commutator_construction_matches_printed_matrices(k):
 def test_generators_are_hermitian(k):
     M = generator(k).matrix
     assert np.allclose(M, M.conjugate().transpose(), atol=1e-12)
+
+
+def _fresh_generators():
+    """G1..G7 recomputed from A, with the same operations as `generator`."""
+    def comm(a, b):
+        return a @ b - b @ a
+
+    A = _three_wave_operator()
+    g1 = 0.5j * (A - A.conjugate().transpose())
+    g2 = 0.5 * (A + A.conjugate().transpose())
+    g3 = 1j * comm(g1, g2)
+    g4 = 1j * comm(g3, g1)
+    g5 = 1j * comm(g3, g2)
+    g6 = (1j * comm(g1, g4) + 1j * comm(g5, g2)) / (4 * SQRT2)
+    g7 = 1j * comm(g2, g4) / (2 * SQRT2)
+    return [g1, g2, g3, g4, g5, g6, g7]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_cached_generator_has_the_bits_of_a_fresh_build(k):
+    g = generator(k)
+    assert g.name == "G%d" % k
+    assert np.array_equal(g.matrix, _fresh_generators()[k - 1])
+
+
+def test_cached_generator_matrix_is_read_only():
+    M = generator(6).matrix
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+    assert np.array_equal(generator(6).matrix, _fresh_generators()[5])
 
 
 def test_generator_index_validation():

@@ -1,6 +1,6 @@
 """Every module of the package uses every name it imports, importing the
-package loads numpy only, and `report all` checks its JSON without
-jsonschema."""
+package loads numpy only and builds no generator matrices, and `report all`
+checks its JSON without jsonschema."""
 
 import ast
 import os
@@ -95,6 +95,15 @@ def test_importing_every_module_loads_no_scipy():
             "for name in %r: importlib.import_module(name)" % names)
     assert len(names) == 10
     assert _loaded_in_fresh_interpreter(code, "scipy") == "[]"
+
+
+def test_importing_builds_no_generator_matrices():
+    names = ["chi2qec"] + ["chi2qec." + p.stem for p in MODULES]
+    code = ("import importlib, sys\n"
+            "for name in %r: importlib.import_module(name)\n"
+            "from chi2qec import gates\n"
+            "assert gates._generator_matrices.cache_info().currsize == 0" % names)
+    _loaded_in_fresh_interpreter(code, "chi2qec")
 
 
 def test_report_all_validates_its_json_without_jsonschema():
