@@ -4,7 +4,9 @@ Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage error
 (an error set too large to build is one).  Reports are deterministic for a
 fixed seed and config.  Every JSON document is checked against the bundled
 report.schema.json (see `schema`) before it is printed; an invalid document
-raises SchemaViolation and nothing is printed.
+raises SchemaViolation and nothing is printed.  A valid one is printed with
+the bytes of `json.dumps(doc, indent=2, sort_keys=True)`, a complex array
+(kl-check's alpha) as nested `[re, im]` lists.
 """
 
 import argparse
@@ -13,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 import json
 import math
+import re
 import sys
 from typing import Dict, List, Optional
 
@@ -125,7 +128,7 @@ def emit(config: RunConfig, command: str, passed: bool, results: List[Dict]) -> 
             "results": results,
         }
         check_schema(doc, report_schema())
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json_text(doc)
     if config.format == "csv":
         if not results:
             return ""
@@ -141,6 +144,39 @@ def emit(config: RunConfig, command: str, passed: bool, results: List[Dict]) -> 
                                        r.get("detail", "")))
     lines.append("overall: %s" % ("PASS" if passed else "FAIL"))
     return "\n".join(lines)
+
+
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` of a value nested at
+    `indent`, for documents whose object keys are strings; a complex ndarray
+    is written as nested `[re, im]` lists."""
+    if isinstance(value, np.ndarray) and np.iscomplexobj(value):
+        return _complex_array_text(value, indent)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{\n%s\n%s}" % (",\n".join(
+            "%s%s: %s" % (inner, json.dumps(key), _json_text(value[key], inner))
+            for key in sorted(value)), indent)
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n%s\n%s]" % (",\n".join(
+            inner + _json_text(item, inner) for item in value), indent)
+    return json.dumps(value)
+
+
+def _complex_array_text(array: np.ndarray, indent: str) -> str:
+    """A finite, nonempty array is written by one %-format of a template of
+    its shape, `%r` of a float being the float.__repr__ that json writes.
+    Any other goes through json one float at a time, which writes NaN and
+    Infinity."""
+    pairs = np.stack([array.real, array.imag], axis=-1)
+    if not (pairs.size and np.isfinite(pairs).all()):
+        return _json_text(pairs.tolist(), indent)
+    template = "%r"
+    for depth in reversed(range(pairs.ndim)):
+        outer = indent + "  " * depth
+        item = outer + "  " + template
+        template = "[\n%s\n%s]" % (",\n".join([item] * pairs.shape[depth]), outer)
+    return template % tuple(pairs.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +258,11 @@ def cmd_synth(args, config: RunConfig):
     return check["passed"], results
 
 
+# xi0, or xi and a number without a leading zero: the row name repeats the
+# choice, so each m is accepted in one spelling only.
+_XI_CHOICE = re.compile(r"xi(0|[1-9][0-9]*)")
+
+
 def _error_set_for(args, spec):
     choice = args.errors
     reads = {"lowest-order": ("gamma",), "ad": ("gamma", "order")}.get(choice, ())
@@ -231,11 +272,13 @@ def _error_set_for(args, spec):
     gamma = 0.01 if args.gamma is None else args.gamma
     if choice == "lowest-order":
         return lowest_order_loss_kraus(gamma, spec)
-    if choice.startswith("xi"):
-        m = int(choice[2:])
-        return xi_set(m, spec)
+    xi = _XI_CHOICE.fullmatch(choice)
+    if xi:
+        return xi_set(int(xi.group(1)), spec)
     if choice == "ad":
         order = 1 if args.order is None else args.order
+        if order < 0:
+            raise ValueError("--order must be >= 0, got %d" % order)
         # Every order's size is checked before any set is built, so an
         # oversized order is refused without building the orders below it.
         for m in range(order + 1):
@@ -244,7 +287,8 @@ def _error_set_for(args, spec):
         for m in range(order + 1):
             out.extend(ad_product_set(gamma, m, spec))
         return out
-    raise ValueError("unknown error family %r" % choice)
+    raise ValueError("unknown error family %r: expected xi0, xi<m> with m a "
+                     "number without a leading zero, lowest-order or ad" % choice)
 
 
 def cmd_kl_check(args, config: RunConfig):
@@ -257,7 +301,7 @@ def cmd_kl_check(args, config: RunConfig):
         "detail": "offdiag %.3e distortion %.3e labels %s" % (
             report.max_offdiag_residual, report.max_distortion_residual,
             report.labels),
-        "alpha": report.to_json_dict()["alpha"],
+        "alpha": report.alpha,
     }]
     return report.verdict, results
 

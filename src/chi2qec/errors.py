@@ -25,7 +25,6 @@ from .fock import (
     ModeLayout,
     TruncationOverflow,
     adjoint,
-    apply,
     compose,
     embed,
     ladder,
@@ -53,18 +52,6 @@ class KLReport:
     max_distortion_residual: float
     verdict: bool
     tolerance: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "alpha": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.alpha
-            ],
-            "max_offdiag_residual": self.max_offdiag_residual,
-            "max_distortion_residual": self.max_distortion_residual,
-            "verdict": bool(self.verdict),
-            "tolerance": self.tolerance,
-        }
 
 
 def _mode_tag(layout: ModeLayout, mode: int) -> str:
@@ -309,12 +296,11 @@ def kl_check(
     for e in errors:
         if e.operator.domain != basis:
             raise ValueError("error operators must share a basis")
-    words = [embed(psi, basis) for psi in code.logical_states]
-    images = np.column_stack(
-        [apply(e.operator, w).amplitudes for e in errors for w in words]
-    )
+    words = np.column_stack([embed(psi, basis).amplitudes for psi in code.logical_states])
+    # Columns [e0 w0, e0 w1, ..., e1 w0, ...]: each error applied to the block.
+    images = np.hstack([e.operator.apply(words) for e in errors])
     K = len(errors)
-    L = len(words)
+    L = words.shape[1]
     gram = images.conjugate().transpose() @ images  # (K*L) x (K*L)
     M = gram.reshape(K, L, K, L).transpose(0, 2, 1, 3)  # [u, v, a, b]
 

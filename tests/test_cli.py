@@ -13,6 +13,7 @@ import pytest
 
 from chi2qec import cli
 from chi2qec import errors as errors_mod
+from chi2qec.codes import build_bc
 from chi2qec.cli import (
     RunConfig,
     criterion_two_mode_bc,
@@ -223,6 +224,38 @@ def test_main_kl_check(capsys):
     capsys.readouterr()
 
 
+def test_kl_check_json_alpha_is_the_report_alpha(capsys):
+    assert main(["kl-check", "bc", "--N", "2", "--errors", "xi1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    row = doc["results"][0]
+    assert doc["passed"] is True and row["passed"] is True
+    spec = build_bc(2)
+    errs = errors_mod.xi_set(1, spec)
+    assert row["detail"].endswith("labels %s" % [e.label for e in errs])
+    assert errs[0].label == "I"
+    alpha = errors_mod.kl_check(spec, errs).alpha
+    # K x K [re, im] pairs; float.__repr__ round-trips, so they are alpha
+    # bit for bit.
+    parsed = np.array(row["alpha"])
+    assert parsed.shape == (len(errs), len(errs), 2)
+    assert np.array_equal(parsed.view(complex)[..., 0], alpha)
+    assert np.array_equal(np.signbit(parsed[..., 0]), np.signbit(alpha.real))
+    assert np.array_equal(np.signbit(parsed[..., 1]), np.signbit(alpha.imag))
+
+
+@pytest.mark.parametrize("choice", [
+    "xi1_0", "xi+1", "xi01", "xi00", "xi_1", "xi", "xi-1", "xi 1", " xi1", "xi1 ",
+    "xi\u0661", "XI1", "xi1.0",
+])
+def test_malformed_xi_choice_is_a_usage_error(capsys, choice):
+    assert main(["kl-check", "eecc", "--N", "2", "--errors", choice]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown error family %r: expected xi0, xi<m> with m a number"
+        " without a leading zero, lowest-order or ad\n" % choice)
+
+
 def test_config_file_drives_output_format(capsys, tmp_path):
     path = tmp_path / "cfg"
     path.write_text("format=text\nseed=3\n")
@@ -265,7 +298,7 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
     (["syndromes", "bc", "--N", "2", "--order", "7"], "orders 1..2, got 7"),
     (["syndromes", "pcc", "--N", "3", "--order", "2"], "no monitored order"),
     (["kl-check", "bc2mode", "--N", "2", "--errors", "ad", "--order", "-1"],
-     "at least one error operator"),
+     "--order must be >= 0"),
     (["kl-check", "bc", "--N", "2", "--errors", "xi1", "--gamma", "0.1"],
      "--gamma does not apply to --errors xi1"),
     (["kl-check", "bc", "--N", "2", "--errors", "xi1", "--order", "2"],
@@ -299,6 +332,8 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "error: BC2mode N=600: codeword weights are too large for float amplitudes"),
     (["synth", "pcc", "--N", "25"],
      "error: 7 dense operators on 625 kets would hold 2734375 entries, over the limit of 2000000"),
+    (["kl-check", "pcc", "--N", "2", "--errors", "ad", "--order", "-1"],
+     "error: --order must be >= 0, got -1"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2

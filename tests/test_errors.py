@@ -29,6 +29,7 @@ from chi2qec.fock import (
     DimensionMismatch,
     LinearOperator,
     adjoint,
+    apply,
     compose,
     embed,
     enumerate_truncated_space,
@@ -104,13 +105,42 @@ def test_kl_check_xi1_binomial_qubit():
     assert rep.alpha[0, 0] == pytest.approx(1.0)
 
 
-def test_kl_report_json():
-    spec = build_bc(2)
-    rep = kl_check(spec, xi_set(1, spec))
-    doc = rep.to_json_dict()
-    assert doc["verdict"] is True
-    assert doc["labels"][0] == "I"
-    assert len(doc["alpha"]) == len(doc["labels"])
+def _per_column_kl(code, errors):
+    """alpha and both residuals from one error image per codeword and error,
+    each a separate `apply` on one vector."""
+    basis = errors[0].operator.domain
+    words = [embed(psi, basis) for psi in code.logical_states]
+    images = np.column_stack(
+        [apply(e.operator, w).amplitudes for e in errors for w in words])
+    K, L = len(errors), len(words)
+    M = (images.conjugate().transpose() @ images).reshape(K, L, K, L).transpose(0, 2, 1, 3)
+    alpha = M.trace(axis1=2, axis2=3) / L
+    off = M.copy()
+    for a in range(L):
+        off[:, :, a, a] = 0.0
+    dist = np.einsum("uvaa->uva", M) - alpha[:, :, None]
+    return alpha, float(np.max(np.abs(off))), float(np.max(np.abs(dist)))
+
+
+# The kl-check jobs of the benchmark's kl-scale workload.
+KL_SCALE_CASES = (
+    [(build_pcc, n, 1) for n in (2, 3, 4)] + [(build_pcc, n, 2) for n in (3, 4)]
+    + [(build_bc, n, n) for n in range(2, 6)]
+    + [(build_eecc, n, 1) for n in (2, 3, 4)] + [(build_eecc, n, 2) for n in (3, 4)]
+)
+
+
+@pytest.mark.parametrize("builder,N,m", KL_SCALE_CASES)
+def test_block_applied_kl_check_matches_the_per_column_path(builder, N, m):
+    spec = builder(N)
+    errs = xi_set(m, spec)
+    rep = kl_check(spec, errs)
+    alpha, max_off, max_dist = _per_column_kl(spec, errs)
+    assert np.array_equal(rep.alpha, alpha)
+    assert np.array_equal(np.signbit(rep.alpha.real), np.signbit(alpha.real))
+    assert np.array_equal(np.signbit(rep.alpha.imag), np.signbit(alpha.imag))
+    assert rep.max_offdiag_residual == max_off
+    assert rep.max_distortion_residual == max_dist
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])

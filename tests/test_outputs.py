@@ -3,7 +3,8 @@
 Each job runs through `cli.main` with its standard output captured, as the
 benchmark's child interpreter runs it, and its exit code, its
 `[check, passed]` list and the SHA-256 of its output are compared with the
-recorded ones.  The file is only read.
+recorded ones.  The file is only read; the jobs in `STALE_DIGESTS` are held
+to digests kept here instead.
 """
 
 import contextlib
@@ -20,15 +21,24 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 # Their alpha values moved in the last digits when the operators moved onto
 # the codewords' closure bases; verdicts and exit codes are unchanged, and
-# the digests are re-recorded with the next change to the benchmark.
+# `bench/expected.json` is re-recorded with the next change to the benchmark.
+# Until then each is held to the SHA-256 of its output as printed since that
+# move, so a change to how alpha is computed or written still shows here.
 STALE_DIGESTS = {
-    "kl-check pcc --N 4 --errors xi1",
-    "kl-check pcc --N 4 --errors xi2",
-    "kl-check bc --N 3 --errors xi3",
-    "kl-check bc --N 4 --errors xi4",
-    "kl-check bc --N 5 --errors xi5",
-    "kl-check eecc --N 4 --errors xi1",
-    "kl-check eecc --N 4 --errors xi2",
+    "kl-check pcc --N 4 --errors xi1":
+        "7970c79592c8ecce9d679a360fa90c040dad128088cae80a9d2b0f28be0cdfe9",
+    "kl-check pcc --N 4 --errors xi2":
+        "acc9d480c4aa77510e87d57066e69c896c7411b64984a1afb018f6d6647938a1",
+    "kl-check bc --N 3 --errors xi3":
+        "9c0bf6da974f2080f243ccf989aa5360f09abf381676356472fbcfb45ca2de4c",
+    "kl-check bc --N 4 --errors xi4":
+        "639d6582a768dc748fb9dbb9cd986e334902a00a5212d364b89a91745dd7fe05",
+    "kl-check bc --N 5 --errors xi5":
+        "39f4a635da15454ce3caaede028d140b03215939ebf885634841521f0390c4b2",
+    "kl-check eecc --N 4 --errors xi1":
+        "33e84a3123cf4977deb7e5f793948469fe2d4811e5b303c085829379b3999f0c",
+    "kl-check eecc --N 4 --errors xi2":
+        "0e4912c12c4ffadb620c784a33806b7c77721ebb1494d089e96df3fbf2fcd17f",
 }
 
 
@@ -44,7 +54,8 @@ EXPECTED = json.loads((BENCH / "expected.json").read_text())["jobs"]
 
 
 def test_stale_digests_are_recorded_jobs():
-    assert STALE_DIGESTS <= set(EXPECTED)
+    assert set(STALE_DIGESTS) <= set(EXPECTED)
+    assert all(STALE_DIGESTS[job] != EXPECTED[job]["sha256"] for job in STALE_DIGESTS)
 
 
 @pytest.mark.parametrize("job", sorted(EXPECTED))
@@ -57,5 +68,4 @@ def test_job_output_matches_the_record(job):
     stdout = out.getvalue()
     assert code == want["exit"]
     assert verdicts.extract_checks(stdout, verdicts.job_format(argv)) == want["checks"]
-    if job not in STALE_DIGESTS:
-        assert verdicts.digest(stdout) == want["sha256"]
+    assert verdicts.digest(stdout) == STALE_DIGESTS.get(job, want["sha256"])
