@@ -97,13 +97,10 @@ def enclosing_basis(code: CodeSpec, shifts) -> BasisIndex:
 _FACTOR_OF_KIND = {"loss": "lower", "gain": "raise", "dephasing": "number"}
 
 
-def _monomial(basis, exponents, kind) -> LinearOperator:
-    """Mode 0's factors act first, then mode 1's, and so on."""
+def _factors(exponents, kind):
+    """A monomial's factors: mode 0's act first, then mode 1's, and so on."""
     factor = _FACTOR_OF_KIND[kind]
-    return monomial_operator(
-        [(mode, factor) for mode, power in enumerate(exponents) for _ in range(power)],
-        basis,
-    )
+    return [(mode, factor) for mode, power in enumerate(exponents) for _ in range(power)]
 
 
 def _shift(exponents, kind):
@@ -171,7 +168,8 @@ def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
     if m >= 2:
         families.append(("dephasing", m - 1))
     for kind, degree in families:
-        ops += [ErrorOperator(_monomial_label(layout, e, kind), _monomial(basis, e, kind))
+        ops += [ErrorOperator(_monomial_label(layout, e, kind),
+                              monomial_operator(_factors(e, kind), basis))
                 for e in _compositions(degree, layout.n_modes)]
     return ops
 

@@ -288,7 +288,7 @@ def tensor_basis(a: BasisIndex, b: BasisIndex) -> BasisIndex:
 
 def adjoint(op: LinearOperator) -> LinearOperator:
     cols, rows = op._mapped()
-    if len(np.unique(rows)) != len(rows):
+    if np.any(np.diff(np.sort(rows)) == 0):
         raise ValueError("adjoint: two kets map to the same ket")
     dim = op.domain.dimension
     out_rows = np.full(dim, -1, dtype=np.int64)
@@ -351,31 +351,24 @@ def enumerate_truncated_space(layout: ModeLayout) -> BasisIndex:
     return BasisIndex(itertools.product(*[range(c + 1) for c in layout.caps]))
 
 
-def monomial_operator(
-    factors: Sequence[Tuple[int, str]], basis: BasisIndex
-) -> LinearOperator:
-    """Product of single-mode factors as one ket map on `basis`.
-
-    `factors` lists (mode, kind) pairs in the order they act on a ket, with
-    kind "lower" (a), "raise" (a^dag) or "number" (n).  Each factor
-    multiplies every column's coefficient by sqrt(n), sqrt(n+1) or n,
-    evaluated as factor * coeff in that order.  A column whose ket is
-    annihilated, or whose final ket is not in the basis, is left empty.
+def monomial_action(
+    factors: Sequence[Tuple[int, str]], occupations: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A product of single-mode factors applied to each row of an
+    occupation array: ket j goes to occupations[j] + shift with coefficient
+    coeff[j], and coeff[j] == 0 means it is annihilated.  Returns (coeff,
+    shift).  `factors` lists (mode, kind) pairs in the order they act, kind
+    "lower" (a), "raise" (a^dag) or "number" (n); each multiplies every
+    coefficient by sqrt(n), sqrt(n+1) or n, evaluated as factor * coeff.
     """
-    occupations = basis.occupations
-    dim = basis.dimension
-    coeff = np.ones(dim)
-    keep = np.ones(dim, dtype=bool)
+    coeff = np.ones(len(occupations))
     shift = np.zeros(occupations.shape[1], dtype=np.int64)
     occupation = {}
     for mode, kind in factors:
-        n = occupation.get(mode)
-        if n is None:
-            n = occupations[:, mode]
+        n = occupation.get(mode, occupations[:, mode])
         if kind == "lower":
-            # An empty mode annihilates the ket; its later factors see a
-            # negative occupation, so square-root arguments are clamped.
-            keep &= n > 0
+            # An empty mode gives sqrt(0); its later factors see a negative
+            # occupation, so square-root arguments are clamped.
             coeff = np.sqrt(np.maximum(n, 0)) * coeff
             n = n - 1
             shift[mode] -= 1
@@ -388,10 +381,19 @@ def monomial_operator(
         else:
             raise ValueError("factor kind must be 'lower', 'raise' or 'number'")
         occupation[mode] = n
-    keep &= coeff != 0
-    cols = np.flatnonzero(keep)
+    return coeff, shift
+
+
+def monomial_operator(
+    factors: Sequence[Tuple[int, str]], basis: BasisIndex
+) -> LinearOperator:
+    """`monomial_action` on the kets of `basis` as one ket map: a column
+    whose ket is annihilated, or moves out of the basis, is left empty."""
+    occupations = basis.occupations
+    coeff, shift = monomial_action(factors, occupations)
+    cols = np.flatnonzero(coeff)
     lookup = basis._lookup
-    rows = np.full(dim, -1, dtype=np.int64)
+    rows = np.full(basis.dimension, -1, dtype=np.int64)
     rows[cols] = [lookup.get(ket, -1)
                   for ket in map(tuple, (occupations[cols] + shift).tolist())]
     return LinearOperator(basis, rows, np.where(rows >= 0, coeff, 0))

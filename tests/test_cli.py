@@ -13,6 +13,7 @@ import pytest
 
 from chi2qec import cli
 from chi2qec import errors as errors_mod
+from chi2qec import fock
 from chi2qec.codes import build_bc
 from chi2qec.cli import (
     RunConfig,
@@ -127,6 +128,48 @@ def test_two_mode_bc_criterion_names_its_tolerance():
 def test_criteria_fail_below_floating_point_resolution(criterion):
     # Each passes at the default tolerance (tests/test_acceptance.py).
     assert not criterion(RunConfig(tolerance=1e-30))["passed"]
+
+
+def test_bc_moment_cross_check_fails_on_a_wrong_exact_sum(monkeypatch):
+    real = cli.bc_moment_numerator
+
+    def off_by_one(N, h, g, m, side, kind):
+        # Both codewords move alike, so only the float cross-check can see it.
+        return real(N, h, g, m, side, kind) + ((N, kind, h, g, m) == (4, "gain", 1, 0, 2))
+
+    monkeypatch.setattr(cli, "bc_moment_numerator", off_by_one)
+    record = cli.criterion_bc_kl_and_moments()
+    assert not record["passed"]
+    assert record["detail"] == "brute force N=4 gain h=1 g=0 m=2"
+
+
+def test_bc_moment_loop_builds_no_basis_or_operator(monkeypatch):
+    counts = {"basis": 0, "operator": 0}
+    basis_init = fock.BasisIndex.__init__
+    operator_post_init = fock.LinearOperator.__post_init__
+
+    def count_basis(self, states):
+        counts["basis"] += 1
+        basis_init(self, states)
+
+    def count_operator(self):
+        counts["operator"] += 1
+        operator_post_init(self)
+
+    monkeypatch.setattr(fock.BasisIndex, "__init__", count_basis)
+    monkeypatch.setattr(fock.LinearOperator, "__post_init__", count_operator)
+    assert cli.criterion_bc_kl_and_moments()["passed"]
+    in_criterion = dict(counts)
+    counts.update(basis=0, operator=0)
+    # What the criterion builds outside its moment loop: the KL checks and
+    # one code per N.
+    for N, max_m in ((2, 2), (3, 3)):
+        spec = build_bc(N)
+        for m in range(max_m + 1):
+            errors_mod.kl_check(spec, errors_mod.xi_set(m, spec))
+    for N in range(2, 7):
+        build_bc(N)
+    assert in_criterion == counts
 
 
 def test_symmetry_criterion_uses_run_tolerance():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chi2qec.errors import _monomial
+from chi2qec.errors import _factors
 from chi2qec.fock import (
     BasisIndex,
     DimensionMismatch,
@@ -24,6 +24,7 @@ from chi2qec.fock import (
     enumerate_truncated_space,
     inner_product,
     ladder,
+    monomial_action,
     monomial_operator,
     project,
     state_label,
@@ -314,8 +315,54 @@ def test_error_monomials_equal_composed_ladders(data):
     factors = [(mode, step) for mode, p in enumerate(exps) for _ in range(p)]
     layout = _layout(caps)
     basis = enumerate_truncated_space(layout)
-    op = _monomial(basis, exps, kind)
+    op = monomial_operator(_factors(exps, kind), basis)
     _assert_same_operator(op, _reference_product(factors, basis))
+
+
+@st.composite
+def _kets_and_factors(draw):
+    """Distinct kets, factors on their modes, and whether the basis also
+    holds every nonnegative image of the kets."""
+    modes = draw(st.integers(1, 4))
+    kets = draw(st.lists(st.tuples(*[st.integers(0, 3)] * modes),
+                         min_size=1, max_size=12, unique=True))
+    factors = draw(st.lists(
+        st.tuples(st.integers(0, modes - 1), st.sampled_from(["lower", "raise", "number"])),
+        max_size=6,
+    ))
+    return kets, factors, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kets_and_factors())
+# Lowering an empty mode annihilates the ket although a raise follows.
+@example(([(0,), (2,)], [(0, "lower"), (0, "raise")], True))
+# A number factor on an empty mode annihilates the ket.
+@example(([(0, 1), (1, 1)], [(0, "number"), (1, "lower")], True))
+def test_monomial_action_gives_the_operator_coefficients_bit_for_bit(case):
+    kets, factors, closed = case
+    coeff, shift = monomial_action(factors, np.array(kets, dtype=np.int64))
+    images = [tuple(np.add(ket, shift).tolist()) for ket in kets]
+    extra = [t for t in images if closed and min(t) >= 0 and t not in kets]
+    basis = BasisIndex(kets + sorted(set(extra)))
+    op = monomial_operator(factors, basis)
+    on_basis, basis_shift = monomial_action(factors, basis.occupations)
+    # Each ket's coefficient depends on that ket alone.
+    assert np.array_equal(on_basis[:len(kets)].view(np.int64), coeff.view(np.int64))
+    assert np.array_equal(basis_shift, shift)
+    mapped = op.rows >= 0
+    assert np.array_equal(op.coeffs.real[mapped].view(np.int64),
+                          on_basis[mapped].view(np.int64))
+    assert not np.any(op.coeffs.imag)
+    # A dropped column holds exactly zero: its ket is annihilated or its
+    # image lies outside the basis.
+    assert np.all(op.coeffs[~mapped] == 0)
+    for j, ket in enumerate(kets):
+        if mapped[j]:
+            assert basis.states[op.rows[j]] == images[j] and coeff[j] != 0
+        else:
+            assert coeff[j] == 0 or images[j] not in basis
+            assert not closed or coeff[j] == 0
 
 
 def test_ladder_on_an_irreducible_basis_drops_targets_outside_it():

@@ -1,6 +1,6 @@
 """Every module of the package uses every name it imports, importing the
-package loads numpy only and builds no generator matrices, and `report all`
-checks its JSON without jsonschema."""
+package loads numpy only and builds no generator matrices, `report all`
+checks its JSON without jsonschema, and no run loads numpy.ma."""
 
 import ast
 import os
@@ -113,3 +113,24 @@ def test_report_all_validates_its_json_without_jsonschema():
             "    assert cli.main(['report', 'all']) == 1\n"  # the red gate identities
             "assert schema.report_schema.cache_info().currsize == 1")
     assert _loaded_in_fresh_interpreter(code, "jsonschema") == "[]"
+
+
+def _numpy_modules_after(code):
+    return ast.literal_eval(_loaded_in_fresh_interpreter(code, "numpy"))
+
+
+def test_np_unique_loads_numpy_ma():
+    # numpy.ma is imported on np.unique's first call, and adds about 1.4 MB
+    # to a run's peak memory; this is what the next test guards against.
+    assert "numpy.ma" in _numpy_modules_after("import sys\nimport numpy as np\nnp.unique([1])")
+
+
+def test_report_all_and_kl_check_load_no_numpy_ma():
+    code = ("import contextlib, io, sys\n"
+            "from chi2qec import cli, fock\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['report', 'all']) == 1\n"  # the red gate identities
+            "    assert cli.main(['kl-check', 'bc', '--N', '5', '--errors', 'xi5']) == 0\n"
+            "basis = fock.enumerate_truncated_space(fock.three_mode_layout(2))\n"
+            "fock.adjoint(fock.ladder(0, 'lower', basis))")
+    assert "numpy.ma" not in _numpy_modules_after(code)

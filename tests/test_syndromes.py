@@ -9,7 +9,7 @@ from chi2qec.cli import expected_syndrome_rows
 from chi2qec.codes import build_bc, build_eecc, build_pcc
 from chi2qec.errors import (
     _compositions,
-    _monomial,
+    _factors,
     _monomial_label,
     _shift,
     _unit_shifts,
@@ -25,6 +25,7 @@ from chi2qec.fock import (
     enumerate_irreducible_subspace,
     enumerate_truncated_space,
     ladder,
+    monomial_operator,
     project,
     three_mode_layout,
 )
@@ -160,7 +161,7 @@ def _reference_syndrome_rows(code):
     rows = []
     for kind, exps in errors:
         basis = enclosing_basis(code, [_shift(exps, kind)])
-        op = _monomial(basis, exps, kind)
+        op = monomial_operator(_factors(exps, kind), basis)
         images = [apply(op, embed(w, basis)) for w in code.logical_states]
         values = {measure_parity(im.normalized(), scheme)
                   for im in images if im.norm() > 1e-12}
