@@ -1,8 +1,8 @@
-"""Generalized quantum Hamming bounds, code-rate arithmetic and capacity.
+"""Generalized quantum Hamming bounds and code-rate arithmetic.
 
 All bound evaluations compare exact integers: Python integers, or int64
 arrays over theorem 4's grid, whose values stay far below 2^63; floats only
-appear in code_rate and capacity_upper.
+appear in code_rate.
 """
 
 import math
@@ -102,23 +102,6 @@ def loss_bound_holds(n: int, q: int, b: int, k: int = 1) -> bool:
 
 def code_rate(n: int, q: int, b: int, k: int = 1) -> float:
     return k * math.log2(b) / (n * math.log2(q))
-
-
-def _g(x: float) -> float:
-    if x < 0:
-        raise ValueError("g(x) needs x >= 0")
-    if x == 0:
-        return 0.0
-    return (1 + x) * math.log2(1 + x) - x * math.log2(x)
-
-
-def capacity_upper(gamma: float, mean_N: float) -> float:
-    """max(g((1-gamma) N) - g(gamma N), 0), g(x) = (1+x)log2(1+x) - x log2 x."""
-    if not 0 <= gamma < 1:
-        raise ValueError("gamma must lie in [0, 1)")
-    if mean_N <= 0:
-        raise ValueError("mean photon number must be positive")
-    return max(_g((1 - gamma) * mean_N) - _g(gamma * mean_N), 0.0)
 
 
 def corrupted_dimension(q: int) -> int:

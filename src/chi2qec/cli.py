@@ -33,7 +33,6 @@ from .errors import (
     bc_moment_numerator,
     canonical_recovery,
     check_ad_set_size,
-    enclosing_basis,
     kl_check,
     lowest_order_loss_kraus,
     recovery_fidelity,
@@ -41,12 +40,8 @@ from .errors import (
 )
 from .fock import (
     TruncationOverflow,
-    apply,
     compose,
-    embed,
     enumerate_irreducible_subspace,
-    inner_product,
-    ladder,
     monomial_action,
 )
 from .schema import check_schema, report_schema
@@ -438,21 +433,15 @@ def criterion_kl_alpha(config: RunConfig = RunConfig()) -> Dict:
             off = a - np.diag(np.diag(a))
             if np.max(np.abs(off)) > 1e-12:
                 failures.append("%s alpha offdiag" % spec.name)
-    # Gain condition for the EECC: <a~| a_h a_j^dag |b~> = 2 delta_hj delta_ab.
+    # Gain condition for the EECC: <a~| a_h a_j^dag |b~> = 2 delta_hj delta_ab,
+    # the KL Gram of xi_1's three gain monomials with alpha = 2 I.
     spec = build_eecc(2)
-    basis = enclosing_basis(spec, errors_mod._unit_shifts(3, 1))
-    words = [embed(w, basis) for w in spec.logical_states]
-    for h in range(3):
-        for j in range(3):
-            raise_h = ladder(h, "raise", basis)
-            raise_j = ladder(j, "raise", basis)
-            for a, wa in enumerate(words):
-                for b, wb in enumerate(words):
-                    # <a~| a_h a_j^dag |b~> = <a_h^dag a~, a_j^dag b~>
-                    val = inner_product(apply(raise_h, wa), apply(raise_j, wb))
-                    expected = 2.0 if (h == j and a == b) else 0.0
-                    if abs(val - expected) > 1e-12:
-                        failures.append("gain <%d|a_%d a_%d^dag|%d>" % (a, h, j, b))
+    gains = [e for e in xi_set(1, spec) if e.label.startswith("adag_")]
+    rep = kl_check(spec, gains, tol=1e-12)
+    if not rep.verdict:
+        failures.append("EECC gain KL fails")
+    if np.max(np.abs(rep.alpha - 2 * np.eye(len(gains)))) > 1e-12:
+        failures.append("EECC gain alpha != 2 I")
     return _check("1_kl_alpha_matrices", failures, "alpha values exact to 1e-12")
 
 
@@ -509,8 +498,8 @@ def criterion_bc_kl_and_moments(config: RunConfig = RunConfig()) -> Dict:
                 top = m - 1 if kind == "dephasing" else m
                 for h in range(top + 1):
                     for g in range(top - h + 1):
-                        z = bc_moment_numerator(N, h, g, m, "zero", kind)
-                        o = bc_moment_numerator(N, h, g, m, "one", kind)
+                        z = bc_moment_numerator(spec, h, g, m, "zero", kind)
+                        o = bc_moment_numerator(spec, h, g, m, "one", kind)
                         if z != o:
                             failures.append("moment N=%d %s h=%d g=%d m=%d"
                                             % (N, kind, h, g, m))

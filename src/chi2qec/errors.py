@@ -8,15 +8,13 @@ allowed, which is exactly the projection-correctability relaxation.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-import functools
 import itertools
 import math
 from typing import List, Sequence
 
 import numpy as np
 
-from .codes import CodeSpec, build_bc
+from .codes import CodeSpec
 from .fock import (
     _MAX_TRUNCATED_DIM,
     BasisIndex,
@@ -51,7 +49,6 @@ class KLReport:
     max_offdiag_residual: float
     max_distortion_residual: float
     verdict: bool
-    tolerance: float
 
 
 def _mode_tag(layout: ModeLayout, mode: int) -> str:
@@ -315,7 +312,6 @@ def kl_check(
         max_offdiag_residual=max_off,
         max_distortion_residual=max_dist,
         verdict=bool(max_off <= tol and max_dist <= tol),
-        tolerance=tol,
     )
 
 
@@ -339,16 +335,11 @@ def _rising(n: int, k: int) -> int:
     return out
 
 
-@functools.cache
-def _bc_code(N: int) -> CodeSpec:
-    """The BC of size N, built once: criterion 3 reads its weights for
-    about a thousand moment sums."""
-    return build_bc(N)
-
-
-def bc_moment_numerator(N: int, h: int, g: int, m: int, side: str, kind: str) -> int:
-    """Exact integer 4^{N-1} <side| E^dag E |side> for the binomial code,
-    summed over the codeword's integer weights.
+def bc_moment_numerator(code: CodeSpec, h: int, g: int, m: int, side: str,
+                        kind: str) -> int:
+    """Exact integer 4^{N-1} <side| E^dag E |side> for the binomial code
+    `code` (a `build_bc` result), summed over the codeword's integer
+    weights; the moment is this over `code.denominator`.
 
     kind "loss": E = a_s^h a_i^g a_p^{m-h-g} (0 <= h+g <= m <= N);
     kind "gain": the adjoint monomial of the same exponents;
@@ -365,11 +356,11 @@ def bc_moment_numerator(N: int, h: int, g: int, m: int, side: str, kind: str) ->
             raise ValueError("dephasing requires 1 <= m and h+g <= m-1")
         lp = m - 1 - h - g
     else:
-        if h + g > m or m > N:
+        if h + g > m or m > code.parameters["N"]:
             raise ValueError("require h+g <= m <= N")
         lp = m - h - g
     total = 0
-    for (ns, ni, npump), w in _bc_code(N).weights[("zero", "one").index(side)].items():
+    for (ns, ni, npump), w in code.weights[("zero", "one").index(side)].items():
         if kind == "loss":
             term = _falling(ns, h) * _falling(ni, g) * _falling(npump, lp)
         elif kind == "gain":
@@ -378,12 +369,6 @@ def bc_moment_numerator(N: int, h: int, g: int, m: int, side: str, kind: str) ->
             term = ns ** (2 * h) * ni ** (2 * g) * npump ** (2 * lp)
         total += w * term
     return total
-
-
-def bc_moment_sum(N: int, h: int, g: int, m: int, side: str, kind: str) -> Fraction:
-    """Exact rational <side| E^dag E |side>."""
-    return Fraction(bc_moment_numerator(N, h, g, m, side, kind),
-                    _bc_code(N).denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,6 @@ class ModeLayout:
     def n_groups(self) -> int:
         return max(g for _, g in self.modes)
 
-    def index_of(self, label: str, group: int = 1) -> int:
-        for i, (lab, g) in enumerate(self.modes):
-            if lab == label and g == group:
-                return i
-        raise KeyError((label, group))
-
 
 def three_mode_layout(cap: int, groups: int = 1) -> ModeLayout:
     """Standard (signal, idler, pump) x groups layout with a uniform cap."""

@@ -4,10 +4,9 @@ Appendix-style 3x3 matrices use the basis order v = [|1,1,1>, |2,2,0>,
 |0,0,2>]; the canonical H_2 basis is ascending-n [|0,0,2>, |1,1,1>,
 |2,2,0>].  Helpers convert between the two.  Gates that are printed on a
 partial domain are completed to unitaries by identity on the untouched
-complement.
+complement.  Each gate function returns its unitary as a complex ndarray.
 """
 
-from dataclasses import dataclass
 import functools
 import math
 from typing import List, Sequence, Tuple
@@ -27,18 +26,6 @@ SQRT2 = math.sqrt(2.0)
 V_ORDER = ((1, 1, 1), (2, 2, 0), (0, 0, 2))
 # Canonical H_2 order (ascending n): index of each v-state.
 _CANONICAL = ((0, 0, 2), (1, 1, 1), (2, 2, 0))
-
-
-@dataclass
-class Generator:
-    name: str
-    matrix: np.ndarray  # 3x3 Hermitian, v-basis order
-
-
-@dataclass
-class GateDef:
-    name: str
-    unitary: np.ndarray
 
 
 def _perm_v_to_canonical() -> np.ndarray:
@@ -91,18 +78,19 @@ def _generator_matrices() -> Tuple[np.ndarray, ...]:
     return matrices
 
 
-def generator(k: int) -> Generator:
+def generator(k: int) -> np.ndarray:
     """The seven chi(2) generators on H_2 (coupling kappa = 1).
 
     G1 = (i/2)(A - A^dag), G2 = (A + A^dag)/2 with A = a_s^dag a_i^dag a_p,
     G3 = i[G1,G2], G4 = i[G3,G1], G5 = i[G3,G2],
     G6 = (i[G1,G4] + i[G5,G2]) / (4 sqrt 2), G7 = i[G2,G4] / (2 sqrt 2).
     The normalizations reproduce the printed 3x3 matrices; see the tests
-    for the printed forms.  The matrix is shared and read-only.
+    for the printed forms.  Returns the 3x3 Hermitian matrix in v order,
+    shared and read-only.
     """
     if not 1 <= k <= 7:
         raise ValueError("generator index must be in 1..7")
-    return Generator("G%d" % k, _generator_matrices()[k - 1])
+    return _generator_matrices()[k - 1]
 
 
 def expm_hermitian(H: np.ndarray, angle: float) -> np.ndarray:
@@ -116,7 +104,7 @@ def evolve(decomposition: Sequence[Tuple[int, float]]) -> np.ndarray:
     leftmost in the product (matching how the decompositions are written)."""
     out = np.eye(3, dtype=complex)
     for k, angle in decomposition:
-        out = out @ expm_hermitian(generator(k).matrix, angle)
+        out = out @ expm_hermitian(generator(k), angle)
     return out
 
 
@@ -149,7 +137,7 @@ def _ket(v_index: int) -> np.ndarray:
     return e
 
 
-def xp_gate() -> GateDef:
+def xp_gate() -> np.ndarray:
     """X_P: |111> fixed, |220> -> (|220>-|002>)/sqrt2,
     |002> -> (|220>+|002>)/sqrt2 (rotates the code basis onto
     {|220>, |111>})."""
@@ -157,31 +145,30 @@ def xp_gate() -> GateDef:
     U[0, 0] = 1.0
     U[:, 1] = (_ket(1) - _ket(2)) / SQRT2
     U[:, 2] = (_ket(1) + _ket(2)) / SQRT2
-    return GateDef("XP", U)
+    return U
 
 
-def hprime_gate() -> GateDef:
+def hprime_gate() -> np.ndarray:
     """H': Hadamard on the {|111>, |220>} qutrit block, |002> fixed."""
     U = np.zeros((3, 3), dtype=complex)
     U[:, 0] = (_ket(1) - _ket(0)) / SQRT2
     U[:, 1] = (_ket(1) + _ket(0)) / SQRT2
     U[2, 2] = 1.0
-    return GateDef("Hprime", U)
+    return U
 
 
-def hadamard_gate() -> GateDef:
+def hadamard_gate() -> np.ndarray:
     """Encoded Hadamard: |0~> -> (|0~>+|1~>)/sqrt2 etc. with
     |0~> = (|220>+|002>)/sqrt2, |1~> = |111>, and the orthogonal
     combination (|002>-|220>)/sqrt2 fixed."""
     zero = (_ket(1) + _ket(2)) / SQRT2
     one = _ket(0)
     w = (_ket(2) - _ket(1)) / SQRT2
-    U = (
+    return (
         np.outer((zero + one) / SQRT2, zero.conjugate())
         + np.outer((zero - one) / SQRT2, one.conjugate())
         + np.outer(w, w.conjugate())
     )
-    return GateDef("H", U)
 
 
 # ---------------------------------------------------------------------------
@@ -219,59 +206,47 @@ def pair_basis() -> BasisIndex:
     return tensor_basis(h2, h2)
 
 
-def cnot3_12() -> GateDef:
-    U = (
+def cnot3_12() -> np.ndarray:
+    return (
         np.kron(_proj(_C111), _I3)
         + np.kron(_proj(_C002), _CYCLE)
         + np.kron(_proj(_C220), _CYCLE.conjugate().transpose())
     )
-    return GateDef("CNOT3_12", U)
 
 
-def cnot2_21() -> GateDef:
+def cnot2_21() -> np.ndarray:
     # Printed with a 1/sqrt2 on the controlled block; dropped (unitarity).
-    U = np.kron(_I3, _proj(_C002) + _proj(_C220)) + np.kron(
+    return np.kron(_I3, _proj(_C002) + _proj(_C220)) + np.kron(
         _proj(_C002) + _shift(_C111, _C220) + _shift(_C220, _C111), _proj(_C111)
     )
-    return GateDef("CNOT2_21", U)
 
 
-def lambda21_h() -> GateDef:
-    U = np.kron(_I3, _proj(_C002) + _proj(_C111)) + np.kron(_MPLUS, _proj(_C220))
-    return GateDef("Lambda21H", U)
+def lambda21_h() -> np.ndarray:
+    return np.kron(_I3, _proj(_C002) + _proj(_C111)) + np.kron(_MPLUS, _proj(_C220))
 
 
-def lambda21_h_bar() -> GateDef:
-    U = np.kron(_I3, _proj(_C111) + _proj(_C220)) + np.kron(_MPLUS, _proj(_C002))
-    return GateDef("Lambda21Hbar", U)
+def lambda21_h_bar() -> np.ndarray:
+    return np.kron(_I3, _proj(_C111) + _proj(_C220)) + np.kron(_MPLUS, _proj(_C002))
 
 
-def cnot2p_12() -> GateDef:
-    U = np.kron(_proj(_C111) + _proj(_C220), _I3) + np.kron(
+def cnot2p_12() -> np.ndarray:
+    return np.kron(_proj(_C111) + _proj(_C220), _I3) + np.kron(
         _proj(_C002), _SWAP02 + _proj(_C111)
     )
-    return GateDef("CNOT2p_12", U)
 
 
-def cnot2pp_12() -> GateDef:
-    U = np.kron(_proj(_C002) + _proj(_C111), _I3) + np.kron(
+def cnot2pp_12() -> np.ndarray:
+    """Controlled swap of the second qutrit's |002>/|220> pair; as F it
+    shuttles logical content onto one physical qutrit before the CZ."""
+    return np.kron(_proj(_C002) + _proj(_C111), _I3) + np.kron(
         _proj(_C220), _SWAP02 + _proj(_C111)
     )
-    return GateDef("CNOT2pp_12", U)
-
-
-def fredkin() -> GateDef:
-    """Controlled swap of the second qutrit's |002>/|220> pair — the same
-    unitary as CNOT2pp, used to shuttle logical content onto one physical
-    qutrit before the CZ."""
-    g = cnot2pp_12()
-    return GateDef("F", g.unitary)
 
 
 _DIGIT = {(1, 1, 1): 0, (0, 0, 2): 1, (2, 2, 0): 2}
 
 
-def cz22() -> GateDef:
+def cz22() -> np.ndarray:
     """Qutrit CZ (phase omega^{jk}) between the second physical qutrits of
     the control and target code blocks (81-dim)."""
     pb = pair_basis()
@@ -282,52 +257,26 @@ def cz22() -> GateDef:
         d1 = _DIGIT[st[3:6]]
         d2 = _DIGIT[st[9:12]]
         diag[idx] = omega ** (d1 * d2)
-    return GateDef("CZ22", np.diag(diag))
+    return np.diag(diag)
 
 
-def cz_gate() -> GateDef:
-    """Logical qutrit CZ: (F (x) F)^dag CZ22 (F (x) F)."""
-    F = fredkin().unitary
+def cz_gate() -> np.ndarray:
+    """Logical qutrit CZ: (F (x) F)^dag CZ22 (F (x) F), F = CNOT2pp."""
+    F = cnot2pp_12()
     FF = np.kron(F, F)
-    U = FF.conjugate().transpose() @ cz22().unitary @ FF
-    return GateDef("CZ", U)
+    return FF.conjugate().transpose() @ cz22() @ FF
 
 
-def lambda_s_gate() -> GateDef:
+def lambda_s_gate() -> np.ndarray:
     """Lambda(S) on two embedded qubits (H_2 x H_2): conjugate the
     both-qutrits-in-|111> phase-i gate by X_P on each factor; equals
     diag(1,1,1,i) in the logical basis."""
-    xp = v_to_canonical(xp_gate().unitary)
+    xp = v_to_canonical(xp_gate())
     D = np.eye(9, dtype=complex)
     i11 = 3 * _C111 + _C111
     D[i11, i11] = 1j
     XX = np.kron(xp, xp)
-    U = XX.conjugate().transpose() @ D @ XX
-    return GateDef("LambdaS", U)
-
-
-_GATES = {
-    "XP": xp_gate,
-    "H": hadamard_gate,
-    "Hprime": hprime_gate,
-    "F": fredkin,
-    "CNOT3_12": cnot3_12,
-    "CNOT2_21": cnot2_21,
-    "Lambda21H": lambda21_h,
-    "Lambda21Hbar": lambda21_h_bar,
-    "CNOT2p_12": cnot2p_12,
-    "CNOT2pp_12": cnot2pp_12,
-    "CZ22": cz22,
-    "CZ": cz_gate,
-    "LambdaS": lambda_s_gate,
-}
-
-
-def logical_gate(name: str) -> GateDef:
-    try:
-        return _GATES[name]()
-    except KeyError:
-        raise KeyError("unknown gate %r (choose from %s)" % (name, sorted(_GATES)))
+    return XX.conjugate().transpose() @ D @ XX
 
 
 # Printed 3x3 generator matrices (v order) that the commutator
@@ -392,9 +341,9 @@ def verify_gates() -> List[dict]:
             }
         )
 
-    xp = xp_gate().unitary
-    hp = hprime_gate().unitary
-    h = hadamard_gate().unitary
+    xp = xp_gate()
+    hp = hprime_gate()
+    h = hadamard_gate()
 
     record("XP_two_factor", "e^{i2pi G6/3} e^{i pi G7/3}",
            evolve([(6, 2 * np.pi / 3), (7, np.pi / 3)]), xp)
@@ -427,10 +376,10 @@ def verify_gates() -> List[dict]:
            np.linalg.inv(xp) @ hp @ xp, h)
 
     for k in range(3, 8):
-        record("G%d_printed" % k, generator(k).name + " commutator construction",
-               generator(k).matrix, printed_generator_matrix(k))
+        record("G%d_printed" % k, "G%d commutator construction" % k,
+               generator(k), printed_generator_matrix(k))
 
-    cz = cz_gate().unitary
+    cz = cz_gate()
     unit_dev = float(np.max(np.abs(cz.conjugate().transpose() @ cz - np.eye(81))))
     results.append(
         {

@@ -32,7 +32,8 @@ class NonCommutingOperators(ValueError):
 
 
 class EmptyEigenspace(ValueError):
-    """No joint unity eigenvector was found at the given tolerance."""
+    """No joint unity eigenvector was found at the given tolerance, or the
+    canonical gauge kept fewer vectors than the nullspace has."""
 
 
 @dataclass
@@ -181,8 +182,10 @@ def joint_unity_eigenspace(
     Stacks (S_j - I) blocks and extracts the numerical nullspace by SVD with
     singular-value threshold `tol`.  The returned vectors are canonicalized
     (Gram-Schmidt of canonical-basis projections in index order, first
-    nonzero amplitude made real-positive) so results are deterministic.
-    Operators whose dense blocks would exceed the size limit raise
+    nonzero amplitude made real-positive) so results are deterministic;
+    a projection counts only if its norm exceeds max(10 tol, 1e-10), and
+    EmptyEigenspace is raised when fewer vectors than the nullspace's
+    dimension count (a tolerance of order 0.1 or more).  Operators whose dense blocks would exceed the size limit raise
     TruncationOverflow before any is made dense.
     """
     if not ops:
@@ -234,6 +237,10 @@ def joint_unity_eigenspace(
             out.append(v / phase)
         if len(out) == null_vecs.shape[0]:
             break
+    if len(out) < null_vecs.shape[0]:
+        raise EmptyEigenspace(
+            "canonical gauge kept %d of %d joint unity eigenvectors at tol=%g"
+            % (len(out), null_vecs.shape[0], tol))
     return [StateVector(basis, v) for v in out]
 
 

@@ -1,4 +1,4 @@
-"""Parity-vector schemes, syndrome tables, decoding and recovery pipelines.
+"""Parity-vector schemes, syndrome tables and recovery pipelines.
 
 A parity scheme is a list of components; each component is a signed sum of
 mode occupations reduced by a modulus.  Signed coefficients are needed
@@ -45,10 +45,6 @@ from .gates import (
 class IndefiniteParity(ValueError):
     """Support kets disagree on a parity component — the state is not in a
     single syndrome sector."""
-
-
-class UnknownSyndrome(KeyError):
-    """(p, q) pair absent from the code's syndrome table."""
 
 
 @dataclass(frozen=True)
@@ -189,36 +185,6 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
     return records
 
 
-def bc_configuration_count_ok(N: int, m: int) -> bool:
-    """(m+2)(m+1)/2 distinct loss configurations fit inside the (2N-1)^3
-    possible parity vectors."""
-    return (m + 2) * (m + 1) // 2 <= (2 * N - 1) ** 3
-
-
-def decode_syndrome(
-    code: CodeSpec,
-    p: Sequence[int],
-    q: Sequence[int],
-    monitored_order: Optional[int] = None,
-) -> str:
-    """Unique error hypothesis for a measured (p, q) pair."""
-    p = tuple(p)
-    q = tuple(q)
-    if all(v == 0 for v in p) and all(v == 0 for v in q):
-        return "no error"
-    if code.name == "BC":
-        N = code.parameters["N"]
-        if monitored_order is not None and not bc_configuration_count_ok(N, monitored_order):
-            raise UnknownSyndrome("syndrome space too small for order %d" % monitored_order)
-    table = syndrome_table(code, monitored_order=monitored_order)
-    matches = [r.error_label for r in table if r.p == p and r.q == q]
-    if not matches:
-        raise UnknownSyndrome((p, q))
-    if len(set(matches)) > 1:
-        raise UnknownSyndrome("ambiguous syndrome %r" % ((p, q),))
-    return matches[0]
-
-
 # ---------------------------------------------------------------------------
 # Restoration isometries and full recovery pipelines.
 
@@ -257,10 +223,8 @@ def _eecc_recovery_gates() -> List[np.ndarray]:
 
 
 _PCC_SEQUENCES = {
-    "a_s1": lambda: [cnot2_21().unitary, lambda21_h().unitary,
-                     lambda21_h_bar().unitary, cnot2p_12().unitary],
-    "a_p1": lambda: [lambda21_h().unitary, lambda21_h_bar().unitary,
-                     cnot2_21().unitary, cnot2pp_12().unitary],
+    "a_s1": lambda: [cnot2_21(), lambda21_h(), lambda21_h_bar(), cnot2p_12()],
+    "a_p1": lambda: [lambda21_h(), lambda21_h_bar(), cnot2_21(), cnot2pp_12()],
 }
 
 _EECC_SEQUENCES = {"a_s": _eecc_recovery_gates, "a_p": _eecc_recovery_gates}

@@ -1,4 +1,4 @@
-"""Exact-integer quantum Hamming bounds and capacity arithmetic."""
+"""Exact-integer quantum Hamming bounds and code-rate arithmetic."""
 
 import math
 
@@ -13,7 +13,6 @@ from chi2qec.bounds import (
     SEARCH_CAP_QB,
     BoundQuery,
     SearchCapExceeded,
-    capacity_upper,
     code_rate,
     corrupted_dimension,
     loss_bound_holds,
@@ -108,16 +107,6 @@ def test_rotation_bound_monotone_in_n(n, q, b):
 
 def test_code_rate_value():
     assert code_rate(4, 3, 2) == pytest.approx(1 / (4 * math.log2(3)))
-
-
-def test_capacity_limits():
-    g2 = 3 * math.log2(3) - 2  # g(2) = 3 log2 3 - 2 log2 2
-    assert capacity_upper(0.0, 2.0) == pytest.approx(g2)
-    assert capacity_upper(0.5, 2.0) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        capacity_upper(1.0, 2.0)
-    with pytest.raises(ValueError):
-        capacity_upper(0.1, 0.0)
 
 
 @pytest.mark.parametrize("q", range(2, 11))

@@ -133,14 +133,64 @@ def test_criteria_fail_below_floating_point_resolution(criterion):
 def test_bc_moment_cross_check_fails_on_a_wrong_exact_sum(monkeypatch):
     real = cli.bc_moment_numerator
 
-    def off_by_one(N, h, g, m, side, kind):
+    def off_by_one(code, h, g, m, side, kind):
         # Both codewords move alike, so only the float cross-check can see it.
-        return real(N, h, g, m, side, kind) + ((N, kind, h, g, m) == (4, "gain", 1, 0, 2))
+        N = code.parameters["N"]
+        return real(code, h, g, m, side, kind) + ((N, kind, h, g, m) == (4, "gain", 1, 0, 2))
 
     monkeypatch.setattr(cli, "bc_moment_numerator", off_by_one)
     record = cli.criterion_bc_kl_and_moments()
     assert not record["passed"]
     assert record["detail"] == "brute force N=4 gain h=1 g=0 m=2"
+
+
+def _is_gain_set(errors):
+    return all(e.label.startswith("adag_") for e in errors)
+
+
+def test_kl_alpha_gain_check_is_one_kl_check_of_xi1_gains(monkeypatch):
+    calls = []
+    real = cli.kl_check
+
+    def spy(code, errors, tol):
+        calls.append((code.name, code.parameters["N"], [e.label for e in errors], tol))
+        return real(code, errors, tol)
+
+    monkeypatch.setattr(cli, "kl_check", spy)
+    assert cli.criterion_kl_alpha() == {"name": "1_kl_alpha_matrices", "passed": True,
+                                        "detail": "alpha values exact to 1e-12"}
+    gain_calls = [c for c in calls if any(label.startswith("adag_") for label in c[2])]
+    # xi_set lists monomials by exponent tuple: (0, 0, 1) first.
+    assert gain_calls == [("EECC", 2, ["adag_p", "adag_i", "adag_s"], 1e-12)]
+
+
+@pytest.mark.parametrize("shift", [2e-12, 2e-12j])
+def test_kl_alpha_gain_check_fails_on_a_shifted_gain_gram(monkeypatch, shift):
+    real = cli.kl_check
+
+    def shifted(code, errors, tol):
+        rep = real(code, errors, tol)
+        if _is_gain_set(errors):
+            rep.alpha = rep.alpha + shift
+        return rep
+
+    monkeypatch.setattr(cli, "kl_check", shifted)
+    record = cli.criterion_kl_alpha()
+    assert not record["passed"]
+    assert record["detail"] == "EECC gain alpha != 2 I"
+
+
+def test_kl_alpha_gain_check_fails_on_a_failed_gain_verdict(monkeypatch):
+    real = cli.kl_check
+
+    def failing(code, errors, tol):
+        rep = real(code, errors, tol)
+        return dataclasses.replace(rep, verdict=rep.verdict and not _is_gain_set(errors))
+
+    monkeypatch.setattr(cli, "kl_check", failing)
+    record = cli.criterion_kl_alpha()
+    assert not record["passed"]
+    assert record["detail"] == "EECC gain KL fails"
 
 
 def test_bc_moment_loop_builds_no_basis_or_operator(monkeypatch):
@@ -185,6 +235,23 @@ def test_report_all_survives_a_tolerance_the_svd_cannot_resolve(capsys):
     symmetry = doc["results"][1]
     assert symmetry["name"] == "2_symmetry_synthesis" and not symmetry["passed"]
     assert "tol=1e-16" in symmetry["detail"]
+
+
+def test_report_all_survives_a_tolerance_the_canonical_gauge_cannot_keep(capsys):
+    assert main(["--tolerance", "0.5", "report", "all"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"]) == 9
+    assert doc["results"][1] == {
+        "name": "2_symmetry_synthesis", "passed": False,
+        "detail": "canonical gauge kept 0 of 3 joint unity eigenvectors at tol=0.5"}
+
+
+def test_synth_at_a_tolerance_the_canonical_gauge_cannot_keep_is_a_usage_error(capsys):
+    assert main(["synth", "pcc", "--N", "2", "--tolerance", "0.5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: canonical gauge kept 0 of 2 joint unity "
+                       "eigenvectors at tol=0.5\n")
 
 
 def test_emit_formats():

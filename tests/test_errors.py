@@ -16,7 +16,6 @@ from chi2qec.errors import (
     ad_product_set,
     amplitude_damping_kraus,
     bc_moment_numerator,
-    bc_moment_sum,
     canonical_recovery,
     enclosing_basis,
     kl_check,
@@ -146,30 +145,34 @@ def test_block_applied_kl_check_matches_the_per_column_path(builder, N, m):
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["loss", "gain", "dephasing"])
 def test_bc_moments_agree_between_codewords(N, kind):
+    code = build_bc(N)
     for m in range(1, N + 1):
         top = m - 1 if kind == "dephasing" else m
         for h in range(top + 1):
             for g in range(top - h + 1):
-                z = bc_moment_numerator(N, h, g, m, "zero", kind)
-                o = bc_moment_numerator(N, h, g, m, "one", kind)
+                z = bc_moment_numerator(code, h, g, m, "zero", kind)
+                o = bc_moment_numerator(code, h, g, m, "one", kind)
                 assert z == o
 
 
 def test_bc_moment_explicit_value():
     # N=2 signal loss: <0~| a_s^dag a_s |0~> = 3/4 * 2 = 3/2.
-    assert bc_moment_sum(2, 1, 0, 1, "zero", "loss") == Fraction(3, 2)
-    assert bc_moment_sum(2, 1, 0, 1, "one", "loss") == Fraction(3, 2)
+    code = build_bc(2)
+    for side in ("zero", "one"):
+        numerator = bc_moment_numerator(code, 1, 0, 1, side, "loss")
+        assert Fraction(numerator, code.denominator) == Fraction(3, 2)
 
 
 def test_bc_moment_argument_validation():
+    code = build_bc(2)
     with pytest.raises(ValueError):
-        bc_moment_numerator(2, 0, 0, 3, "zero", "loss")  # m > N
+        bc_moment_numerator(code, 0, 0, 3, "zero", "loss")  # m > N
     with pytest.raises(ValueError):
-        bc_moment_numerator(2, 1, 1, 1, "zero", "dephasing")  # h+g > m-1
+        bc_moment_numerator(code, 1, 1, 1, "zero", "dephasing")  # h+g > m-1
     with pytest.raises(ValueError):
-        bc_moment_numerator(2, 0, 0, 1, "left", "loss")
+        bc_moment_numerator(code, 0, 0, 1, "left", "loss")
     with pytest.raises(ValueError):
-        bc_moment_numerator(2, 0, 0, 1, "zero", "twirl")
+        bc_moment_numerator(code, 0, 0, 1, "zero", "twirl")
 
 
 def test_canonical_recovery_unit_fidelity():

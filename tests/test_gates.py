@@ -9,16 +9,22 @@ import numpy as np
 import pytest
 
 from chi2qec.gates import (
-    _GATES,
     SQRT2,
     _three_wave_operator,
     canonical_to_v,
+    cnot2_21,
+    cnot2p_12,
+    cnot2pp_12,
+    cnot3_12,
+    cz_gate,
     equal_up_to_global_phase,
     evolve,
     generator,
     hadamard_gate,
     hprime_gate,
-    logical_gate,
+    lambda21_h,
+    lambda21_h_bar,
+    lambda_s_gate,
     pair_basis,
     printed_generator_matrix,
     v_to_canonical,
@@ -36,12 +42,12 @@ RED_IDENTITIES = {
 
 @pytest.mark.parametrize("k", range(3, 8))
 def test_commutator_construction_matches_printed_matrices(k):
-    assert np.allclose(generator(k).matrix, printed_generator_matrix(k), atol=1e-12)
+    assert np.allclose(generator(k), printed_generator_matrix(k), atol=1e-12)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_generators_are_hermitian(k):
-    M = generator(k).matrix
+    M = generator(k)
     assert np.allclose(M, M.conjugate().transpose(), atol=1e-12)
 
 
@@ -63,16 +69,14 @@ def _fresh_generators():
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_cached_generator_has_the_bits_of_a_fresh_build(k):
-    g = generator(k)
-    assert g.name == "G%d" % k
-    assert np.array_equal(g.matrix, _fresh_generators()[k - 1])
+    assert np.array_equal(generator(k), _fresh_generators()[k - 1])
 
 
 def test_cached_generator_matrix_is_read_only():
-    M = generator(6).matrix
+    M = generator(6)
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
-    assert np.array_equal(generator(6).matrix, _fresh_generators()[5])
+    assert np.array_equal(generator(6), _fresh_generators()[5])
 
 
 def test_generator_index_validation():
@@ -88,12 +92,12 @@ def test_basis_conversion_round_trip():
 
 
 def test_equal_up_to_global_phase():
-    U = xp_gate().unitary
+    U = xp_gate()
     ok, theta, dev = equal_up_to_global_phase(1j * U, U)
     assert ok
     assert theta == pytest.approx(np.pi / 2)
     assert dev < 1e-12
-    ok, _, _ = equal_up_to_global_phase(U, hprime_gate().unitary)
+    ok, _, _ = equal_up_to_global_phase(U, hprime_gate())
     assert not ok
     with pytest.raises(ValueError):
         equal_up_to_global_phase(U, np.eye(9))
@@ -101,16 +105,16 @@ def test_equal_up_to_global_phase():
 
 def test_xp_single_factor_is_exact():
     ok, _, dev = equal_up_to_global_phase(
-        evolve([(7, np.pi / 3)]), xp_gate().unitary
+        evolve([(7, np.pi / 3)]), xp_gate()
     )
     assert ok and dev < 1e-10
 
 
 def test_hadamard_conjugation_is_exact():
-    xp = xp_gate().unitary
-    hp = hprime_gate().unitary
+    xp = xp_gate()
+    hp = hprime_gate()
     ok, _, dev = equal_up_to_global_phase(
-        np.linalg.inv(xp) @ hp @ xp, hadamard_gate().unitary
+        np.linalg.inv(xp) @ hp @ xp, hadamard_gate()
     )
     assert ok and dev < 1e-10
 
@@ -139,9 +143,23 @@ def test_verify_gates_verdicts():
         assert results[name]
 
 
-@pytest.mark.parametrize("name", sorted(set(_GATES) - {"CZ22", "CZ"}))
+SINGLE_AND_PAIR_GATES = {
+    "XP": xp_gate,
+    "H": hadamard_gate,
+    "Hprime": hprime_gate,
+    "CNOT3_12": cnot3_12,
+    "CNOT2_21": cnot2_21,
+    "Lambda21H": lambda21_h,
+    "Lambda21Hbar": lambda21_h_bar,
+    "CNOT2p_12": cnot2p_12,
+    "CNOT2pp_12": cnot2pp_12,
+    "LambdaS": lambda_s_gate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_AND_PAIR_GATES))
 def test_pair_gates_are_unitary(name):
-    U = logical_gate(name).unitary
+    U = SINGLE_AND_PAIR_GATES[name]()
     d = U.shape[0]
     assert np.allclose(U.conjugate().transpose() @ U, np.eye(d), atol=1e-12)
 
@@ -149,7 +167,7 @@ def test_pair_gates_are_unitary(name):
 def test_cz_logical_pattern():
     from chi2qec.codes import build_pcc
 
-    cz = logical_gate("CZ").unitary
+    cz = cz_gate()
     words = [psi.amplitudes for psi in build_pcc(3).logical_states]
     L = np.column_stack([np.kron(a, b) for a in words for b in words])
     logical = L.conjugate().transpose() @ cz @ L
@@ -161,17 +179,11 @@ def test_cz_logical_pattern():
 def test_lambda_s_is_diagonal_phase_on_logical_qubits():
     from chi2qec.codes import build_eecc
 
-    U = logical_gate("LambdaS").unitary
+    U = lambda_s_gate()
     words = [psi.amplitudes for psi in build_eecc(2).logical_states]
     L = np.column_stack([np.kron(a, b) for a in words for b in words])
     logical = L.conjugate().transpose() @ U @ L
     assert np.allclose(logical, np.diag([1, 1, 1, 1j]), atol=1e-10)
-
-
-def test_logical_gate_registry():
-    assert logical_gate("XP").name == "XP"
-    with pytest.raises(KeyError):
-        logical_gate("T")
 
 
 def test_pair_basis_dimension():

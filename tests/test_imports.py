@@ -1,8 +1,11 @@
-"""Every module of the package uses every name it imports, importing the
-package loads numpy only and builds no generator matrices, `report all`
-checks its JSON without jsonschema, and no run loads numpy.ma."""
+"""Every module of the package uses every name it imports, every
+module-level def the package does not reference is a recorded exception,
+importing the package loads numpy only and builds no generator matrices,
+`report all` checks its JSON without jsonschema, and no run loads
+numpy.ma."""
 
 import ast
+import json
 import os
 from pathlib import Path
 import subprocess
@@ -74,6 +77,77 @@ def test_scanner_finds_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Module-level functions and classes of the package that no module of it
+# references, each with the reason it stays.
+UNREFERENCED = {
+    "fock.project": "test reference: restricts a state in the fock tests",
+    "fock.inner_product": "test reference: checks states in the fock tests",
+    "syndromes.measure_parity": "test reference: parity of a state's support",
+    "errors.loss_kraus_completeness_residual": "test reference: sum E^dag E = I",
+    "codes.mean_photons_per_mode": "paper property: per-mode photon numbers, tested",
+    "gates.cnot3_12": "paper gate: the printed qutrit CNOT, tested unitary",
+    "gates.lambda_s_gate": "paper gate: Lambda(S) on embedded qubits, tested",
+}
+
+
+def _per_layer_references():
+    """(module, function) pairs that BENCHMARK.json's per-layer metrics name."""
+    doc = json.loads((PACKAGE.parents[1] / "BENCHMARK.json").read_text())
+    return {tuple(metric["name"].split(".")[:2]) for metric in doc["per_layer"]}
+
+
+def unreferenced_defs(sources, external=()):
+    """Sorted "module.name" of the module-level defs and classes in
+    `sources` ({module: source} of one package) that no module references.
+
+    A reference is a name read in the defining module outside the def
+    itself, a `from .module import name`, or `alias.name` for a module
+    imported as `from . import module as alias`; the (module, name) pairs in
+    `external` count as referenced too.
+    """
+    defined, referenced = set(), set(external)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        referenced.add((node.module, alias.name))
+        for statement in tree.body:
+            own = None
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                own = statement.name
+                defined.add((module, own))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and node.id != own:
+                    referenced.add((module, node.id))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases):
+                    referenced.add((aliases[node.value.id], node.attr))
+    return sorted("%s.%s" % pair for pair in defined - referenced)
+
+
+def test_dead_surface_scan_flags_a_new_unreferenced_def():
+    sources = {
+        "a": ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Imported:\n    pass\n"
+              "class ByAlias:\n    pass\n"
+              "def traced():\n    pass\n"
+              "def unused():\n    return used()\n"),
+        "b": "from . import a as a_mod\nfrom .a import Imported\nX = a_mod.ByAlias\n",
+    }
+    assert unreferenced_defs(sources, {("a", "traced")}) == ["a.recursive", "a.unused"]
+
+
+def test_every_unreferenced_def_has_a_recorded_reason():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_defs(sources, _per_layer_references()) == sorted(UNREFERENCED)
 
 
 def _loaded_in_fresh_interpreter(code, package):

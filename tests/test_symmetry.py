@@ -146,6 +146,18 @@ def test_empty_eigenspace_raises():
         joint_unity_eigenspace([minus])
 
 
+@pytest.mark.parametrize("tol,kept", [(0.09, 1), (0.5, 0)])
+def test_gauge_that_keeps_too_few_vectors_raises(tol, kept):
+    # The inversion's unity eigenspace on H_4 is 3-dimensional; the gauge
+    # drops projections whose norm is at most 10 tol.
+    basis = enumerate_irreducible_subspace(4)
+    V = inversion_operator(4, 1, basis)
+    assert len(joint_unity_eigenspace([V], tol=0.01)) == 3
+    with pytest.raises(EmptyEigenspace, match="^canonical gauge kept %d of 3 joint "
+                       "unity eigenvectors at tol=%g$" % (kept, tol)):
+        joint_unity_eigenspace([V], tol=tol)
+
+
 def test_projector_distance_and_gauge_stability():
     basis = enumerate_irreducible_subspace(2)
     V = inversion_operator(2, 1, basis)

@@ -1,4 +1,4 @@
-"""Parity measurement, syndrome tables, decoding and full recovery."""
+"""Parity measurement, syndrome tables and full recovery."""
 
 import dataclasses
 
@@ -33,10 +33,7 @@ from chi2qec.syndromes import (
     _RESTORATION_MAPS,
     IndefiniteParity,
     SyndromeRecord,
-    UnknownSyndrome,
     _recovery_pipeline,
-    bc_configuration_count_ok,
-    decode_syndrome,
     full_recovery,
     measure_parity,
     p12_scheme,
@@ -186,31 +183,6 @@ def test_syndrome_row_with_every_codeword_annihilated_raises():
     word = StateVector.from_terms(eecc.basis, {(0, 0, 2): 1.0})
     with pytest.raises(IndefiniteParity, match="a_s annihilates every codeword"):
         syndrome_table(dataclasses.replace(eecc, logical_states=[word]))
-
-
-def test_bc_configuration_count():
-    assert bc_configuration_count_ok(2, 2)
-    assert bc_configuration_count_ok(3, 3)
-    assert not bc_configuration_count_ok(1, 1)
-
-
-def test_decode_round_trip():
-    for spec in (build_pcc(3), build_eecc(2), build_bc(2), build_bc(3), build_bc(4)):
-        for r in syndrome_table(spec):
-            assert decode_syndrome(spec, r.p, r.q) == r.error_label
-
-
-def test_decode_no_error_and_unknown():
-    spec = build_eecc(2)
-    assert decode_syndrome(spec, (0, 0, 0), (0,)) == "no error"
-    with pytest.raises(UnknownSyndrome):
-        decode_syndrome(spec, (1, 1, 1), (0,))
-
-
-def test_decode_bc_order_guard():
-    spec = build_bc(1)
-    with pytest.raises(UnknownSyndrome):
-        decode_syndrome(spec, (1, 0, 0), (1,), monitored_order=1)
 
 
 def test_restoration_isometry_maps_and_partial_isometry():
