@@ -40,7 +40,6 @@ from .errors import (
 )
 from .fock import (
     TruncationOverflow,
-    compose,
     enumerate_irreducible_subspace,
     monomial_action,
 )
@@ -189,16 +188,12 @@ def pcc_operator_set(N: int):
     eigenspace is one dimension too large.
     """
     basis = enumerate_irreducible_subspace(N - 1, groups=2)
-    ops = []
-    for group in (1, 2):
-        ops.append(z_pair_operator(N, "sp", group, basis))
-        ops.append(z_pair_operator(N, "ip", group, basis))
-    ops.append(inversion_operator_all_groups(N - 1, basis))
-    ops.append(swap_operator(basis))
+    ops = [z_pair_operator(N, pair, g, basis) for g in (1, 2) for pair in ("sp", "ip")]
+    ops += [inversion_operator_all_groups(N - 1, basis), swap_operator(basis)]
     if N % 2 == 1:
-        pi1 = symmetry_mod.signal_parity_operator(basis, group=1).operator
-        pi2 = symmetry_mod.signal_parity_operator(basis, group=2).operator
-        ops.append(symmetry_mod.SymmetryOperator("Pi_s1 Pi_s2", compose(pi1, pi2)))
+        ops.append(symmetry_mod.compose(
+            "Pi_s1 Pi_s2", symmetry_mod.signal_parity_operator(basis, group=1),
+            symmetry_mod.signal_parity_operator(basis, group=2)))
     return basis, ops
 
 
@@ -211,7 +206,7 @@ _SYNTHESIS_SETS = {"pcc": (build_pcc, pcc_operator_set),
                    "eecc": (build_eecc, eecc_operator_set)}
 
 
-def synthesis_check(code_name: str, N: int, tol: float) -> Dict:
+def synthesis_check(code_name: str, N: int) -> Dict:
     """Closed-form codewords versus joint unity eigenspace (PCC, EECC) or
     symmetry-eigenvalue check (BC)."""
     name = "synthesis_%s_N%d" % (code_name, N)
@@ -219,7 +214,7 @@ def synthesis_check(code_name: str, N: int, tol: float) -> Dict:
         builder, operator_set = _SYNTHESIS_SETS[code_name]
         spec = builder(N)
         _, ops = operator_set(N)
-        synth = joint_unity_eigenspace(ops, tol)
+        synth = joint_unity_eigenspace(ops)
         dist = projector_distance(spec.logical_states, synth)
         return {"name": name, "passed": dist < 1e-8,
                 "detail": "projector distance %.2e, dim %d" % (dist, len(synth))}
@@ -245,7 +240,7 @@ def synthesis_check(code_name: str, N: int, tol: float) -> Dict:
 
 def cmd_synth(args, config: RunConfig):
     spec = build(args.code, args.N)
-    check = synthesis_check(args.code.lower(), args.N, config.tolerance)
+    check = synthesis_check(args.code.lower(), args.N)
     results = [
         {"name": "codewords_%s_N%d" % (spec.name, args.N), "passed": True,
          "detail": spec.to_json()},
@@ -402,8 +397,8 @@ def cmd_bounds(args, config: RunConfig):
 
 # ---------------------------------------------------------------------------
 # Acceptance-criteria runners used by `report all`.  Each takes the run's
-# config: --seed and --tolerance drive the seeded draws and the KL and
-# eigenspace tolerances, while the published precision thresholds stay fixed.
+# config: --seed and --tolerance drive the seeded draws and the KL
+# tolerances, while the published precision thresholds stay fixed.
 
 
 def _check(name: str, failures: List[str], ok_detail: str,
@@ -446,26 +441,17 @@ def criterion_kl_alpha(config: RunConfig = RunConfig()) -> Dict:
 
 
 def criterion_symmetry_synthesis(config: RunConfig = RunConfig()) -> Dict:
-    tol = config.tolerance
     failures = []
-    try:
-        for code, N in (("pcc", 3), ("pcc", 2), ("eecc", 2)):
-            res = synthesis_check(code, N, tol)
-            if not res["passed"]:
-                failures.append(res["name"])
-        # Dimension flow 9 -> 5 -> 3 for the two-qutrit construction.
-        basis, full_ops = pcc_operator_set(3)
-        z_ops = [z_pair_operator(3, pair, g, basis) for g in (1, 2) for pair in ("sp", "ip")]
-        v_op = inversion_operator_all_groups(2, basis)
-        dims = (
-            len(joint_unity_eigenspace(z_ops, tol)),
-            len(joint_unity_eigenspace(z_ops + [v_op], tol)),
-            len(joint_unity_eigenspace(full_ops, tol)),
-        )
-        if dims != (9, 5, 3):
-            failures.append("dimension flow %s != (9, 5, 3)" % (dims,))
-    except symmetry_mod.EmptyEigenspace as exc:  # tol below what the SVD resolves
-        failures.append(str(exc))
+    for code, N in (("pcc", 3), ("pcc", 2), ("eecc", 2)):
+        res = synthesis_check(code, N)
+        if not res["passed"]:
+            failures.append(res["name"])
+    # Dimension flow 9 -> 5 -> 3 for the two-qutrit construction: the four Z
+    # pairs, then the inversion, then the swap and the parity product.
+    _, full_ops = pcc_operator_set(3)
+    dims = tuple(len(joint_unity_eigenspace(full_ops[:k])) for k in (4, 5, len(full_ops)))
+    if dims != (9, 5, 3):
+        failures.append("dimension flow %s != (9, 5, 3)" % (dims,))
     return _check("2_symmetry_synthesis", failures,
                   "projector distance < 1e-8, flow 9->5->3")
 
@@ -637,19 +623,22 @@ def criterion_bounds(config: RunConfig = RunConfig()) -> Dict:
 
 
 def criterion_metadata(config: RunConfig = RunConfig()) -> Dict:
+    def rate(spec):
+        return bounds_mod.code_rate(*(spec.parameters[x] for x in "nqbk"))
+
     failures = []
     for N in range(2, 9):
         pcc, bc = build_pcc(N), build_bc(N)
-        if codes_mod.code_rate(pcc) != 0.5:
+        if rate(pcc) != 0.5:
             failures.append("PCC N=%d rate" % N)
         # Every codeword's exact mean photon number equals the published total.
         for spec, total in ((pcc, 3 * (N - 1)), (build_eecc(N), 3 * (N - 1)),
                             (bc, Fraction(3 * (2 * N - 1), 2))):
             if any(mean != total for mean in codes_mod.mean_total_photons(spec)):
                 failures.append("%s N=%d photons" % (spec.name, N))
-        if abs(codes_mod.code_rate(bc) - 1 / math.log2(2 * N)) > 1e-15:
+        if abs(rate(bc) - 1 / math.log2(2 * N)) > 1e-15:
             failures.append("BC N=%d rate" % N)
-    if abs(codes_mod.code_rate(build_eecc(2)) - 1 / math.log2(3)) > 1e-15:
+    if abs(rate(build_eecc(2)) - 1 / math.log2(3)) > 1e-15:
         failures.append("EECC N=2 rate")
     return _check("9_rates_and_photon_numbers", failures, "rates and photon totals exact")
 

@@ -70,7 +70,7 @@ class CodeSpec:
             "codewords": [
                 [
                     [state_label(s), amp.real, amp.imag]
-                    for s, amp in psi.support()
+                    for s, amp in psi.support(0)
                 ]
                 for psi in self.logical_states
             ],
@@ -202,11 +202,6 @@ def build_two_mode_bc(N: int) -> CodeSpec:
     return _code(
         "BC2mode", {"N": N, "n": 1, "q": 2 * N, "b": 2, "k": 1}, layout,
         lambda: enumerate_truncated_space(layout), words, 4 ** (N - 1))
-
-
-def code_rate(spec: CodeSpec) -> float:
-    p = spec.parameters
-    return p["k"] * math.log2(p["b"]) / (p["n"] * math.log2(p["q"]))
 
 
 def mean_photons_per_mode(spec: CodeSpec) -> List[List[Fraction]]:

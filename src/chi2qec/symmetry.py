@@ -3,10 +3,14 @@
 The code subspaces are the simultaneous unity-eigenvalue eigenspaces of a
 small set of commuting unitaries: diagonal Z-phase pairs, photon-number
 inversion V, the group swap X, the signal parity Pi_s, and a
-pseudo-beam-splitter U_BS used by the bosonic code.
+pseudo-beam-splitter U_BS used by the bosonic code.  All but U_BS are ket
+permutations with root-of-unity coefficients, held exactly as integer
+phases, and their joint unity eigenspace is built from ket orbits.
 """
 
 from dataclasses import dataclass
+import functools
+import itertools
 import math
 from typing import List, Sequence
 
@@ -16,15 +20,13 @@ from .codes import build_bc
 from .fock import (
     _MAX_TRUNCATED_DIM,
     BasisIndex,
+    DimensionMismatch,
     LinearOperator,
     StateVector,
     TruncationOverflow,
-    compose,
     embed,
     ket_map_operator,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 class NonCommutingOperators(ValueError):
@@ -32,18 +34,52 @@ class NonCommutingOperators(ValueError):
 
 
 class EmptyEigenspace(ValueError):
-    """No joint unity eigenvector was found at the given tolerance, or the
-    canonical gauge kept fewer vectors than the nullspace has."""
+    """The operators have no common unity eigenvector."""
+
+
+def _roots_of_unity(modulus: int) -> np.ndarray:
+    """exp(2 pi i k / modulus) for k = 0..modulus-1, exactly 1 at k = 0 and
+    -1 at 2k = modulus."""
+    k = np.arange(modulus)
+    return np.where(2 * k == modulus, -1, np.exp(2j * np.pi * k / modulus))
 
 
 @dataclass
 class SymmetryOperator:
-    name: str
-    operator: LinearOperator
+    """Ket permutation with root-of-unity coefficients, held exactly: ket j
+    goes to ket rows[j] with coefficient exp(2 pi i phases[j] / modulus)."""
 
-    def unitarity_defect(self) -> float:
-        U = self.operator.dense()
-        return float(np.max(np.abs(U.conjugate().transpose() @ U - np.eye(len(U)))))
+    name: str
+    basis: BasisIndex
+    rows: np.ndarray
+    phases: np.ndarray
+    modulus: int
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.phases = np.asarray(self.phases, dtype=np.int64) % self.modulus
+        if not np.array_equal(np.sort(self.rows), np.arange(self.basis.dimension)):
+            raise ValueError("%s does not permute the kets of its basis" % self.name)
+
+    @property
+    def operator(self) -> LinearOperator:
+        """The float form, coefficients read from the reduced phases."""
+        return LinearOperator(self.basis, self.rows,
+                              _roots_of_unity(self.modulus)[self.phases])
+
+
+def _product(a: SymmetryOperator, b: SymmetryOperator):
+    """Rows, reduced phases and modulus (the lcm of both) of a.b, b acting first."""
+    M = math.lcm(a.modulus, b.modulus)
+    phases = a.phases[b.rows] * (M // a.modulus) + b.phases * (M // b.modulus)
+    return a.rows[b.rows], phases % M, M
+
+
+def compose(name: str, a: SymmetryOperator, b: SymmetryOperator) -> SymmetryOperator:
+    """The product a.b (b acts first)."""
+    if a.basis != b.basis:
+        raise DimensionMismatch("compose: bases differ")
+    return SymmetryOperator(name, a.basis, *_product(a, b))
 
 
 def _group_mode_positions(basis: BasisIndex, group: int):
@@ -66,12 +102,14 @@ def z_pair_operator(M: int, pair: str, group: int, basis: BasisIndex) -> Symmetr
         raise ValueError("pair must be 'sp' or 'ip'")
     s, i, p = _group_mode_positions(basis, group)
     a = s if pair == "sp" else i
-    b = p
-    phases = np.array(
-        [np.exp(2j * np.pi * (1 + st[a] + st[b]) / M) for st in basis.states]
-    )
-    op = LinearOperator.diagonal(basis, phases)
-    return SymmetryOperator("Z_%s^(M=%d) group %d" % (pair, M, group), op)
+    phases = 1 + basis.occupations[:, a] + basis.occupations[:, p]
+    return SymmetryOperator("Z_%s^(M=%d) group %d" % (pair, M, group), basis,
+                            np.arange(basis.dimension), phases, M)
+
+
+def _ket_map(name: str, basis: BasisIndex, image) -> SymmetryOperator:
+    return SymmetryOperator(name, basis, ket_map_operator(basis, image).rows,
+                            np.zeros(basis.dimension), 1)
 
 
 def inversion_operator(M: int, group: int, basis: BasisIndex) -> SymmetryOperator:
@@ -84,38 +122,32 @@ def inversion_operator(M: int, group: int, basis: BasisIndex) -> SymmetryOperato
     def image(st):
         n, n2, np_ = st[s], st[i], st[p]
         if n != n2 or n + np_ != M:
-            raise ValueError(
-                "inversion_operator: state %r outside H_%d on group %d"
-                % (st, M, group)
-            )
+            raise ValueError("inversion_operator: state %r outside H_%d on group %d"
+                             % (st, M, group))
         return st[:s] + (M - n, M - n, n) + st[p + 1:]
 
-    return SymmetryOperator("V^(%d) group %d" % (M, group), ket_map_operator(basis, image))
+    return _ket_map("V^(%d) group %d" % (M, group), basis, image)
 
 
 def inversion_operator_all_groups(M: int, basis: BasisIndex) -> SymmetryOperator:
     """Tensor product of the inversion over every group of the basis."""
-    n_groups = len(basis.states[0]) // 3
-    op = None
-    for g in range(1, n_groups + 1):
-        part = inversion_operator(M, g, basis).operator
-        op = part if op is None else compose(part, op)
-    return SymmetryOperator("V^(%d) all groups" % M, op)
+    return functools.reduce(
+        lambda a, b: compose("V^(%d) all groups" % M, a, b),
+        [inversion_operator(M, g, basis) for g in range(1, len(basis.states[0]) // 3 + 1)])
 
 
 def swap_operator(basis: BasisIndex) -> SymmetryOperator:
     """Swap the two three-mode groups: |x>_1|y>_2 -> |y>_1|x>_2."""
-    width = len(basis.states[0])
-    if width != 6:
+    if len(basis.states[0]) != 6:
         raise ValueError("swap_operator requires a two-group (6-mode) basis")
-    return SymmetryOperator("X_{1,2}", ket_map_operator(basis, lambda st: st[3:] + st[:3]))
+    return _ket_map("X_{1,2}", basis, lambda st: st[3:] + st[:3])
 
 
 def signal_parity_operator(basis: BasisIndex, group: int = 1) -> SymmetryOperator:
     """Pi_s = (-1)^{n_s}, diagonal."""
     s, _, _ = _group_mode_positions(basis, group)
-    phases = np.array([(-1.0) ** st[s] for st in basis.states], dtype=complex)
-    return SymmetryOperator("Pi_s", LinearOperator.diagonal(basis, phases))
+    return SymmetryOperator("Pi_s", basis, np.arange(basis.dimension),
+                            basis.occupations[:, s], 2)
 
 
 def pseudo_beamsplitter(N: int, basis: BasisIndex) -> np.ndarray:
@@ -174,81 +206,63 @@ def bc_symmetry_operator(N: int, basis: BasisIndex) -> np.ndarray:
     return pi @ ubs @ v @ ubs.conjugate().transpose()
 
 
-def joint_unity_eigenspace(
-    ops: Sequence[SymmetryOperator], tol: float = DEFAULT_TOL
-) -> List[StateVector]:
+def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]:
     """Orthonormal basis of the simultaneous unity-eigenvalue eigenspace.
 
-    Stacks (S_j - I) blocks and extracts the numerical nullspace by SVD with
-    singular-value threshold `tol`.  The returned vectors are canonicalized
-    (Gram-Schmidt of canonical-basis projections in index order, first
-    nonzero amplitude made real-positive) so results are deterministic;
-    a projection counts only if its norm exceeds max(10 tol, 1e-10), and
-    EmptyEigenspace is raised when fewer vectors than the nullspace's
-    dimension count (a tolerance of order 0.1 or more).  Operators whose dense blocks would exceed the size limit raise
-    TruncationOverflow before any is made dense.
+    Each pair of operators is composed both ways to check, exactly, that
+    they commute.  With phases over M, the lcm of the moduli, S v = v reads
+    v[rows[j]] = exp(2 pi i phases[j] / M) v[j], so each ket orbit carries
+    at most one fixed vector: phases relative to the orbit's first ket
+    follow along operator steps, and the orbit counts when every step
+    agrees.  Its vector is exp(2 pi i phase / M) / sqrt(orbit size) on the
+    orbit's kets; vectors come in the order of their first kets.
     """
     if not ops:
         raise ValueError("need at least one operator")
-    basis = ops[0].operator.domain
-    dim = basis.dimension
-    if any(s.operator.domain != basis for s in ops):
+    basis = ops[0].basis
+    if any(s.basis != basis for s in ops):
         raise ValueError("operators must share a domain")
-    entries = len(ops) * dim * dim
-    if entries > _MAX_TRUNCATED_DIM:
-        raise TruncationOverflow(
-            "%d dense operators on %d kets would hold %d entries, over the limit of %d"
-            % (len(ops), dim, entries, _MAX_TRUNCATED_DIM))
-    mats = [s.operator.dense() for s in ops]
-
-    # Commutation pre-check at the synthesis tolerance.
-    max_comm = 0.0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            c = mats[a] @ mats[b] - mats[b] @ mats[a]
-            max_comm = max(max_comm, float(np.max(np.abs(c))))
-    if max_comm > 10 * tol:
-        raise NonCommutingOperators(
-            "max commutator norm %.3e exceeds tolerance" % max_comm
-        )
-
-    stacked = np.vstack([m - np.eye(dim) for m in mats])
-    _, svals, vh = np.linalg.svd(stacked)
-    svals = np.concatenate([svals, np.zeros(dim - len(svals))])
-    null_mask = svals <= tol
-    null_vecs = vh[null_mask.nonzero()[0], :].conjugate()  # rows span the nullspace
-    if null_vecs.shape[0] == 0:
-        raise EmptyEigenspace("no joint unity eigenvector at tol=%g" % tol)
-
-    # Canonical gauge: project canonical basis vectors onto the subspace in
-    # index order, Gram-Schmidt, fix the global phase of each vector.
-    V = null_vecs.transpose()  # dim x k, orthonormal columns
-    proj = V @ V.conjugate().transpose()
+    for a, b in itertools.combinations(ops, 2):
+        if not all(map(np.array_equal, _product(a, b), _product(b, a))):
+            raise NonCommutingOperators("%s and %s do not commute" % (a.name, b.name))
+    M = math.lcm(*(s.modulus for s in ops))
+    steps = [(s.rows.tolist(), (s.phases * (M // s.modulus)).tolist()) for s in ops]
+    roots = _roots_of_unity(M)
+    phase = [None] * basis.dimension
     out = []
-    for idx in range(dim):
-        v = proj[:, idx].copy()
-        for w in out:
-            v -= np.vdot(w, v) * w
-        nv = np.linalg.norm(v)
-        if nv > max(10 * tol, 1e-10):
-            v /= nv
-            lead = np.flatnonzero(np.abs(v) > 1e-10)[0]
-            phase = v[lead] / abs(v[lead])
-            out.append(v / phase)
-        if len(out) == null_vecs.shape[0]:
-            break
-    if len(out) < null_vecs.shape[0]:
-        raise EmptyEigenspace(
-            "canonical gauge kept %d of %d joint unity eigenvectors at tol=%g"
-            % (len(out), null_vecs.shape[0], tol))
-    return [StateVector(basis, v) for v in out]
-
-
-def subspace_projector(vectors: Sequence[StateVector]) -> np.ndarray:
-    V = np.column_stack([v.amplitudes for v in vectors])
-    return V @ V.conjugate().transpose()
+    for start in range(basis.dimension):
+        if phase[start] is not None:
+            continue
+        phase[start] = 0
+        orbit, consistent = [start], True
+        for ket in orbit:  # the loop also visits the kets appended below
+            for rows, phases in steps:
+                target, p = rows[ket], (phase[ket] + phases[ket]) % M
+                if phase[target] is None:
+                    phase[target] = p
+                    orbit.append(target)
+                elif phase[target] != p:
+                    consistent = False
+        if consistent:
+            amplitudes = np.zeros(basis.dimension, dtype=complex)
+            amplitudes[orbit] = roots[[phase[k] for k in orbit]] / math.sqrt(len(orbit))
+            out.append(StateVector(basis, amplitudes))
+    if not out:
+        raise EmptyEigenspace("no ket orbit is fixed by every operator")
+    return out
 
 
 def projector_distance(a: Sequence[StateVector], b: Sequence[StateVector]) -> float:
-    """Max-entry distance between the projectors of two spanning sets."""
-    return float(np.max(np.abs(subspace_projector(a) - subspace_projector(b))))
+    """Max-entry distance between the projectors of two spanning sets.
+
+    Both projectors are made dense; when together they would hold more
+    entries than the size limit, TruncationOverflow is raised first.
+    """
+    dim = a[0].basis.dimension
+    if 2 * dim * dim > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow(
+            "projector distance on %d kets would make two dense %dx%d projectors, "
+            "%d entries, over the limit of %d"
+            % (dim, dim, dim, 2 * dim * dim, _MAX_TRUNCATED_DIM))
+    P, Q = (np.column_stack([v.amplitudes for v in vs]) for vs in (a, b))
+    return float(np.max(np.abs(P @ P.conjugate().transpose() - Q @ Q.conjugate().transpose())))

@@ -161,7 +161,7 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
                  for exps in _compositions(m, 3)]
     else:
         raise ValueError("no syndrome table for code %r" % code.name)
-    supports = [[ket for ket, _ in w.support()] for w in code.logical_states]
+    supports = [[ket for ket, _ in w.support(0)] for w in code.logical_states]
     records = []
     for kind, exps, q in cases:
         shift = _shift(exps, kind)

@@ -222,36 +222,46 @@ def test_bc_moment_loop_builds_no_basis_or_operator(monkeypatch):
     assert in_criterion == counts
 
 
-def test_symmetry_criterion_uses_run_tolerance():
-    record = cli.criterion_symmetry_synthesis(RunConfig(tolerance=1e-30))
-    assert not record["passed"]
-    assert "tol=1e-30" in record["detail"]
+@pytest.mark.parametrize("tolerance", ["1e-30", "1e-16", "0.09", "0.5"])
+def test_synthesis_reads_no_tolerance(capsys, tolerance):
+    default = cli.criterion_symmetry_synthesis()
+    assert default["passed"]
+    assert cli.criterion_symmetry_synthesis(RunConfig(tolerance=float(tolerance))) == default
+    for argv in (["synth", "pcc", "--N", "2"], ["synth", "eecc", "--N", "3"]):
+        assert main(argv) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert main(["--tolerance", tolerance] + argv) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["config"].pop("tolerance") == float(tolerance)
+        want["config"].pop("tolerance")
+        assert got == want
 
 
-def test_report_all_survives_a_tolerance_the_svd_cannot_resolve(capsys):
-    assert main(["--tolerance", "1e-16", "report", "all"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["results"]) == 9
-    symmetry = doc["results"][1]
-    assert symmetry["name"] == "2_symmetry_synthesis" and not symmetry["passed"]
-    assert "tol=1e-16" in symmetry["detail"]
+def test_synthesis_needs_no_svd(monkeypatch, capsys):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for code in ("pcc", "eecc"):
+        for N in (2, 3):
+            assert main(["synth", code, "--N", str(N)]) == 0
+            capsys.readouterr()
+    assert main(["report", "all"]) == 1  # the documented gate identities
+    symmetry = json.loads(capsys.readouterr().out)["results"][1]
+    assert symmetry == {"name": "2_symmetry_synthesis", "passed": True,
+                        "detail": "projector distance < 1e-8, flow 9->5->3"}
 
 
-def test_report_all_survives_a_tolerance_the_canonical_gauge_cannot_keep(capsys):
-    assert main(["--tolerance", "0.5", "report", "all"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["results"]) == 9
-    assert doc["results"][1] == {
-        "name": "2_symmetry_synthesis", "passed": False,
-        "detail": "canonical gauge kept 0 of 3 joint unity eigenvectors at tol=0.5"}
-
-
-def test_synth_at_a_tolerance_the_canonical_gauge_cannot_keep_is_a_usage_error(capsys):
-    assert main(["synth", "pcc", "--N", "2", "--tolerance", "0.5"]) == 2
+def test_synth_projector_size_limit(capsys):
+    # Two dense 961x961 projectors (1,847,042 entries) are within the
+    # 2,000,000-entry limit; two 1024x1024 ones (2,097,152) are not.
+    assert main(["--format", "csv", "synth", "pcc", "--N", "31"]) == 1
+    assert "synthesis_pcc_N31,False,projector distance 2.50e-01; dim" in capsys.readouterr().out
+    assert main(["synth", "pcc", "--N", "32"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: canonical gauge kept 0 of 2 joint unity "
-                       "eigenvectors at tol=0.5\n")
+    assert out.err == ("error: projector distance on 1024 kets would make two dense "
+                       "1024x1024 projectors, 2097152 entries, over the limit of 2000000\n")
 
 
 def test_emit_formats():
@@ -440,8 +450,8 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "error: BC N=600: codeword weights are too large for float amplitudes"),
     (["synth", "bc2mode", "--N", "600"],
      "error: BC2mode N=600: codeword weights are too large for float amplitudes"),
-    (["synth", "pcc", "--N", "25"],
-     "error: 7 dense operators on 625 kets would hold 2734375 entries, over the limit of 2000000"),
+    (["synth", "eecc", "--N", "501"],
+     "error: projector distance on 1001 kets would make two dense 1001x1001 projectors"),
     (["kl-check", "pcc", "--N", "2", "--errors", "ad", "--order", "-1"],
      "error: --order must be >= 0, got -1"),
 ])

@@ -13,7 +13,6 @@ from chi2qec.codes import (
     build_eecc,
     build_pcc,
     build_two_mode_bc,
-    code_rate,
     mean_photons_per_mode,
     mean_total_photons,
 )
@@ -235,15 +234,6 @@ def test_each_codeword_holds_the_total_photon_number(builder, Ns, closed_form):
             assert means == [spec.total_photons] * len(means)
 
 
-def test_code_rates():
-    assert code_rate(build_pcc(2)) == pytest.approx(0.5)
-    assert code_rate(build_pcc(5)) == pytest.approx(0.5)
-    assert code_rate(build_eecc(2)) == pytest.approx(1 / math.log2(3))
-    assert code_rate(build_eecc(3)) == pytest.approx(math.log2(3) / math.log2(5))
-    assert code_rate(build_bc(2)) == pytest.approx(0.5)
-    assert code_rate(build_bc(3)) == pytest.approx(1 / math.log2(6))
-
-
 def test_total_photons_are_exact_fractions():
     assert build_pcc(4).total_photons == 9
     assert build_eecc(4).total_photons == 9
@@ -258,6 +248,19 @@ def test_json_round_trip():
     assert doc["total_photons"] == [3, 1]
     labels = {entry[0] for entry in doc["codewords"][0]}
     assert labels == {"2,2,0", "0,0,2"}
+
+
+@pytest.mark.parametrize("N", [41, 45])
+def test_json_lists_every_ket_of_every_codeword(N):
+    # The end kets carry the BC's smallest amplitude, 2^(1-N), below 1e-12
+    # from N=41 on; each codeword still lists all N of its kets, in basis order.
+    spec = build_bc(N)
+    doc = json.loads(spec.to_json())
+    for entries, word in zip(doc["codewords"], spec.weights):
+        assert [e[0] for e in entries] == [
+            "%d,%d,%d" % ket for ket in sorted(word, key=spec.basis.index_of)]
+        assert len(entries) == N
+    assert doc["codewords"][0][0] == ["0,0,%d" % (2 * N - 1), 2.0 ** (1 - N), 0.0]
 
 
 def test_build_catalog():

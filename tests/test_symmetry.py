@@ -1,13 +1,15 @@
 """Symmetry operators and joint unity-eigenspace synthesis."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from chi2qec import cli
+from chi2qec import symmetry as symmetry_mod
 from chi2qec.cli import pcc_operator_set
 from chi2qec.fock import (
-    LinearOperator,
     StateVector,
     TruncationOverflow,
     apply,
@@ -25,7 +27,6 @@ from chi2qec.symmetry import (
     projector_distance,
     pseudo_beamsplitter,
     signal_parity_operator,
-    subspace_projector,
     swap_operator,
     z_pair_operator,
 )
@@ -38,8 +39,7 @@ def test_z_pair_is_unity_on_irreducible_subspace(M, pair):
     op = z_pair_operator(M, pair, 1, basis)
     # 1 + n_a + n_b = 1 + n + (M-1-n) = M, so every diagonal phase is 1.
     diag = op.operator.dense().diagonal()
-    assert np.allclose(diag, 1.0)
-    assert op.unitarity_defect() < 1e-12
+    assert np.all(diag == 1)
 
 
 def test_z_pair_rejects_unknown_pair():
@@ -118,7 +118,8 @@ def test_joint_unity_eigenspace_of_inversion():
     vecs = joint_unity_eigenspace([V])
     # V fixes |111> and (|002>+|220>)/sqrt2.
     assert len(vecs) == 2
-    P = subspace_projector(vecs)
+    V = np.column_stack([v.amplitudes for v in vecs])
+    P = V @ V.conjugate().T
     assert np.allclose(P @ P, P)
     fixed = StateVector.from_terms(basis, {(1, 1, 1): 1.0})
     assert np.allclose(P @ fixed.amplitudes, fixed.amplitudes)
@@ -126,47 +127,88 @@ def test_joint_unity_eigenspace_of_inversion():
 
 def test_joint_unity_eigenspace_of_identity_is_full():
     basis = enumerate_irreducible_subspace(2)
-    I = SymmetryOperator("I", LinearOperator.identity(basis))
+    I = SymmetryOperator("I", basis, np.arange(3), np.zeros(3), 1)
     assert len(joint_unity_eigenspace([I])) == 3
 
 
 def test_non_commuting_operators_rejected():
     basis = enumerate_irreducible_subspace(2)
-    phases = np.exp(2j * np.pi * np.array([s[0] for s in basis.states]) / 3)
-    Z = SymmetryOperator("Z_s", LinearOperator.diagonal(basis, phases))
+    Z = SymmetryOperator("Z_s", basis, np.arange(3), [s[0] for s in basis.states], 3)
     V = inversion_operator(2, 1, basis)
-    with pytest.raises(NonCommutingOperators):
+    with pytest.raises(NonCommutingOperators,
+                       match=re.escape("Z_s and V^(2) group 1 do not commute")):
         joint_unity_eigenspace([Z, V])
 
 
 def test_empty_eigenspace_raises():
     basis = enumerate_irreducible_subspace(1)
-    minus = SymmetryOperator("-I", LinearOperator.diagonal(basis, -np.ones(2)))
+    minus = SymmetryOperator("-I", basis, np.arange(2), np.ones(2), 2)
     with pytest.raises(EmptyEigenspace):
         joint_unity_eigenspace([minus])
 
 
-@pytest.mark.parametrize("tol,kept", [(0.09, 1), (0.5, 0)])
-def test_gauge_that_keeps_too_few_vectors_raises(tol, kept):
-    # The inversion's unity eigenspace on H_4 is 3-dimensional; the gauge
-    # drops projections whose norm is at most 10 tol.
-    basis = enumerate_irreducible_subspace(4)
-    V = inversion_operator(4, 1, basis)
-    assert len(joint_unity_eigenspace([V], tol=0.01)) == 3
-    with pytest.raises(EmptyEigenspace, match="^canonical gauge kept %d of 3 joint "
-                       "unity eigenvectors at tol=%g$" % (kept, tol)):
-        joint_unity_eigenspace([V], tol=tol)
+def test_operator_that_does_not_permute_the_kets_is_refused():
+    basis = enumerate_irreducible_subspace(1)
+    with pytest.raises(ValueError, match="^P does not permute the kets of its basis$"):
+        SymmetryOperator("P", basis, [0, 0], np.zeros(2), 1)
 
 
-def test_projector_distance_and_gauge_stability():
+def test_orbit_phases_are_exact_and_a_phase_cycle_that_does_not_cancel_drops_its_orbit():
+    # On H_2, V swaps |0,0,2> and |2,2,0> and fixes |1,1,1>; Pi_s is -1 on
+    # |1,1,1> only.  V Pi_s keeps the orbit {|002>, |220>} (phase 0 both
+    # ways) and drops |111>, whose one-step cycle has phase 1/2.
     basis = enumerate_irreducible_subspace(2)
     V = inversion_operator(2, 1, basis)
-    a = joint_unity_eigenspace([V])
-    b = joint_unity_eigenspace([V], tol=1e-11)
-    assert projector_distance(a, b) < 1e-10
-    # Deterministic canonical gauge: identical amplitude vectors.
-    for x, y in zip(a, b):
-        assert np.allclose(x.amplitudes, y.amplitudes)
+    V_Pi = symmetry_mod.compose("V Pi_s", V, signal_parity_operator(basis))
+    vecs = joint_unity_eigenspace([V_Pi])
+    assert len(vecs) == 1
+    assert vecs[0].amplitudes.tolist() == [1 / math.sqrt(2), 0, 1 / math.sqrt(2)]
+    # A quarter-turn on one ket and its inverse on the other: the orbit's
+    # second ket carries the phase exp(i pi / 2) relative to its first.
+    twist = SymmetryOperator("T", basis, [2, 1, 0], [1, 0, 3], 4)
+    (v,) = [w for w in joint_unity_eigenspace([twist]) if w.amplitudes[0] != 0]
+    assert v.amplitudes[0] == 1 / math.sqrt(2)
+    assert np.allclose(v.amplitudes[2], 1j / math.sqrt(2))
+
+
+def test_unity_phases_are_exactly_one():
+    _, ops = pcc_operator_set(4)
+    for op in ops:
+        fixed = op.phases == 0
+        assert np.all(op.operator.coeffs[fixed] == 1)
+
+
+def _operator_set(code, N):
+    """A synthesis set, or for "flow" the stage of criterion 2's flow on
+    H_2 x H_2 whose eigenspace has dimension N: the Z pairs (9), with V (5),
+    and the full PCC N=3 set (3)."""
+    if code != "flow":
+        return cli._SYNTHESIS_SETS[code][1](N)
+    basis, full_ops = pcc_operator_set(3)
+    z_ops = [z_pair_operator(3, pair, g, basis) for g in (1, 2) for pair in ("sp", "ip")]
+    return basis, {9: z_ops, 5: z_ops + [inversion_operator_all_groups(2, basis)],
+                   3: full_ops}[N]
+
+
+@pytest.mark.parametrize("code,N", [("pcc", N) for N in range(2, 8)]
+                         + [("eecc", N) for N in range(2, 9)]
+                         + [("flow", d) for d in (9, 5, 3)])
+def test_orbit_space_matches_the_rank_of_the_stacked_dense_operators(code, N):
+    # An independent reference: the fixed space of the dense operators has
+    # dimension dim - rank(stacked S - I), and each returned vector must lie
+    # in it.
+    basis, ops = _operator_set(code, N)
+    vecs = joint_unity_eigenspace(ops)
+    V = np.column_stack([v.amplitudes for v in vecs])
+    assert np.allclose(V.conjugate().T @ V, np.eye(len(vecs)), atol=1e-14)
+    mats = [op.operator.dense() for op in ops]
+    for S in mats:
+        assert np.allclose(S @ V, V, atol=1e-14)
+    dim = basis.dimension
+    stacked = np.vstack([S - np.eye(dim) for S in mats])
+    assert len(vecs) == dim - np.linalg.matrix_rank(stacked)
+    if code == "flow":
+        assert len(vecs) == N
 
 
 def test_inversion_all_groups():
@@ -177,9 +219,16 @@ def test_inversion_all_groups():
     assert out.support() == [((1, 1, 0, 0, 0, 1), 1.0 + 0.0j)]
 
 
-def test_oversized_eigenspace_is_refused_before_any_operator_is_densified(monkeypatch):
-    # 7 operators on the 625 kets of PCC N=25: 2,734,375 dense entries.
-    _, ops = pcc_operator_set(25)
-    monkeypatch.setattr(LinearOperator, "dense", lambda self: pytest.fail("densified"))
-    with pytest.raises(TruncationOverflow, match="7 dense operators on 625 kets"):
-        joint_unity_eigenspace(ops)
+@pytest.mark.parametrize("dim,refused", [(3, False), (4, True)])
+def test_projector_distance_refuses_projectors_over_the_size_limit(monkeypatch, dim, refused):
+    # With the limit at 18 entries, two 3x3 projectors (18) are made dense
+    # and two 4x4 ones (32) are refused.
+    monkeypatch.setattr(symmetry_mod, "_MAX_TRUNCATED_DIM", 18)
+    basis = enumerate_irreducible_subspace(dim - 1)
+    vecs = joint_unity_eigenspace([inversion_operator(dim - 1, 1, basis)])
+    if refused:
+        with pytest.raises(TruncationOverflow, match="^projector distance on 4 kets would "
+                           "make two dense 4x4 projectors, 32 entries, over the limit of 18$"):
+            projector_distance(vecs, vecs)
+    else:
+        assert projector_distance(vecs, vecs) == 0

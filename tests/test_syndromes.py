@@ -185,6 +185,15 @@ def test_syndrome_row_with_every_codeword_annihilated_raises():
         syndrome_table(dataclasses.replace(eecc, logical_states=[word]))
 
 
+def test_syndrome_table_reads_every_nonzero_amplitude():
+    # a_s annihilates |0,0,2> but not the tiny |2,2,0> term, whose image
+    # carries every row's parity.
+    eecc = build_eecc(2)
+    word = StateVector.from_terms(eecc.basis, {(0, 0, 2): 1.0, (2, 2, 0): 1e-13})
+    rows = syndrome_table(dataclasses.replace(eecc, logical_states=[word]))
+    assert len(rows) == 6
+
+
 def test_restoration_isometry_maps_and_partial_isometry():
     big = enumerate_truncated_space(three_mode_layout(2, groups=1))
     R = restoration_isometry("signal_loss", big)
