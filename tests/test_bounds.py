@@ -107,13 +107,6 @@ def test_rotation_bound_monotone_in_n(n, q, b):
 
 def test_code_rate_value():
     assert code_rate(4, 3, 2) == pytest.approx(1 / (4 * math.log2(3)))
-    # The codes' own (n, q, b, k): PCC N=2 and 5, EECC N=2 and 3, BC N=2 and 3.
-    assert code_rate(2, 2, 2, 1) == pytest.approx(0.5)
-    assert code_rate(2, 5, 5, 1) == pytest.approx(0.5)
-    assert code_rate(1, 3, 2, 1) == pytest.approx(1 / math.log2(3))
-    assert code_rate(1, 5, 3, 1) == pytest.approx(math.log2(3) / math.log2(5))
-    assert code_rate(1, 4, 2, 1) == pytest.approx(0.5)
-    assert code_rate(1, 6, 2, 1) == pytest.approx(1 / math.log2(6))
 
 
 @pytest.mark.parametrize("q", range(2, 11))

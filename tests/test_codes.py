@@ -17,6 +17,7 @@ from chi2qec.codes import (
     mean_total_photons,
 )
 from chi2qec import codes
+from chi2qec.bounds import code_rate
 from chi2qec.fock import StateVector, inner_product
 
 
@@ -232,6 +233,18 @@ def test_each_codeword_holds_the_total_photon_number(builder, Ns, closed_form):
             assert means == [1, 2]  # only their average is 3/2
         else:
             assert means == [spec.total_photons] * len(means)
+
+
+def test_code_rates():
+    def rate(spec):
+        return code_rate(*(spec.parameters[x] for x in "nqbk"))
+
+    assert rate(build_pcc(2)) == pytest.approx(0.5)
+    assert rate(build_pcc(5)) == pytest.approx(0.5)
+    assert rate(build_eecc(2)) == pytest.approx(1 / math.log2(3))
+    assert rate(build_eecc(3)) == pytest.approx(math.log2(3) / math.log2(5))
+    assert rate(build_bc(2)) == pytest.approx(0.5)
+    assert rate(build_bc(3)) == pytest.approx(1 / math.log2(6))
 
 
 def test_total_photons_are_exact_fractions():
