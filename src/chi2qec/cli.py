@@ -46,6 +46,7 @@ from .fock import (
 from .schema import check_schema, report_schema
 from .symmetry import (
     bc_symmetry_operator,
+    check_projector_size,
     inversion_operator,
     inversion_operator_all_groups,
     joint_unity_eigenspace,
@@ -188,12 +189,16 @@ def pcc_operator_set(N: int):
     eigenspace is one dimension too large.
     """
     basis = enumerate_irreducible_subspace(N - 1, groups=2)
-    ops = [z_pair_operator(N, pair, g, basis) for g in (1, 2) for pair in ("sp", "ip")]
-    ops += [inversion_operator_all_groups(N - 1, basis), swap_operator(basis)]
+    ops = []
+    for group in (1, 2):
+        ops.append(z_pair_operator(N, "sp", group, basis))
+        ops.append(z_pair_operator(N, "ip", group, basis))
+    ops.append(inversion_operator_all_groups(N - 1, basis))
+    ops.append(swap_operator(basis))
     if N % 2 == 1:
-        ops.append(symmetry_mod.compose(
-            "Pi_s1 Pi_s2", symmetry_mod.signal_parity_operator(basis, group=1),
-            symmetry_mod.signal_parity_operator(basis, group=2)))
+        pi1 = symmetry_mod.signal_parity_operator(basis, group=1)
+        pi2 = symmetry_mod.signal_parity_operator(basis, group=2)
+        ops.append(symmetry_mod.compose("Pi_s1 Pi_s2", pi1, pi2))
     return basis, ops
 
 
@@ -212,8 +217,10 @@ def synthesis_check(code_name: str, N: int) -> Dict:
     name = "synthesis_%s_N%d" % (code_name, N)
     if code_name in _SYNTHESIS_SETS:
         builder, operator_set = _SYNTHESIS_SETS[code_name]
+        basis, ops = operator_set(N)
+        # Refuse oversized inputs before any orbit vector is made dense.
+        check_projector_size(basis)
         spec = builder(N)
-        _, ops = operator_set(N)
         synth = joint_unity_eigenspace(ops)
         dist = projector_distance(spec.logical_states, synth)
         return {"name": name, "passed": dist < 1e-8,

@@ -9,7 +9,6 @@ phases, and their joint unity eigenspace is built from ket orbits.
 """
 
 from dataclasses import dataclass
-import functools
 import itertools
 import math
 from typing import List, Sequence
@@ -25,7 +24,6 @@ from .fock import (
     StateVector,
     TruncationOverflow,
     embed,
-    ket_map_operator,
 )
 
 
@@ -68,18 +66,13 @@ class SymmetryOperator:
                               _roots_of_unity(self.modulus)[self.phases])
 
 
-def _product(a: SymmetryOperator, b: SymmetryOperator):
-    """Rows, reduced phases and modulus (the lcm of both) of a.b, b acting first."""
-    M = math.lcm(a.modulus, b.modulus)
-    phases = a.phases[b.rows] * (M // a.modulus) + b.phases * (M // b.modulus)
-    return a.rows[b.rows], phases % M, M
-
-
 def compose(name: str, a: SymmetryOperator, b: SymmetryOperator) -> SymmetryOperator:
-    """The product a.b (b acts first)."""
+    """The product a.b (b acts first), its phases over the lcm of both moduli."""
     if a.basis != b.basis:
         raise DimensionMismatch("compose: bases differ")
-    return SymmetryOperator(name, a.basis, *_product(a, b))
+    M = math.lcm(a.modulus, b.modulus)
+    phases = a.phases[b.rows] * (M // a.modulus) + b.phases * (M // b.modulus)
+    return SymmetryOperator(name, a.basis, a.rows[b.rows], phases, M)
 
 
 def _group_mode_positions(basis: BasisIndex, group: int):
@@ -108,8 +101,8 @@ def z_pair_operator(M: int, pair: str, group: int, basis: BasisIndex) -> Symmetr
 
 
 def _ket_map(name: str, basis: BasisIndex, image) -> SymmetryOperator:
-    return SymmetryOperator(name, basis, ket_map_operator(basis, image).rows,
-                            np.zeros(basis.dimension), 1)
+    rows = [basis.index_of(image(st)) for st in basis.states]
+    return SymmetryOperator(name, basis, rows, np.zeros(basis.dimension), 1)
 
 
 def inversion_operator(M: int, group: int, basis: BasisIndex) -> SymmetryOperator:
@@ -122,8 +115,10 @@ def inversion_operator(M: int, group: int, basis: BasisIndex) -> SymmetryOperato
     def image(st):
         n, n2, np_ = st[s], st[i], st[p]
         if n != n2 or n + np_ != M:
-            raise ValueError("inversion_operator: state %r outside H_%d on group %d"
-                             % (st, M, group))
+            raise ValueError(
+                "inversion_operator: state %r outside H_%d on group %d"
+                % (st, M, group)
+            )
         return st[:s] + (M - n, M - n, n) + st[p + 1:]
 
     return _ket_map("V^(%d) group %d" % (M, group), basis, image)
@@ -131,14 +126,18 @@ def inversion_operator(M: int, group: int, basis: BasisIndex) -> SymmetryOperato
 
 def inversion_operator_all_groups(M: int, basis: BasisIndex) -> SymmetryOperator:
     """Tensor product of the inversion over every group of the basis."""
-    return functools.reduce(
-        lambda a, b: compose("V^(%d) all groups" % M, a, b),
-        [inversion_operator(M, g, basis) for g in range(1, len(basis.states[0]) // 3 + 1)])
+    n_groups = len(basis.states[0]) // 3
+    op = None
+    for g in range(1, n_groups + 1):
+        part = inversion_operator(M, g, basis)
+        op = part if op is None else compose("V^(%d) all groups" % M, part, op)
+    return op
 
 
 def swap_operator(basis: BasisIndex) -> SymmetryOperator:
     """Swap the two three-mode groups: |x>_1|y>_2 -> |y>_1|x>_2."""
-    if len(basis.states[0]) != 6:
+    width = len(basis.states[0])
+    if width != 6:
         raise ValueError("swap_operator requires a two-group (6-mode) basis")
     return _ket_map("X_{1,2}", basis, lambda st: st[3:] + st[:3])
 
@@ -223,7 +222,8 @@ def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]
     if any(s.basis != basis for s in ops):
         raise ValueError("operators must share a domain")
     for a, b in itertools.combinations(ops, 2):
-        if not all(map(np.array_equal, _product(a, b), _product(b, a))):
+        ab, ba = compose("ab", a, b), compose("ba", b, a)
+        if not (np.array_equal(ab.rows, ba.rows) and np.array_equal(ab.phases, ba.phases)):
             raise NonCommutingOperators("%s and %s do not commute" % (a.name, b.name))
     M = math.lcm(*(s.modulus for s in ops))
     steps = [(s.rows.tolist(), (s.phases * (M // s.modulus)).tolist()) for s in ops]
@@ -252,17 +252,20 @@ def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]
     return out
 
 
-def projector_distance(a: Sequence[StateVector], b: Sequence[StateVector]) -> float:
-    """Max-entry distance between the projectors of two spanning sets.
-
-    Both projectors are made dense; when together they would hold more
-    entries than the size limit, TruncationOverflow is raised first.
-    """
-    dim = a[0].basis.dimension
+def check_projector_size(basis: BasisIndex) -> None:
+    """Raise TruncationOverflow when two dense projectors on `basis` would
+    together hold more entries than the size limit."""
+    dim = basis.dimension
     if 2 * dim * dim > _MAX_TRUNCATED_DIM:
         raise TruncationOverflow(
             "projector distance on %d kets would make two dense %dx%d projectors, "
             "%d entries, over the limit of %d"
             % (dim, dim, dim, 2 * dim * dim, _MAX_TRUNCATED_DIM))
+
+
+def projector_distance(a: Sequence[StateVector], b: Sequence[StateVector]) -> float:
+    """Max-entry distance between the projectors of two spanning sets, both
+    made dense after check_projector_size."""
+    check_projector_size(a[0].basis)
     P, Q = (np.column_stack([v.amplitudes for v in vs]) for vs in (a, b))
     return float(np.max(np.abs(P @ P.conjugate().transpose() - Q @ Q.conjugate().transpose())))

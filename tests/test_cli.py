@@ -264,6 +264,20 @@ def test_synth_projector_size_limit(capsys):
                        "1024x1024 projectors, 2097152 entries, over the limit of 2000000\n")
 
 
+def test_oversized_synth_is_refused_before_any_orbit_vector_is_made(monkeypatch, capsys):
+    # PCC N=200 has about 10,000 ket orbits of 40,000 amplitudes each: they
+    # must not be made before the refusal.
+    def no_orbits(ops):
+        raise AssertionError("joint_unity_eigenspace called")
+
+    monkeypatch.setattr(cli, "joint_unity_eigenspace", no_orbits)
+    assert main(["synth", "pcc", "--N", "200"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: projector distance on 40000 kets would make two dense "
+                       "40000x40000 projectors, 3200000000 entries, over the limit of 2000000\n")
+
+
 def test_emit_formats():
     cfg = RunConfig()
     results = [{"name": "x", "passed": True, "detail": "a,b"}]
