@@ -2,8 +2,10 @@
 
 The closed forms are the source of truth, written once per family as exact
 integer weights; float amplitudes and photon numbers are derived from them.
-Symmetry synthesis (symmetry module) is used as a cross-check because
-degenerate nullspaces only fix the subspace, not a preferred logical basis.
+Symmetry synthesis (symmetry module) is a cross-check, not a source: a
+joint unity eigenspace of ket orbits fixes the code subspace but not a
+preferred logical basis, and the BC symmetry's factors are read from these
+weights.
 """
 
 from dataclasses import dataclass

@@ -2,20 +2,22 @@
 
 The code subspaces are the simultaneous unity-eigenvalue eigenspaces of a
 small set of commuting unitaries: diagonal Z-phase pairs, photon-number
-inversion V, the group swap X, the signal parity Pi_s, and a
-pseudo-beam-splitter U_BS used by the bosonic code.  All but U_BS are ket
-permutations with root-of-unity coefficients, held exactly as integer
-phases, and their joint unity eigenspace is built from ket orbits.
+inversion V, the group swap X and the signal parity Pi_s.  Each is a ket
+permutation with root-of-unity coefficients, held exactly as integer
+phases, and their joint unity eigenspace is built from ket orbits.  The
+bosonic code's symmetry Pi_s U_BS V U_BS^dagger is held in factored form:
+Pi_s and V as such permutations, and the pseudo-beam-splitter U_BS only
+by the |+/-> <-> codeword pairing it makes.
 """
 
 from dataclasses import dataclass
 import itertools
 import math
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .codes import build_bc
+from .codes import CodeSpec
 from .fock import (
     _MAX_TRUNCATED_DIM,
     BasisIndex,
@@ -23,7 +25,6 @@ from .fock import (
     LinearOperator,
     StateVector,
     TruncationOverflow,
-    embed,
 )
 
 
@@ -149,60 +150,33 @@ def signal_parity_operator(basis: BasisIndex, group: int = 1) -> SymmetryOperato
                             basis.occupations[:, s], 2)
 
 
-def pseudo_beamsplitter(N: int, basis: BasisIndex) -> np.ndarray:
-    """Pseudo-beam-splitter matrix on H_{2N-1}.
+@dataclass
+class BCSymmetry:
+    """The bosonic-code symmetry S = Pi_s U_BS V^{(2N-1)} U_BS^dagger in
+    exact factored form.
 
-    U_BS = |0~><+| + |1~><-| + sum_j |e_j~><j,j,2N-1-j| where
-    |+/-> = (|0,0,2N-1> +/- |2N-1,2N-1,0>)/sqrt(2), |0~>,|1~> are the
-    binomial codewords, and {|e_j~>} is an orthonormal completion obtained
-    by Gram-Schmidt of the computational kets |j,j,2N-1-j> (j ascending)
-    against the codewords.
+    U_BS is held only by the pairing S w reads: it maps
+    (|0,0,2N-1> + (-1)^k |2N-1,2N-1,0>)/sqrt2, the kets `ends` indexes, to
+    codeword k, given as {basis index: integer weight} over `denominator`.
+    How U_BS is completed off the code block never reaches S w.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    M = 2 * N - 1
-    dim = basis.dimension
-    if dim != 2 * N:
-        raise ValueError("pseudo_beamsplitter expects the H_%d basis" % M)
-    zero, one = (embed(w, basis).amplitudes for w in build_bc(N).logical_states)
-    plus = np.zeros(dim, dtype=complex)
-    minus = np.zeros(dim, dtype=complex)
-    top = basis.index_of((0, 0, M))
-    bot = basis.index_of((M, M, 0))
-    plus[top] = plus[bot] = 1 / math.sqrt(2)
-    minus[top] = 1 / math.sqrt(2)
-    minus[bot] = -1 / math.sqrt(2)
 
-    # Orthonormal completion of span{|0~>,|1~>} by Gram-Schmidt over the
-    # computational kets in ascending-j order.
-    completion = []
-    have = [zero, one]
-    for j in range(1, M):
-        v = np.zeros(dim, dtype=complex)
-        v[basis.index_of((j, j, M - j))] = 1.0
-        for w in have + completion:
-            v = v - np.vdot(w, v) * w
-        nv = np.linalg.norm(v)
-        if nv > 1e-12:
-            completion.append(v / nv)
-    if len(completion) != 2 * N - 2:
-        raise RuntimeError("failed to complete the beam-splitter basis")
-
-    U = np.outer(zero, plus.conjugate()) + np.outer(one, minus.conjugate())
-    for j, ej in enumerate(completion, start=1):
-        ket = np.zeros(dim, dtype=complex)
-        ket[basis.index_of((j, j, M - j))] = 1.0
-        U += np.outer(ej, ket.conjugate())
-    return U
+    parity: SymmetryOperator
+    inversion: SymmetryOperator
+    ends: Tuple[int, int]
+    codewords: List[Dict[int, int]]
+    denominator: int
 
 
-def bc_symmetry_operator(N: int, basis: BasisIndex) -> np.ndarray:
-    """Matrix of Pi_s U_BS V^{(2N-1)} U_BS^dagger — the bosonic-code
-    symmetry whose unity eigenvectors include both codewords."""
-    ubs = pseudo_beamsplitter(N, basis)
-    v = inversion_operator(2 * N - 1, 1, basis).operator.dense()
-    pi = signal_parity_operator(basis).operator.dense()
-    return pi @ ubs @ v @ ubs.conjugate().transpose()
+def bc_symmetry_operator(spec: CodeSpec) -> BCSymmetry:
+    """The factors of the binomial code's symmetry, read from `spec`'s
+    integer weights on its H_{2N-1} basis."""
+    basis, M = spec.basis, 2 * spec.parameters["N"] - 1
+    return BCSymmetry(
+        signal_parity_operator(basis), inversion_operator(M, 1, basis),
+        (basis.index_of((0, 0, M)), basis.index_of((M, M, 0))),
+        [{basis.index_of(ket): w for ket, w in word.items()} for word in spec.weights],
+        spec.denominator)
 
 
 def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]:

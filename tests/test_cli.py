@@ -14,6 +14,7 @@ import pytest
 from chi2qec import cli
 from chi2qec import errors as errors_mod
 from chi2qec import fock
+from chi2qec import symmetry as symmetry_mod
 from chi2qec.codes import build_bc
 from chi2qec.cli import (
     RunConfig,
@@ -264,6 +265,42 @@ def test_synth_projector_size_limit(capsys):
                        "1024x1024 projectors, 2097152 entries, over the limit of 2000000\n")
 
 
+_BC_EXACT = ("S w = w exactly: orthonormal codewords; V|+/-> = +/-|+/->; "
+             "Pi_s|k~> = (-1)^k |k~>")
+
+
+@pytest.mark.parametrize("N", list(range(1, 61)) + [515])
+def test_synth_bc_fixes_both_codewords_exactly(capsys, N):
+    # N=515 is the largest BC whose weights fit a float.
+    assert main(["--format", "csv", "synth", "bc", "--N", str(N)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "synthesis_bc_N%d,True,%s" % (N, _BC_EXACT)
+
+
+def test_bc_symmetry_row_names_each_broken_fact(monkeypatch):
+    spec = build_bc(3)  # |0~> on |0,0,5>, |2,2,3>, |4,4,1>; |1~> on the odd kets
+    zero, one = spec.weights
+    assert cli.synthesis_check(spec) == {"name": "synthesis_bc_N3", "passed": True,
+                                         "detail": _BC_EXACT}
+    # |2,2,3>'s weight moved onto |1,1,4>: the norms become 6/16 and 26/16.
+    moved = [{k: w for k, w in zero.items() if k != (2, 2, 3)},
+             {**one, (1, 1, 4): one[(1, 1, 4)] + zero[(2, 2, 3)]}]
+    # |0,0,5> and |1,1,4> traded between the codewords with their weights:
+    # still orthonormal, but each codeword holds a ket of the wrong parity.
+    traded = [{**{k: w for k, w in zero.items() if k != (0, 0, 5)}, (1, 1, 4): zero[(0, 0, 5)]},
+              {**{k: w for k, w in one.items() if k != (1, 1, 4)}, (0, 0, 5): one[(1, 1, 4)]}]
+    for weights, fact in ((moved, "orthonormal codewords"),
+                          (traded, "Pi_s|k~> = (-1)^k |k~>")):
+        row = cli.synthesis_check(dataclasses.replace(spec, weights=weights))
+        assert row == {"name": "synthesis_bc_N3", "passed": False,
+                       "detail": "S w = w unproven; fails " + fact}
+    # An inversion that fixes |0,0,5> and |5,5,0> leaves |-> unflipped.
+    factored = cli.bc_symmetry_operator(spec)
+    identity = symmetry_mod.SymmetryOperator("I", spec.basis, np.arange(6), np.zeros(6), 1)
+    monkeypatch.setattr(cli, "bc_symmetry_operator",
+                        lambda _: dataclasses.replace(factored, inversion=identity))
+    assert cli.synthesis_check(spec)["detail"] == "S w = w unproven; fails V|+/-> = +/-|+/->"
+
+
 def test_oversized_synth_is_refused_before_any_orbit_vector_is_made(monkeypatch, capsys):
     # PCC N=200 has about 10,000 ket orbits of 40,000 amplitudes each: they
     # must not be made before the refusal.
@@ -468,6 +505,8 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "error: projector distance on 1001 kets would make two dense 1001x1001 projectors"),
     (["kl-check", "pcc", "--N", "2", "--errors", "ad", "--order", "-1"],
      "error: --order must be >= 0, got -1"),
+    (["synth", "bc", "--N", "516"],
+     "error: BC N=516: codeword weights are too large for float amplitudes"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2

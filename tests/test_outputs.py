@@ -85,6 +85,45 @@ STALE_DIGESTS = {
         "f265c8d54961f437694ca427e7b3ce0f222ffa6221234af22a0ceebd0f00ce0d",
     "--format text synth pcc --N 3":
         "0dfa6c3d8702343742ba6e3a4a9ec70b6acaf719d7562579b502317abe946ea3",
+    # The BC synthesis row states the exact facts behind S w = w (orthonormal
+    # integer codewords, V|+/-> = +/-|+/->, Pi_s parity on the supports)
+    # instead of a dense residual (2.2e-16 to 1.6e-15); verdicts unchanged.
+    "--format json synth bc --N 1":
+        "f3582f24c55e32c988515c1fcee175e2cbe33c5ecb6088f03be82deec2fe80d2",
+    "--format json synth bc --N 2":
+        "b7c80fcde40c986cadcdc81f246f353380638f4e1ac0c01d876d506869541d91",
+    "--format json synth bc --N 3":
+        "e61ddc06ec03b80817b9362164ac6ab96125b72e09e8e0d32d6f6fbd45a14368",
+    "--format json synth bc --N 4":
+        "fdaadd064ffee10f9ce2344aa053150c30c9368d2c726b2890e4121533c3491e",
+    "--format json synth bc --N 5":
+        "433969d14e9d49b84acd26f85369435b2751ec91e8209b4fe07f4527f047c731",
+    "--format json synth bc --N 6":
+        "ea17f00644e96e21c4d2233f01d80c8c0d88fa715e507c0ab264514518f9f465",
+    "--format csv synth bc --N 1":
+        "d9b394a2b8a35971ea8d6da174b3f87b9a7a30ed4b43b42bc8e86d752b754f3b",
+    "--format csv synth bc --N 2":
+        "3c4fdbab1fb85ec796d20cd3a3de54f9d49682b402fc1f7e34fa58efebdaac92",
+    "--format csv synth bc --N 3":
+        "6545306583be5b9a565472fe4cd20aa5275fe3e2f17c00644311e6cda24d3517",
+    "--format csv synth bc --N 4":
+        "43ccba54d0611219d614fc7dd7cf30e506ed8b262dcd3d0b6567775934d5bf12",
+    "--format csv synth bc --N 5":
+        "3d4ead874525d9ebb7bb0d37db6e05baf5554e1c342f96b3ac5c5cec6776ed0b",
+    "--format csv synth bc --N 6":
+        "4b4548c5860905634d5ca761e1def336f6de3a23299011e8677189b5afbbfbf5",
+    "--format text synth bc --N 1":
+        "0c0966eaa1197fdf8e0c7bfc8182634b0ef0a382d66b264cbde234c3b591f117",
+    "--format text synth bc --N 2":
+        "ad6ac15b4494d55b73360d73f5b38ded04dcabcf358b8b3bc5df7855067749c8",
+    "--format text synth bc --N 3":
+        "a5d5ee0594d3045120c4aee86bb13fd433397b8e6f0c1fa0f569ffdd2fc4985c",
+    "--format text synth bc --N 4":
+        "9b5d0eafccca2ae5703a3fa1cfe3d9e73c7bca2a4d666790a49dd9586cbcb499",
+    "--format text synth bc --N 5":
+        "b875e50f32cef4e8309a3a03d89500713aaaf7073edc171f33c8f1c8d8daf2b0",
+    "--format text synth bc --N 6":
+        "51a9fb7f6af96a1baeda6471849ad34bdffd57cbf9aed799315de3b1ba5e9d60",
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from chi2qec import cli
 from chi2qec import symmetry as symmetry_mod
 from chi2qec.cli import pcc_operator_set
+from chi2qec.codes import build_bc
 from chi2qec.fock import (
     StateVector,
     TruncationOverflow,
@@ -25,7 +26,6 @@ from chi2qec.symmetry import (
     inversion_operator_all_groups,
     joint_unity_eigenspace,
     projector_distance,
-    pseudo_beamsplitter,
     signal_parity_operator,
     swap_operator,
     z_pair_operator,
@@ -81,35 +81,35 @@ def test_signal_parity_diagonal():
     assert np.allclose(diag, [(-1.0) ** n for n in range(4)])
 
 
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_pseudo_beamsplitter_is_unitary(N):
-    basis = enumerate_irreducible_subspace(2 * N - 1)
-    ubs = pseudo_beamsplitter(N, basis)
-    assert np.max(np.abs(ubs.conjugate().transpose() @ ubs - np.eye(2 * N))) < 1e-10
+def _completed_unitary(first_columns):
+    """A unitary whose leading columns are the given orthonormal vectors,
+    completed by QR of [vectors | identity]."""
+    dim = first_columns.shape[0]
+    Q, R = np.linalg.qr(np.column_stack([first_columns, np.eye(dim)]))
+    k = first_columns.shape[1]
+    Q[:, :k] *= np.sign(np.diag(R)[:k])
+    return Q
 
 
-def test_pseudo_beamsplitter_maps_plus_to_codeword():
-    # N=2: U_BS (|0,0,3>+|3,3,0>)/sqrt2 = (|0,0,3> + sqrt3 |2,2,1>)/2.
-    basis = enumerate_irreducible_subspace(3)
-    ubs = pseudo_beamsplitter(2, basis)
-    plus = StateVector.from_terms(
-        basis, {(0, 0, 3): 1 / math.sqrt(2), (3, 3, 0): 1 / math.sqrt(2)}
-    )
-    out = ubs @ plus.amplitudes
-    expected = StateVector.from_terms(
-        basis, {(0, 0, 3): 0.5, (2, 2, 1): math.sqrt(3) / 2}
-    )
-    assert np.allclose(out, expected.amplitudes)
-
-
-@pytest.mark.parametrize("N", [2, 3])
-def test_bc_symmetry_fixes_codewords(N):
-    from chi2qec.codes import build_bc
-
+@pytest.mark.parametrize("N", range(1, 7))
+def test_factored_bc_symmetry_agrees_with_the_dense_operator(N):
+    # S = Pi_s U_BS V U_BS^dagger built densely, U_BS mapping |+/-> to the
+    # codewords and completed by QR; both codewords are its unity
+    # eigenvectors, as the exact facts read by `synth bc` say.
     spec = build_bc(N)
-    S = bc_symmetry_operator(N, spec.basis)
-    for w in spec.logical_states:
-        assert np.allclose(S @ w.amplitudes, w.amplitudes, atol=1e-10)
+    S = bc_symmetry_operator(spec)
+    dim = spec.basis.dimension
+    top, bottom = S.ends
+    plus_minus = np.zeros((dim, 2))
+    plus_minus[[top, bottom], 0] = plus_minus[top, 1] = 1 / math.sqrt(2)
+    plus_minus[bottom, 1] = -1 / math.sqrt(2)
+    words = np.column_stack([w.amplitudes for w in spec.logical_states])
+    U = _completed_unitary(words) @ _completed_unitary(plus_minus).T
+    assert np.allclose(U.conjugate().T @ U, np.eye(dim), atol=1e-10)
+    assert np.allclose(U @ plus_minus, words, atol=1e-10)
+    dense = (S.parity.operator.dense() @ U @ S.inversion.operator.dense()
+             @ U.conjugate().T)
+    assert np.allclose(dense @ words, words, atol=1e-10)
 
 
 def test_joint_unity_eigenspace_of_inversion():
@@ -183,7 +183,7 @@ def _operator_set(code, N):
     H_2 x H_2 whose eigenspace has dimension N: the Z pairs (9), with V (5),
     and the full PCC N=3 set (3)."""
     if code != "flow":
-        return cli._SYNTHESIS_SETS[code][1](N)
+        return cli._SYNTHESIS_SETS[code](N)
     basis, full_ops = pcc_operator_set(3)
     z_ops = [z_pair_operator(3, pair, g, basis) for g in (1, 2) for pair in ("sp", "ip")]
     return basis, {9: z_ops, 5: z_ops + [inversion_operator_all_groups(2, basis)],
