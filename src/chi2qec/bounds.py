@@ -67,23 +67,28 @@ def min_n(q: int, b: int, k: int = 1, t: int = 1) -> int:
                             % (SEARCH_CAP_N, q, b, k, t))
 
 
-def min_n_grid() -> Dict:
-    """{(q, b): min_n(q, b)} for 2 <= q, b <= SEARCH_CAP_QB at k = t = 1.
+def min_n_grid() -> np.ndarray:
+    """min_n(q, b) at k = t = 1 for 2 <= q, b <= SEARCH_CAP_QB, as an int64
+    array indexed [q - 2, b - 2].
 
-    One upward sweep of n per q: the bound's left side b(1 + n(q^2-1))
-    grows with b and its right side q^n does not, so min_n(q, b) is never
-    below min_n(q, b-1) and the search for b starts where b-1 stopped.
-    No n on this grid comes near SEARCH_CAP_N.
+    The bound holds exactly when b <= floor(q^n / (1 + n(q^2-1))), which
+    rises with n, so min_n(q, b) is one plus the count of thresholds below
+    b: one searchsorted in all q's thresholds, each capped at SEARCH_CAP_QB
+    and lifted by a per-q offset so that the runs stay ascending.
     """
-    grid = {}
+    span = np.arange(2, SEARCH_CAP_QB + 1)
+    lift = SEARCH_CAP_QB + 1
+    thresholds, starts = [], []
     for q in range(2, SEARCH_CAP_QB + 1):
-        n, power = 1, q
-        for b in range(2, SEARCH_CAP_QB + 1):
-            while b * (1 + n * (q * q - 1)) > power:
-                n += 1
-                power *= q
-            grid[q, b] = n
-    return grid
+        starts.append(len(thresholds))
+        n, power, threshold = 0, 1, 0
+        while threshold < SEARCH_CAP_QB:
+            n += 1
+            power *= q
+            threshold = power // (1 + n * (q * q - 1))
+            thresholds.append(min(threshold, SEARCH_CAP_QB) + (q - 2) * lift)
+    lifted = span + (span[:, None] - 2) * lift
+    return np.searchsorted(thresholds, lifted) - np.array(starts)[:, None] + 1
 
 
 def volume_ratio_bound_holds(query: BoundQuery) -> bool:
@@ -133,23 +138,22 @@ def theorem_checks() -> List[Dict]:
     })
 
     grid = min_n_grid()
+    span = np.arange(2, SEARCH_CAP_QB + 1)
 
     # 2: min_n over q=b: the minimum n=4 is first achieved at q=4.
-    mins = {q: grid[q, q] for q in range(2, SEARCH_CAP_QB + 1)}
-    first4 = min(q for q, n in mins.items() if n == 4) if 4 in mins.values() else None
+    mins = np.diagonal(grid)
     out.append({
         "name": "min_n_equals_4_first_at_q4",
-        "passed": first4 == 4 and mins[2] >= 5 and mins[3] >= 5,
-        "detail": "min_n(q=q,b=q): q=2->%d, q=3->%d, q=4->%d" % (mins[2], mins[3], mins[4]),
+        "passed": bool(span[mins == 4][:1].tolist() == [4] and mins[0] >= 5 and mins[1] >= 5),
+        "detail": "min_n(q=q,b=q): q=2->%d, q=3->%d, q=4->%d" % tuple(mins[:3]),
     })
 
     # 3: with b=2 the minimum n=3 first appears at q=6 (q=5 fails: 146>125).
-    mins2 = {q: grid[q, 2] for q in range(2, SEARCH_CAP_QB + 1)}
-    first3 = min(q for q, n in mins2.items() if n <= 3) if any(n <= 3 for n in mins2.values()) else None
+    mins2 = grid[:, 0]
     out.append({
         "name": "min_n_equals_3_first_at_q6_b2",
-        "passed": first3 == 6 and mins2[5] > 3,
-        "detail": "min_n(q,b=2): q=5->%d, q=6->%d (212<=216, 146>125)" % (mins2[5], mins2[6]),
+        "passed": bool(span[mins2 <= 3][:1].tolist() == [6] and mins2[3] > 3),
+        "detail": "min_n(q,b=2): q=5->%d, q=6->%d (212<=216, 146>125)" % tuple(mins2[3:5]),
     })
 
     # 4: the volume ratio r = b/q^n <= 1/(1+n(q^2-1)) has the rotation
@@ -158,10 +162,9 @@ def theorem_checks() -> List[Dict]:
     # attained at q=b=2 (n=5).  The whole grid goes through the inequality
     # as int64 arrays, twice; q^n stays below 2^25 at min_n (2^24 at
     # q=b=64, n=4), so no product overflows.
-    q, b = np.array(list(grid), dtype=np.int64).T
-    n = np.fromiter(grid.values(), dtype=np.int64, count=len(grid))
-    ratio_ok = bool(np.all(volume_ratio_bound_holds(_BoundFields(n, q, b, 1, 1)))
-                    and not np.any(volume_ratio_bound_holds(_BoundFields(n - 1, q, b, 1, 1))))
+    q, b = span[:, None], span[None, :]
+    ratio_ok = bool(np.all(volume_ratio_bound_holds(_BoundFields(grid, q, b, 1, 1)))
+                    and not np.any(volume_ratio_bound_holds(_BoundFields(grid - 1, q, b, 1, 1))))
     sat = rotation_sphere_volume(5, 2, 1) * 2 == 2 ** 5
     out.append({
         "name": "volume_ratio_bound_saturated_at_q2_b2",

@@ -177,23 +177,23 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     code's support and its single-loss images.
 
     E_0 agrees with the first-order expansion I - sum gamma n_l/2 at the
-    order the family is valid to, and makes sum E^dag E = I exact on any
-    constant-total-photon subspace with gamma < 1/(total photons); the
-    square-root argument is clamped at zero beyond that.
+    order the family is valid to, and makes sum E^dag E = I exact on the
+    code's support and its images for gamma below 1/(largest photon total on
+    a support ket); a larger gamma is refused, as E_0 would not be real.
     """
-    if not 0 <= gamma < 1:
-        raise ValueError("gamma must satisfy 0 <= gamma < 1")
-    layout = code.layout
-    nm = layout.n_modes
-    basis = enclosing_basis(code, _unit_shifts(nm, -1))
-    totals = basis.occupations.sum(axis=1).astype(float)
-    diag = np.sqrt(np.clip(1.0 - gamma * totals, 0.0, None))
+    basis = enclosing_basis(code, _unit_shifts(code.layout.n_modes, -1))
+    totals = basis.occupations.sum(axis=1)
+    top = totals.max()  # a support ket's: each single-loss image holds one photon fewer
+    if not (0 <= gamma and gamma * top < 1):
+        raise ValueError("gamma must satisfy 0 <= gamma < 1/%d: %d is the largest photon "
+                         "total among the %s support kets" % (top, top, code.name))
+    diag = np.sqrt(1.0 - gamma * totals.astype(float))
     out = [ErrorOperator("E_0", LinearOperator.diagonal(basis, diag))]
     if gamma > 0:
-        for mode in range(nm):
+        for mode in range(code.layout.n_modes):
             a = ladder(mode, "lower", basis)
             op = LinearOperator(basis, a.rows, math.sqrt(gamma) * a.coeffs)
-            out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(layout, mode), op))
+            out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(code.layout, mode), op))
     return out
 
 

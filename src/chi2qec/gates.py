@@ -93,18 +93,24 @@ def generator(k: int) -> np.ndarray:
     return _generator_matrices()[k - 1]
 
 
-def expm_hermitian(H: np.ndarray, angle: float) -> np.ndarray:
-    """exp(i angle H) for Hermitian H via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(1j * angle * evals)) @ vecs.conjugate().transpose()
+@functools.cache
+def _generator_eigh(k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors V, V^dag) of G_k, read-only, from one eigh."""
+    evals, vecs = np.linalg.eigh(generator(k))
+    parts = (evals, vecs, vecs.conjugate().transpose())
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def evolve(decomposition: Sequence[Tuple[int, float]]) -> np.ndarray:
-    """Ordered product of exp(i angle G_k); the first listed factor is the
-    leftmost in the product (matching how the decompositions are written)."""
+    """Ordered product of exp(i angle G_k) = V exp(i angle D) V^dag, from
+    G_k's cached eigh; the first listed factor is the leftmost in the
+    product (matching how the decompositions are written)."""
     out = np.eye(3, dtype=complex)
     for k, angle in decomposition:
-        out = out @ expm_hermitian(generator(k), angle)
+        evals, vecs, vecs_h = _generator_eigh(k)
+        out = out @ ((vecs * np.exp(1j * angle * evals)) @ vecs_h)
     return out
 
 
@@ -243,28 +249,17 @@ def cnot2pp_12() -> np.ndarray:
     )
 
 
-_DIGIT = {(1, 1, 1): 0, (0, 0, 2): 1, (2, 2, 0): 2}
-
-
-def cz22() -> np.ndarray:
-    """Qutrit CZ (phase omega^{jk}) between the second physical qutrits of
-    the control and target code blocks (81-dim)."""
-    pb = pair_basis()
-    basis = tensor_basis(pb, pb)
-    omega = np.exp(2j * np.pi / 3)
-    diag = np.empty(basis.dimension, dtype=complex)
-    for idx, st in enumerate(basis.states):
-        d1 = _DIGIT[st[3:6]]
-        d2 = _DIGIT[st[9:12]]
-        diag[idx] = omega ** (d1 * d2)
-    return np.diag(diag)
-
-
 def cz_gate() -> np.ndarray:
-    """Logical qutrit CZ: (F (x) F)^dag CZ22 (F (x) F), F = CNOT2pp."""
+    """Logical qutrit CZ: (F (x) F)^dag CZ22 (F (x) F), F = CNOT2pp.  CZ22,
+    the qutrit CZ (phase omega^{jk}) between the second physical qutrits of
+    the two code blocks, is diagonal, so it scales the rows of F (x) F; the
+    digit of |n,n,2-n> is (1 - n) mod 3: |111> -> 0, |002> -> 1, |220> -> 2."""
     F = cnot2pp_12()
     FF = np.kron(F, F)
-    return FF.conjugate().transpose() @ cz22() @ FF
+    powers = np.array([np.exp(2j * np.pi / 3) ** e for e in range(5)])
+    digit = (1 - pair_basis().occupations[:, 3]) % 3
+    phases = powers[np.outer(digit, digit).ravel()]
+    return FF.conjugate().transpose() @ (phases[:, None] * FF)
 
 
 def lambda_s_gate() -> np.ndarray:

@@ -11,7 +11,6 @@ by the |+/-> <-> codeword pairing it makes.
 """
 
 from dataclasses import dataclass
-import itertools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -182,25 +181,28 @@ def bc_symmetry_operator(spec: CodeSpec) -> BCSymmetry:
 def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]:
     """Orthonormal basis of the simultaneous unity-eigenvalue eigenspace.
 
-    Each pair of operators is composed both ways to check, exactly, that
-    they commute.  With phases over M, the lcm of the moduli, S v = v reads
-    v[rows[j]] = exp(2 pi i phases[j] / M) v[j], so each ket orbit carries
-    at most one fixed vector: phases relative to the orbit's first ket
-    follow along operator steps, and the orbit counts when every step
-    agrees.  Its vector is exp(2 pi i phase / M) / sqrt(orbit size) on the
-    orbit's kets; vectors come in the order of their first kets.
+    Every pair of operators is composed both ways at once, on rows and on
+    phases lifted to M, the lcm of the moduli, to check exactly that they
+    commute.  S v = v reads v[rows[j]] = exp(2 pi i phases[j] / M) v[j], so
+    each ket orbit carries at most one fixed vector: phases relative to the
+    orbit's first ket follow along operator steps, and the orbit counts when
+    every step agrees.  Its vector is exp(2 pi i phase / M) / sqrt(orbit
+    size) on the orbit's kets; vectors come in the order of their first kets.
     """
     if not ops:
         raise ValueError("need at least one operator")
     basis = ops[0].basis
     if any(s.basis != basis for s in ops):
         raise ValueError("operators must share a domain")
-    for a, b in itertools.combinations(ops, 2):
-        ab, ba = compose("ab", a, b), compose("ba", b, a)
-        if not (np.array_equal(ab.rows, ba.rows) and np.array_equal(ab.phases, ba.phases)):
-            raise NonCommutingOperators("%s and %s do not commute" % (a.name, b.name))
     M = math.lcm(*(s.modulus for s in ops))
-    steps = [(s.rows.tolist(), (s.phases * (M // s.modulus)).tolist()) for s in ops]
+    R, P = np.array([s.rows for s in ops]), np.array([s.phases * (M // s.modulus) for s in ops])
+    # ab[:, a, b] is a.b (b acts first): rows R[a][R[b]], phases P[a][R[b]] + P[b].
+    ab = np.stack([R[:, R], (P[:, R] + P) % M])
+    clash = np.any(ab != ab.transpose(0, 2, 1, 3), axis=(0, 3))
+    if clash.any():
+        a, b = np.argwhere(clash)[0]  # the first clash in row order has a < b
+        raise NonCommutingOperators("%s and %s do not commute" % (ops[a].name, ops[b].name))
+    steps = list(zip(R.tolist(), P.tolist()))
     roots = _roots_of_unity(M)
     phase = [None] * basis.dimension
     out = []

@@ -136,12 +136,10 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
         # group totals are not ket-definite on these codewords).
         layout = code.layout
         scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
-        cases = []
-        for kind, delta in (("loss", -1), ("gain", 1)):
-            for unit, (_, group) in zip(_unit_shifts(layout.n_modes, 1), layout.modes):
-                q = [0] * layout.n_groups
-                q[group - 1] = delta % 3
-                cases.append((kind, unit, tuple(q)))
+        cases = [(kind, unit, tuple(delta % 3 * (g == group)
+                                    for g in range(1, layout.n_groups + 1)))
+                 for kind, delta in (("loss", -1), ("gain", 1))
+                 for unit, (_, group) in zip(_unit_shifts(layout.n_modes, 1), layout.modes)]
     elif code.name == "BC":
         N = code.parameters["N"]
         if N < 2:
@@ -161,28 +159,30 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
                  for exps in _compositions(m, 3)]
     else:
         raise ValueError("no syndrome table for code %r" % code.name)
-    supports = [[ket for ket, _ in w.support(0)] for w in code.logical_states]
-    records = []
-    for kind, exps, q in cases:
-        shift = _shift(exps, kind)
-        parities = set()
-        for kets in supports:
-            moved = [tuple(n + d for n, d in zip(ket, shift)) for ket in kets]
-            moved = [ket for ket in moved if min(ket) >= 0]
-            if moved:
-                parities.add(_parity(moved, scheme))
-        label = _monomial_label(code.layout, exps, kind)
+    # Every codeword's support kets moved by every case's shift, as one
+    # (cases, kets, modes) array read by one integer matmul; a row is sound
+    # when some kets stay alive and agree on each component (min == max).
+    supports = [w.basis.occupations[np.abs(w.amplitudes) > 0] for w in code.logical_states]
+    moved = np.concatenate(supports) + np.array([_shift(e, kind) for kind, e, _ in cases])[:, None]
+    coeffs = np.array([[sum(c for m, c in terms if m == mode) for terms, _ in scheme.components]
+                       for mode in range(moved.shape[2])])
+    moduli = np.array([modulus for _, modulus in scheme.components])
+    alive = np.all(moved >= 0, axis=2)[:, :, None]
+    values = moved @ coeffs % moduli
+    low = np.where(alive, values, moduli.max()).min(axis=1, initial=moduli.max())
+    high = np.where(alive, values, -1).max(axis=1, initial=-1)
+    unsound = np.flatnonzero(np.any(low != high, axis=1))
+    if unsound.size:  # the per-ket reader names why the first such row fails
+        kind, exps, _ = cases[unsound[0]]
+        images = np.split(moved[unsound[0]], np.cumsum([len(k) for k in supports])[:-1])
+        parities = {_parity(kets, scheme) for kets in
+                    ([k for k in image.tolist() if min(k) >= 0] for image in images) if kets}
         if not parities:
-            raise IndefiniteParity(
-                "%s annihilates every codeword: no image kets to read %s from"
-                % (label, scheme.name)
-            )
-        if len(parities) > 1:
-            raise IndefiniteParity(
-                "codewords disagree on %s: %r" % (scheme.name, sorted(parities))
-            )
-        records.append(SyndromeRecord(label, parities.pop(), q))
-    return records
+            raise IndefiniteParity("%s annihilates every codeword: no image kets to read %s from"
+                                   % (_monomial_label(code.layout, exps, kind), scheme.name))
+        raise IndefiniteParity("codewords disagree on %s: %r" % (scheme.name, sorted(parities)))
+    return [SyndromeRecord(_monomial_label(code.layout, exps, kind), tuple(p), q)
+            for (kind, exps, q), p in zip(cases, low.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,10 @@ def test_min_n_is_the_first_n_the_bound_admits(q, b, k, t):
 def test_min_n_grid_equals_min_n_everywhere():
     grid = min_n_grid()
     span = range(2, SEARCH_CAP_QB + 1)
-    assert set(grid) == {(q, b) for q in span for b in span}
-    for (q, b), n in grid.items():
-        assert n == min_n(q, b), (q, b)
+    assert grid.shape == (len(span), len(span)) and grid.dtype == np.int64
+    for q in span:
+        for b in span:
+            assert grid[q - 2, b - 2] == min_n(q, b), (q, b)
 
 
 def test_volume_ratio_bound():
@@ -145,7 +146,7 @@ def test_ratio_row_needs_every_grid_point_at_its_threshold(monkeypatch):
     # One grid point's n moved up by one: the inequality then also holds one
     # below it, and only row 4 turns red.
     grid = min_n_grid()
-    grid[7, 5] += 1
+    grid[7 - 2, 5 - 2] += 1
     monkeypatch.setattr(bounds, "min_n_grid", lambda: grid)
     verdicts = {r["name"]: r["passed"] for r in theorem_checks()}
     assert not verdicts.pop("volume_ratio_bound_saturated_at_q2_b2")
@@ -156,15 +157,16 @@ def test_ratio_inequality_on_int64_grid_arrays_matches_python_ints():
     # Row 4 evaluates the inequality on int64 arrays over the whole grid; the
     # largest term, q^n at min_n, is 2^24, far below 2^63.
     grid = min_n_grid()
-    assert max(q ** n for (q, b), n in grid.items()) == 2 ** 24
-    q, b = np.array(list(grid), dtype=np.int64).T
-    n = np.array(list(grid.values()), dtype=np.int64)
+    span = np.arange(2, SEARCH_CAP_QB + 1)
+    points = {(q, b): int(grid[q - 2, b - 2]) for q in span.tolist() for b in span.tolist()}
+    assert max(q ** n for (q, b), n in points.items()) == 2 ** 24
     for below in (0, 1):
-        arrays = volume_ratio_bound_holds(bounds._BoundFields(n - below, q, b, 1, 1))
-        points = [volume_ratio_bound_holds(BoundQuery(m - below, qq, bb, 1, 1))
-                  for (qq, bb), m in grid.items()]
-        assert arrays.tolist() == points
-        assert all(points) if below == 0 else not any(points)
+        arrays = volume_ratio_bound_holds(
+            bounds._BoundFields(grid - below, span[:, None], span[None, :], 1, 1))
+        expected = [[volume_ratio_bound_holds(BoundQuery(points[q, b] - below, q, b, 1, 1))
+                     for b in span.tolist()] for q in span.tolist()]
+        assert arrays.tolist() == expected
+        assert all(map(all, expected)) if below == 0 else not any(map(any, expected))
 
 
 def test_saturation_reports():

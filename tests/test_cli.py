@@ -507,12 +507,25 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "error: --order must be >= 0, got -1"),
     (["synth", "bc", "--N", "516"],
      "error: BC N=516: codeword weights are too large for float amplitudes"),
+    # Past 1/4 (PCC N=2 holds up to 4 photons on a ket) E_0 vanishes or the
+    # family stops resolving the identity: no channel to give a verdict on.
+    (["kl-check", "pcc", "--N", "2", "--errors", "lowest-order", "--gamma", "0.5"],
+     "error: gamma must satisfy 0 <= gamma < 1/4: 4 is the largest photon total "
+     "among the PCC support kets"),
+    (["kl-check", "pcc", "--N", "2", "--errors", "lowest-order", "--gamma", "0.34"],
+     "error: gamma must satisfy 0 <= gamma < 1/4"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_lowest_order_gamma_just_below_the_channel_limit_runs(capsys):
+    argv = ["--format", "csv", "kl-check", "pcc", "--N", "2", "--errors", "lowest-order"]
+    assert main(argv + ["--gamma", "0.249"]) == 0
+    assert "kl_PCC_N2_lowest-order,True," in capsys.readouterr().out
 
 
 def test_main_recover_none_on_supported_code(capsys):

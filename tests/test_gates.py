@@ -8,8 +8,10 @@ the printed identities themselves.
 import numpy as np
 import pytest
 
+from chi2qec.fock import tensor_basis
 from chi2qec.gates import (
     SQRT2,
+    _generator_eigh,
     _three_wave_operator,
     canonical_to_v,
     cnot2_21,
@@ -79,9 +81,42 @@ def test_cached_generator_matrix_is_read_only():
     assert np.array_equal(generator(6), _fresh_generators()[5])
 
 
+def test_cached_generator_eighs_are_read_only():
+    for k in range(1, 8):
+        for part in _generator_eigh(k):
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_evolve_factor_has_the_bits_of_a_fresh_eigh(k):
+    evals, vecs = np.linalg.eigh(_fresh_generators()[k - 1])
+    angle = 0.7
+    fresh = (vecs * np.exp(1j * angle * evals)) @ vecs.conjugate().transpose()
+    assert evolve([(k, angle)]).tobytes() == (np.eye(3, dtype=complex) @ fresh).tobytes()
+
+
+def test_verify_gates_twice_in_a_row_gives_equal_records():
+    assert verify_gates() == verify_gates()
+
+
+def test_cz_gate_matches_the_per_ket_diagonal_reference():
+    # CZ22 as a dense diagonal, read ket by ket: omega^{jk} from the digits
+    # of the two code blocks' second qutrits.
+    digit = {(1, 1, 1): 0, (0, 0, 2): 1, (2, 2, 0): 2}
+    omega = np.exp(2j * np.pi / 3)
+    basis = tensor_basis(pair_basis(), pair_basis())
+    cz22 = np.diag([omega ** (digit[st[3:6]] * digit[st[9:12]]) for st in basis.states])
+    FF = np.kron(cnot2pp_12(), cnot2pp_12())
+    assert np.array_equal(cz_gate(), FF.conjugate().transpose() @ cz22 @ FF)
+
+
 def test_generator_index_validation():
     with pytest.raises(ValueError):
         generator(0)
+    for k in (0, 8):
+        with pytest.raises(ValueError):
+            evolve([(k, 1.0)])
     with pytest.raises(ValueError):
         printed_generator_matrix(2)
 

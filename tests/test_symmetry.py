@@ -140,6 +140,18 @@ def test_non_commuting_operators_rejected():
         joint_unity_eigenspace([Z, V])
 
 
+def test_phases_that_differ_only_over_the_common_modulus_do_not_commute():
+    # The rows commute (B is diagonal), but A B has phases (2, 3) and B A
+    # has (5, 0) over lcm(3, 2) = 6.
+    basis = enumerate_irreducible_subspace(1)
+    A = SymmetryOperator("A", basis, [1, 0], [1, 0], 3)
+    B = SymmetryOperator("B", basis, [0, 1], [0, 1], 2)
+    with pytest.raises(NonCommutingOperators, match="^A and B do not commute$"):
+        joint_unity_eigenspace([A, B])
+    with pytest.raises(NonCommutingOperators, match="^B and A do not commute$"):
+        joint_unity_eigenspace([B, A])
+
+
 def test_empty_eigenspace_raises():
     basis = enumerate_irreducible_subspace(1)
     minus = SymmetryOperator("-I", basis, np.arange(2), np.ones(2), 2)

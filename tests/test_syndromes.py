@@ -33,6 +33,7 @@ from chi2qec.syndromes import (
     _RESTORATION_MAPS,
     IndefiniteParity,
     SyndromeRecord,
+    _parity,
     _recovery_pipeline,
     full_recovery,
     measure_parity,
@@ -175,6 +176,72 @@ def test_syndrome_tables_match_operator_reference(builder, Ns):
         code = builder(N)
         table = syndrome_table(code)
         assert [(r.error_label, r.p) for r in table] == _reference_syndrome_rows(code)
+
+
+def _per_ket_syndrome_rows(code, order=None):
+    """(label, p) of each row read ket by ket: every codeword's support kets
+    moved by the row's shift, annihilated kets dropped, and `_parity` (the
+    reader `measure_parity` uses) of the kets left."""
+    if code.name == "BC":
+        N = code.parameters["N"]
+        scheme = p_bc_scheme(N)
+        errors = [(kind, exps) for m in ([order] if order else range(1, N + 1))
+                  for kind in ("loss", "gain") for exps in _compositions(m, 3)]
+    else:
+        scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
+        errors = [(kind, exps) for kind in ("loss", "gain")
+                  for exps in _unit_shifts(code.layout.n_modes, 1)]
+    rows = []
+    for kind, exps in errors:
+        shift = _shift(exps, kind)
+        values = set()
+        for word in code.logical_states:
+            moved = [tuple(n + d for n, d in zip(ket, shift)) for ket, _ in word.support(0)]
+            kets = [ket for ket in moved if min(ket) >= 0]
+            if kets:
+                values.add(_parity(kets, scheme))
+        assert len(values) == 1
+        rows.append((_monomial_label(code.layout, exps, kind), values.pop()))
+    return rows
+
+
+@pytest.mark.parametrize("builder,Ns", [
+    (build_pcc, range(2, 7)), (build_eecc, range(2, 9)), (build_bc, range(2, 11)),
+], ids=["pcc", "eecc", "bc"])
+def test_array_syndrome_tables_match_the_per_ket_reference(builder, Ns):
+    for N in Ns:
+        code = builder(N)
+        orders = [None] + (list(range(1, N + 1)) if code.name == "BC" else [])
+        for order in orders:
+            table = syndrome_table(code, order)
+            assert [(r.error_label, r.p) for r in table] == _per_ket_syndrome_rows(code, order)
+            assert all(type(v) is int for r in table for v in r.p)
+
+
+def _eecc_with_words(*terms):
+    """EECC N=2 with hand-made codewords on the cap-2 product space, where
+    the p3 components need not be definite."""
+    basis = enumerate_truncated_space(three_mode_layout(2))
+    words = [StateVector.from_terms(basis, {ket: 1.0 for ket in kets}) for kets in terms]
+    return dataclasses.replace(build_eecc(2), logical_states=words)
+
+
+def test_syndrome_row_with_a_mixed_component_on_a_codeword_raises():
+    # a_s moves |1,1,0> and |1,0,1> to |0,1,0> and |0,0,1>: n_s + n_i is 1
+    # on one and 0 on the other.
+    code = _eecc_with_words([(1, 1, 0), (1, 0, 1)])
+    with pytest.raises(IndefiniteParity,
+                       match=r"component \(\(0, 1\), \(1, 1\)\) of p3 has mixed values \[0, 1\]"):
+        syndrome_table(code)
+
+
+def test_syndrome_row_whose_codewords_disagree_raises():
+    # a_s moves |1,1,0> to |0,1,0>, p3 (1, 0, 1), and |2,1,1> to |1,1,1>,
+    # p3 (0, 0, 0); each codeword is definite, but they disagree.
+    code = _eecc_with_words([(1, 1, 0)], [(2, 1, 1)])
+    with pytest.raises(IndefiniteParity,
+                       match=r"codewords disagree on p3: \[\(0, 0, 0\), \(1, 0, 1\)\]"):
+        syndrome_table(code)
 
 
 def test_syndrome_row_with_every_codeword_annihilated_raises():
