@@ -5,6 +5,7 @@ arrays over theorem 4's grid, whose values stay far below 2^63; floats only
 appear in code_rate.
 """
 
+import functools
 import math
 from typing import Dict, List, NamedTuple
 
@@ -109,9 +110,10 @@ def code_rate(n: int, q: int, b: int, k: int = 1) -> float:
     return k * math.log2(b) / (n * math.log2(q))
 
 
+@functools.cache
 def corrupted_dimension(q: int) -> int:
     """Dimension of span{H_{q-1} kets and their single-loss images}, by
-    listing the distinct kets."""
+    listing the distinct kets (once per q in a process)."""
     if q < 2:
         raise ValueError("q must be >= 2")
     return len(_closure(enumerate_irreducible_subspace(q - 1), _unit_shifts(3, -1)))

@@ -46,11 +46,9 @@ from .fock import (
 from .schema import check_schema, report_schema
 from .symmetry import (
     bc_symmetry_operator,
-    check_projector_size,
     inversion_operator,
     inversion_operator_all_groups,
     joint_unity_eigenspace,
-    projector_distance,
     swap_operator,
     z_pair_operator,
 )
@@ -214,18 +212,22 @@ _BC_SYMMETRY_FACTS = ("orthonormal codewords", "V|+/-> = +/-|+/->",
                       "Pi_s|k~> = (-1)^k |k~>")
 
 
+def _orthonormal(words: List[Dict], denominator: int) -> bool:
+    """Disjoint supports, and each codeword's weights sum to the denominator."""
+    return (len(set().union(*words)) == sum(map(len, words))
+            and all(sum(word.values()) == denominator for word in words))
+
+
 def _bc_symmetry_broken_facts(S: symmetry_mod.BCSymmetry) -> List[str]:
     """The facts behind S|k~> = |k~> that fail, read from integers.
-    Orthonormal codewords (disjoint supports, weights summing to the
-    denominator) let U_BS^dagger map codeword k to its |+/->; V swapping
-    the two kets of |+/-> with phase 0 flips |-> only; and Pi_s taking
-    each ket of codeword k to one of equal weight times (-1)^k undoes it."""
-    zero, one = S.codewords
+    Orthonormal codewords let U_BS^dagger map codeword k to its |+/->; V
+    swapping the two kets of |+/-> with phase 0 flips |-> only; and Pi_s
+    taking each ket of codeword k to one of equal weight times (-1)^k
+    undoes it."""
     ends = list(S.ends)
     rows, phases = S.parity.rows.tolist(), S.parity.phases.tolist()
     holds = (
-        not zero.keys() & one.keys()
-        and all(sum(word.values()) == S.denominator for word in S.codewords),
+        _orthonormal(S.codewords, S.denominator),
         S.inversion.rows[ends].tolist() == ends[::-1]
         and S.inversion.phases[ends].tolist() == [0, 0],
         all(word.get(rows[j]) == w and 2 * phases[j] == k * S.parity.modulus
@@ -236,17 +238,23 @@ def _bc_symmetry_broken_facts(S: symmetry_mod.BCSymmetry) -> List[str]:
 
 def synthesis_check(spec: CodeSpec) -> Dict:
     """Closed-form codewords versus joint unity eigenspace (PCC, EECC) or
-    the exact facts by which the symmetry fixes each codeword (BC)."""
+    the exact facts by which the symmetry fixes each codeword (BC).  The
+    PCC/EECC projectors are equal exactly when the codewords are orthonormal,
+    every operator fixes every one (phase 0 and w[rows[j]] == w[j] on each
+    support ket j) and there is one fixed orbit per codeword."""
     code, N = spec.name.lower(), spec.parameters["N"]
     name = "synthesis_%s_N%d" % (code, N)
     if code in _SYNTHESIS_SETS:
-        # Refuse oversized inputs before any operator or orbit vector is built.
-        check_projector_size(spec.basis)
         _, ops = _SYNTHESIS_SETS[code](N)
-        synth = joint_unity_eigenspace(ops)
-        dist = projector_distance(spec.logical_states, synth)
-        return {"name": name, "passed": dist < 1e-8,
-                "detail": "projector distance %.2e, dim %d" % (dist, len(synth))}
+        dim, L = len(joint_unity_eigenspace(ops)), len(spec.weights)
+        words = [{spec.basis.index_of(k): w for k, w in word.items()} for word in spec.weights]
+        fails = [] if _orthonormal(words, spec.denominator) else ["codewords are not orthonormal"]
+        fails += ["%s does not fix codeword %d" % (op.name, k) for op in ops
+                  for k, word in enumerate(words)
+                  if any(op.phases[j] or word.get(op.rows[j]) != w for j, w in word.items())]
+        fixed = fails[0] if fails else "orthonormal codewords fixed by every operator"
+        return {"name": name, "passed": not fails and dim == L,
+                "detail": "%s; dim %d %s L %d" % (fixed, dim, "!=" if dim != L else "=", L)}
     if code == "bc":
         broken = _bc_symmetry_broken_facts(bc_symmetry_operator(spec))
         detail = ("S w = w unproven; fails " + "; ".join(broken) if broken
@@ -474,6 +482,7 @@ def criterion_symmetry_synthesis(config: RunConfig = RunConfig()) -> Dict:
     dims = tuple(len(joint_unity_eigenspace(full_ops[:k])) for k in (4, 5, len(full_ops)))
     if dims != (9, 5, 3):
         failures.append("dimension flow %s != (9, 5, 3)" % (dims,))
+    # The published 1e-8 threshold, met exactly: equal projectors are at distance 0.
     return _check("2_symmetry_synthesis", failures,
                   "projector distance < 1e-8, flow 9->5->3")
 

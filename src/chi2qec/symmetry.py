@@ -4,7 +4,8 @@ The code subspaces are the simultaneous unity-eigenvalue eigenspaces of a
 small set of commuting unitaries: diagonal Z-phase pairs, photon-number
 inversion V, the group swap X and the signal parity Pi_s.  Each is a ket
 permutation with root-of-unity coefficients, held exactly as integer
-phases, and their joint unity eigenspace is built from ket orbits.  The
+phases, and their joint unity eigenspace is read off as fixed ket orbits
+with integer phases, with no vector or matrix built.  The
 bosonic code's symmetry Pi_s U_BS V U_BS^dagger is held in factored form:
 Pi_s and V as such permutations, and the pseudo-beam-splitter U_BS only
 by the |+/-> <-> codeword pairing it makes.
@@ -12,7 +13,7 @@ by the |+/-> <-> codeword pairing it makes.
 
 from dataclasses import dataclass
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .fock import (
     BasisIndex,
     DimensionMismatch,
     LinearOperator,
-    StateVector,
     TruncationOverflow,
 )
 
@@ -33,13 +33,6 @@ class NonCommutingOperators(ValueError):
 
 class EmptyEigenspace(ValueError):
     """The operators have no common unity eigenvector."""
-
-
-def _roots_of_unity(modulus: int) -> np.ndarray:
-    """exp(2 pi i k / modulus) for k = 0..modulus-1, exactly 1 at k = 0 and
-    -1 at 2k = modulus."""
-    k = np.arange(modulus)
-    return np.where(2 * k == modulus, -1, np.exp(2j * np.pi * k / modulus))
 
 
 @dataclass
@@ -61,9 +54,11 @@ class SymmetryOperator:
 
     @property
     def operator(self) -> LinearOperator:
-        """The float form, coefficients read from the reduced phases."""
+        """The float form, coefficients read from the reduced phases: exactly
+        1 at phase 0 and -1 at a half turn."""
+        k, M = self.phases, self.modulus
         return LinearOperator(self.basis, self.rows,
-                              _roots_of_unity(self.modulus)[self.phases])
+                              np.where(2 * k == M, -1, np.exp(2j * np.pi * k / M)))
 
 
 def compose(name: str, a: SymmetryOperator, b: SymmetryOperator) -> SymmetryOperator:
@@ -178,22 +173,37 @@ def bc_symmetry_operator(spec: CodeSpec) -> BCSymmetry:
         spec.denominator)
 
 
-def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]:
-    """Orthonormal basis of the simultaneous unity-eigenvalue eigenspace.
+class FixedOrbit(NamedTuple):
+    """A fixed vector's ket orbit: exp(2 pi i phases[t] / modulus) / sqrt(len(kets)) on kets[t]."""
+
+    kets: List[int]
+    phases: List[int]
+    modulus: int
+
+
+def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[FixedOrbit]:
+    """The simultaneous unity-eigenvalue eigenspace, one fixed ket orbit per
+    vector of its orthonormal basis.
 
     Every pair of operators is composed both ways at once, on rows and on
     phases lifted to M, the lcm of the moduli, to check exactly that they
-    commute.  S v = v reads v[rows[j]] = exp(2 pi i phases[j] / M) v[j], so
-    each ket orbit carries at most one fixed vector: phases relative to the
-    orbit's first ket follow along operator steps, and the orbit counts when
-    every step agrees.  Its vector is exp(2 pi i phase / M) / sqrt(orbit
-    size) on the orbit's kets; vectors come in the order of their first kets.
+    commute; that stack of 2 k^2 dim integers (k operators) is refused with
+    TruncationOverflow over the size limit before it is built.  S v = v
+    reads v[rows[j]] = exp(2 pi i phases[j] / M) v[j], so each ket orbit
+    carries at most one fixed vector: phases relative to the orbit's first
+    ket follow along operator steps, and the orbit counts when every step
+    agrees.  Orbits come in the order of their first kets.
     """
     if not ops:
         raise ValueError("need at least one operator")
     basis = ops[0].basis
     if any(s.basis != basis for s in ops):
         raise ValueError("operators must share a domain")
+    entries = 2 * len(ops) ** 2 * basis.dimension
+    if entries > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow("commutation check of %d operators on %d kets would stack %d "
+                                 "entries, over the limit of %d"
+                                 % (len(ops), basis.dimension, entries, _MAX_TRUNCATED_DIM))
     M = math.lcm(*(s.modulus for s in ops))
     R, P = np.array([s.rows for s in ops]), np.array([s.phases * (M // s.modulus) for s in ops])
     # ab[:, a, b] is a.b (b acts first): rows R[a][R[b]], phases P[a][R[b]] + P[b].
@@ -203,7 +213,6 @@ def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]
         a, b = np.argwhere(clash)[0]  # the first clash in row order has a < b
         raise NonCommutingOperators("%s and %s do not commute" % (ops[a].name, ops[b].name))
     steps = list(zip(R.tolist(), P.tolist()))
-    roots = _roots_of_unity(M)
     phase = [None] * basis.dimension
     out = []
     for start in range(basis.dimension):
@@ -220,28 +229,7 @@ def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[StateVector]
                 elif phase[target] != p:
                     consistent = False
         if consistent:
-            amplitudes = np.zeros(basis.dimension, dtype=complex)
-            amplitudes[orbit] = roots[[phase[k] for k in orbit]] / math.sqrt(len(orbit))
-            out.append(StateVector(basis, amplitudes))
+            out.append(FixedOrbit(orbit, [phase[k] for k in orbit], M))
     if not out:
         raise EmptyEigenspace("no ket orbit is fixed by every operator")
     return out
-
-
-def check_projector_size(basis: BasisIndex) -> None:
-    """Raise TruncationOverflow when two dense projectors on `basis` would
-    together hold more entries than the size limit."""
-    dim = basis.dimension
-    if 2 * dim * dim > _MAX_TRUNCATED_DIM:
-        raise TruncationOverflow(
-            "projector distance on %d kets would make two dense %dx%d projectors, "
-            "%d entries, over the limit of %d"
-            % (dim, dim, dim, 2 * dim * dim, _MAX_TRUNCATED_DIM))
-
-
-def projector_distance(a: Sequence[StateVector], b: Sequence[StateVector]) -> float:
-    """Max-entry distance between the projectors of two spanning sets, both
-    made dense after check_projector_size."""
-    check_projector_size(a[0].basis)
-    P, Q = (np.column_stack([v.amplitudes for v in vs]) for vs in (a, b))
-    return float(np.max(np.abs(P @ P.conjugate().transpose() - Q @ Q.conjugate().transpose())))

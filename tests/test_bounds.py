@@ -115,6 +115,16 @@ def test_corrupted_dimension_enumeration(q):
     assert corrupted_dimension(q) == 4 * q - 3
 
 
+def test_corrupted_dimensions_are_enumerated_once_per_process(monkeypatch):
+    theorem_checks()
+
+    def no_closure(*args):
+        raise AssertionError("closure enumerated again")
+
+    monkeypatch.setattr(bounds, "_closure", no_closure)
+    assert theorem_checks()[-1]["passed"]
+
+
 def test_theorem_checks_all_pass():
     # Names, verdicts and details are pinned, so the grid cannot move them.
     assert theorem_checks() == [

@@ -15,7 +15,7 @@ from chi2qec import cli
 from chi2qec import errors as errors_mod
 from chi2qec import fock
 from chi2qec import symmetry as symmetry_mod
-from chi2qec.codes import build_bc
+from chi2qec.codes import build_bc, build_pcc
 from chi2qec.cli import (
     RunConfig,
     criterion_two_mode_bc,
@@ -253,16 +253,37 @@ def test_synthesis_needs_no_svd(monkeypatch, capsys):
                         "detail": "projector distance < 1e-8, flow 9->5->3"}
 
 
-def test_synth_projector_size_limit(capsys):
-    # Two dense 961x961 projectors (1,847,042 entries) are within the
-    # 2,000,000-entry limit; two 1024x1024 ones (2,097,152) are not.
-    assert main(["--format", "csv", "synth", "pcc", "--N", "31"]) == 1
-    assert "synthesis_pcc_N31,False,projector distance 2.50e-01; dim" in capsys.readouterr().out
-    assert main(["synth", "pcc", "--N", "32"]) == 2
+@pytest.mark.parametrize("limit,refused", [(882, False), (881, True)])
+def test_synth_refuses_a_commutation_stack_over_the_limit_before_building_it(
+        monkeypatch, capsys, limit, refused):
+    # PCC N=3 has 7 operators on 9 kets: its commutation check stacks
+    # 2 * 7^2 * 9 = 882 entries, which a limit of 882 allows and 881 refuses.
+    monkeypatch.setattr(symmetry_mod, "_MAX_TRUNCATED_DIM", limit)
+    stacks, stack = [], np.stack
+    monkeypatch.setattr(np, "stack", lambda arrays, **kw: stacks.append(1) or stack(arrays, **kw))
+    assert main(["--format", "csv", "synth", "pcc", "--N", "3"]) == (2 if refused else 0)
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == ("error: projector distance on 1024 kets would make two dense "
-                       "1024x1024 projectors, 2097152 entries, over the limit of 2000000\n")
+    if refused:
+        assert (out.out, stacks) == ("", [])
+        assert out.err == ("error: commutation check of 7 operators on 9 kets would stack "
+                           "882 entries, over the limit of 881\n")
+    else:
+        assert out.out.splitlines()[-1] == ("synthesis_pcc_N3,True,orthonormal codewords fixed "
+                                            "by every operator; dim 3 = L 3")
+        assert stacks == [1]
+
+
+def test_pcc_n100_synthesis_reads_orbits_in_little_memory():
+    # Dense orbit vectors would hold 2,550 x 10,000 complex amplitudes (408 MB).
+    tracemalloc.start()
+    try:
+        row = cli.synthesis_check(build_pcc(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row == {"name": "synthesis_pcc_N100", "passed": False,
+                   "detail": "orthonormal codewords fixed by every operator; dim 2550 != L 100"}
+    assert peak < 64e6
 
 
 _BC_EXACT = ("S w = w exactly: orthonormal codewords; V|+/-> = +/-|+/->; "
@@ -299,20 +320,6 @@ def test_bc_symmetry_row_names_each_broken_fact(monkeypatch):
     monkeypatch.setattr(cli, "bc_symmetry_operator",
                         lambda _: dataclasses.replace(factored, inversion=identity))
     assert cli.synthesis_check(spec)["detail"] == "S w = w unproven; fails V|+/-> = +/-|+/->"
-
-
-def test_oversized_synth_is_refused_before_any_orbit_vector_is_made(monkeypatch, capsys):
-    # PCC N=200 has about 10,000 ket orbits of 40,000 amplitudes each: they
-    # must not be made before the refusal.
-    def no_orbits(ops):
-        raise AssertionError("joint_unity_eigenspace called")
-
-    monkeypatch.setattr(cli, "joint_unity_eigenspace", no_orbits)
-    assert main(["synth", "pcc", "--N", "200"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == ("error: projector distance on 40000 kets would make two dense "
-                       "40000x40000 projectors, 3200000000 entries, over the limit of 2000000\n")
 
 
 def test_emit_formats():
@@ -501,8 +508,9 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "error: BC N=600: codeword weights are too large for float amplitudes"),
     (["synth", "bc2mode", "--N", "600"],
      "error: BC2mode N=600: codeword weights are too large for float amplitudes"),
-    (["synth", "eecc", "--N", "501"],
-     "error: projector distance on 1001 kets would make two dense 1001x1001 projectors"),
+    (["synth", "pcc", "--N", "143"],  # the smallest PCC over the stack limit
+     "error: commutation check of 7 operators on 20449 kets would stack 2004002 entries, "
+     "over the limit of 2000000"),
     (["kl-check", "pcc", "--N", "2", "--errors", "ad", "--order", "-1"],
      "error: --order must be >= 0, got -1"),
     (["synth", "bc", "--N", "516"],

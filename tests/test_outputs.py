@@ -19,11 +19,11 @@ from chi2qec import cli
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
-# Jobs whose output moved in the last digits since `bench/expected.json` was
-# recorded; verdicts and exit codes are unchanged, and the file is
-# re-recorded with the next change to the benchmark.  Until then each is held
-# to the SHA-256 of its output as printed since that move, so a further
-# change still shows here.  The kl-check alpha values moved when the
+# Jobs whose output moved since `bench/expected.json` was recorded, in the
+# last digits or in a check's detail; verdicts and exit codes are unchanged,
+# and the file is re-recorded with the next change to the benchmark.  Until
+# then each is held to the SHA-256 of its output as printed since that move,
+# so a further change still shows here.  The kl-check alpha values moved when the
 # operators moved onto the codewords' closure bases.
 STALE_DIGESTS = {
     "kl-check pcc --N 4 --errors xi1":
@@ -40,51 +40,53 @@ STALE_DIGESTS = {
         "33e84a3123cf4977deb7e5f793948469fe2d4811e5b303c085829379b3999f0c",
     "kl-check eecc --N 4 --errors xi2":
         "0e4912c12c4ffadb620c784a33806b7c77721ebb1494d089e96df3fbf2fcd17f",
-    # The PCC/EECC eigenspaces are built from exact ket orbits, so the
-    # synthesis row's projector distance reads 0.00e+00 (was 2.22e-16, and
-    # 6.66e-16 for EECC N=6); dimensions and verdicts are unchanged.
+    # The PCC/EECC synthesis row is decided from integer weights and orbit
+    # counts, so its detail says the codewords are fixed and gives dim
+    # against L where it gave a projector distance (before that 2.22e-16,
+    # and 6.66e-16 for EECC N=6, from the SVD eigenspace); verdicts are
+    # unchanged.
     "--format json synth eecc --N 2":
-        "10b72bd39b67544481bc6c1a621dfb40273ca4c7bc66498ed6efe7e5bb899c10",
+        "d947c13d792a09e8bc3286787626ff6d667db8eb5c42e185713e9b8ab90363ba",
     "--format csv synth eecc --N 2":
-        "f133ec1af46a25c3268011b67c8cebf1bf1adc200ec589aa9b973a076f090bfd",
+        "da8da7ee8f205be81660ced5e6f48ccdd08a23425c3f2d96ff56b56ece29d713",
     "--format text synth eecc --N 2":
-        "0788923719e9838565e61ca18bfd71eb52fcedaa9507e68c0001e5d76d056d21",
+        "1e852768309c7be80668733a01a77475033ac72952d24200716e69973f0a2cab",
     "--format json synth eecc --N 3":
-        "af1cff17bcab34d2fb2b1212065d12ba1834e21189f6e07950a79a92920cff19",
+        "e30d5e2e88ab84b93c26900f4d1c33aee1390c7b43d21c763b6fe0dc9b946e40",
     "--format csv synth eecc --N 3":
-        "1fed27dd02af8abe310e53fc99ad3d50c9904c850958230c5f5b03226c30e946",
+        "04f2beab627d8ecc34afc744ecee49f01f65e4455c139ac96c6e2ad958be7f3b",
     "--format text synth eecc --N 3":
-        "d9a6c32f0f8aa9b3fdc8b622a4131e2fac6e704211d8f99d7481e3f79acdb35a",
+        "283719e6072fe28189504ae428783e779c9ae85f0cd11d12b1eedceff3a29895",
     "--format json synth eecc --N 4":
-        "b16175e46fb4ff53c2a8c45b2e7b427008bbacfb6281d200e260bc2ca48cdd76",
+        "1287a6784fa5d486c8832296b588e3b3afd382a56a0f4dea0038229e7346f30c",
     "--format csv synth eecc --N 4":
-        "af790c6566d118c8da4b50f43aef6ecb386bf97ddc7583747adc1226fb014f50",
+        "d9bd4de26d8fef628cc75288a693aaf7cc4578369a4ce4bbd11674d61a2f1186",
     "--format text synth eecc --N 4":
-        "1c932078e08b87ba0af472849bea48faa2d922b218d47a28d3b24138b1a7afac",
+        "471c80707529eeb0fb1350a984a66ce21e56784f5453fff8581f3793892d4b0f",
     "--format json synth eecc --N 5":
-        "252ea84a1bd04f4eff4c0a84b9da87284d595ea2db320cb937eb429059c4f871",
+        "985eb9469f504b1a52fdc2c693aa1564503f5271a60055b41e2280dad5584c51",
     "--format csv synth eecc --N 5":
-        "0888319191aebfb26c6503a3672f508b7bddce2e5cb7f6780528686f83845b57",
+        "104c6ade24f13067c2aa6f573e4f01af948035a77285d8c9645a9ad79b42d167",
     "--format text synth eecc --N 5":
-        "98788860cf43da342dc2b64ac25dafa921a45419494a397224d8a51025657d3c",
+        "d82ee67b260c389cbc1ec34a26fcbc93955e990e25efd075b85a77d8c2ab71d3",
     "--format json synth eecc --N 6":
-        "12de3dd4913cd7628bb6bf13b1866ba5df9aa271ce07b1b5bf202f6c0638db0d",
+        "e7eecb2c9ec808f3e10a0132fd779c3520bd13e0f01fe25af61107f89abc9fc9",
     "--format csv synth eecc --N 6":
-        "0e481e191300d93008d13cc2192c819e203b430335e9968049486ef57961eecd",
+        "a7336152a7d203b067f6b1e9a82daf1a0cb19e5b4dcf1fc8810a5250c05bf48b",
     "--format text synth eecc --N 6":
-        "4859c5e02f0923a2b8ddf5ae01584f79ffec8824dac9f47dd95d4443c7313707",
+        "471c7bd78b86d33f89e7e5ea2ebce661ae86810193647cee5f1646189a9831d4",
     "--format json synth pcc --N 2":
-        "23165da8381d99cb233dd82888fff4dbacc5d60aff6196071ccebf18830ad77c",
+        "8f124c1fd7987374451058deeeccb5aebdc6394c55187d4a2c3254191d61a587",
     "--format csv synth pcc --N 2":
-        "b1078c85020f42355b44ea31a027635e4d0a00725fdf0dbc4839a7072fca8500",
+        "593ebf49911b8969a5916ae3f040b5d6126835576c326dc5ffe5b559229ef3c1",
     "--format text synth pcc --N 2":
-        "6ca54e1b9d1f145020491762f29235aa9d1d410ffdce9b70bad996460de2ee5f",
+        "75fc4d715d7558ff5a8588782732508b640034927b1c106680ede9a2524a68dc",
     "--format json synth pcc --N 3":
-        "d5bd431be04237f6f8d799374197f211fed3606ed0e58216ce12527da0b52a5d",
+        "ca15091abf3774e341ffd441e07eee3dec191b6415553114f26028e6abc9ba60",
     "--format csv synth pcc --N 3":
-        "f265c8d54961f437694ca427e7b3ce0f222ffa6221234af22a0ceebd0f00ce0d",
+        "5e510a4a53aa0a95c9bc478391c37e9cfbeedf8593412c2ef74eac2b06cbc290",
     "--format text synth pcc --N 3":
-        "0dfa6c3d8702343742ba6e3a4a9ec70b6acaf719d7562579b502317abe946ea3",
+        "35db6367e217121d2f25d2d7001e07b030d0140b8dedada5b6fefac40f478935",
     # The BC synthesis row states the exact facts behind S w = w (orthonormal
     # integer codewords, V|+/-> = +/-|+/->, Pi_s parity on the supports)
     # instead of a dense residual (2.2e-16 to 1.6e-15); verdicts unchanged.

@@ -1,5 +1,6 @@
 """Symmetry operators and joint unity-eigenspace synthesis."""
 
+import dataclasses
 import math
 import re
 
@@ -9,10 +10,9 @@ import pytest
 from chi2qec import cli
 from chi2qec import symmetry as symmetry_mod
 from chi2qec.cli import pcc_operator_set
-from chi2qec.codes import build_bc
+from chi2qec.codes import build, build_bc
 from chi2qec.fock import (
     StateVector,
-    TruncationOverflow,
     apply,
     compose,
     enumerate_irreducible_subspace,
@@ -25,7 +25,6 @@ from chi2qec.symmetry import (
     inversion_operator,
     inversion_operator_all_groups,
     joint_unity_eigenspace,
-    projector_distance,
     signal_parity_operator,
     swap_operator,
     z_pair_operator,
@@ -112,17 +111,19 @@ def test_factored_bc_symmetry_agrees_with_the_dense_operator(N):
     assert np.allclose(dense @ words, words, atol=1e-10)
 
 
+def _orbit_vectors(orbits, dim):
+    """The orbits' fixed vectors as the columns of a dense array."""
+    V = np.zeros((dim, len(orbits)), dtype=complex)
+    for col, (kets, phases, modulus) in enumerate(orbits):
+        V[kets, col] = np.exp(2j * np.pi * np.array(phases) / modulus) / math.sqrt(len(kets))
+    return V
+
+
 def test_joint_unity_eigenspace_of_inversion():
     basis = enumerate_irreducible_subspace(2)
     V = inversion_operator(2, 1, basis)
-    vecs = joint_unity_eigenspace([V])
     # V fixes |111> and (|002>+|220>)/sqrt2.
-    assert len(vecs) == 2
-    V = np.column_stack([v.amplitudes for v in vecs])
-    P = V @ V.conjugate().T
-    assert np.allclose(P @ P, P)
-    fixed = StateVector.from_terms(basis, {(1, 1, 1): 1.0})
-    assert np.allclose(P @ fixed.amplitudes, fixed.amplitudes)
+    assert joint_unity_eigenspace([V]) == [([0, 2], [0, 0], 1), ([1], [0], 1)]
 
 
 def test_joint_unity_eigenspace_of_identity_is_full():
@@ -172,15 +173,11 @@ def test_orbit_phases_are_exact_and_a_phase_cycle_that_does_not_cancel_drops_its
     basis = enumerate_irreducible_subspace(2)
     V = inversion_operator(2, 1, basis)
     V_Pi = symmetry_mod.compose("V Pi_s", V, signal_parity_operator(basis))
-    vecs = joint_unity_eigenspace([V_Pi])
-    assert len(vecs) == 1
-    assert vecs[0].amplitudes.tolist() == [1 / math.sqrt(2), 0, 1 / math.sqrt(2)]
+    assert joint_unity_eigenspace([V_Pi]) == [([0, 2], [0, 0], 2)]
     # A quarter-turn on one ket and its inverse on the other: the orbit's
     # second ket carries the phase exp(i pi / 2) relative to its first.
     twist = SymmetryOperator("T", basis, [2, 1, 0], [1, 0, 3], 4)
-    (v,) = [w for w in joint_unity_eigenspace([twist]) if w.amplitudes[0] != 0]
-    assert v.amplitudes[0] == 1 / math.sqrt(2)
-    assert np.allclose(v.amplitudes[2], 1j / math.sqrt(2))
+    assert joint_unity_eigenspace([twist])[0] == ([0, 2], [0, 1], 4)
 
 
 def test_unity_phases_are_exactly_one():
@@ -202,25 +199,119 @@ def _operator_set(code, N):
                    3: full_ops}[N]
 
 
-@pytest.mark.parametrize("code,N", [("pcc", N) for N in range(2, 8)]
-                         + [("eecc", N) for N in range(2, 9)]
+def _dense_distance(ops, weights, denominator):
+    """Max-entry distance between the projector onto the fixed space of the
+    dense operators (the null space of the stacked S - I) and the projector
+    of the codewords given by integer weights."""
+    basis = ops[0].basis
+    dim = basis.dimension
+    stacked = np.vstack([op.operator.dense() - np.eye(dim) for op in ops])
+    null = np.linalg.svd(stacked)[2][np.linalg.matrix_rank(stacked):].conjugate().T
+    W = np.zeros((dim, len(weights)))
+    for col, word in enumerate(weights):
+        for ket, w in word.items():
+            W[basis.index_of(ket), col] = math.sqrt(w / denominator)
+    return np.max(np.abs(null @ null.conjugate().T - W @ W.T))
+
+
+@pytest.mark.parametrize("code,N", [("pcc", N) for N in range(2, 13)]
+                         + [("eecc", N) for N in range(2, 21)]
                          + [("flow", d) for d in (9, 5, 3)])
 def test_orbit_space_matches_the_rank_of_the_stacked_dense_operators(code, N):
     # An independent reference: the fixed space of the dense operators has
-    # dimension dim - rank(stacked S - I), and each returned vector must lie
-    # in it.
+    # dimension dim - rank(stacked S - I), and each orbit's vector must lie
+    # in it.  The synthesis verdict is the dense projector comparison's.
     basis, ops = _operator_set(code, N)
-    vecs = joint_unity_eigenspace(ops)
-    V = np.column_stack([v.amplitudes for v in vecs])
-    assert np.allclose(V.conjugate().T @ V, np.eye(len(vecs)), atol=1e-14)
+    orbits = joint_unity_eigenspace(ops)
+    V = _orbit_vectors(orbits, basis.dimension)
+    assert np.allclose(V.conjugate().T @ V, np.eye(len(orbits)), atol=1e-14)
     mats = [op.operator.dense() for op in ops]
     for S in mats:
         assert np.allclose(S @ V, V, atol=1e-14)
     dim = basis.dimension
     stacked = np.vstack([S - np.eye(dim) for S in mats])
-    assert len(vecs) == dim - np.linalg.matrix_rank(stacked)
+    assert len(orbits) == dim - np.linalg.matrix_rank(stacked)
     if code == "flow":
-        assert len(vecs) == N
+        assert len(orbits) == N
+    else:
+        spec = build(code, N)
+        reference = _dense_distance(ops, spec.weights, spec.denominator) < 1e-8
+        assert cli.synthesis_check(spec)["passed"] == reference == (code == "eecc" or N < 4)
+
+
+def _moved_unit(spec):
+    """`spec` with one unit of weight moved from codeword 0's first ket to
+    its second, or, for a one-ket codeword 0, to the first ket no codeword
+    holds; a ket left with weight 0 is dropped."""
+    word = dict(spec.weights[0])
+    first, *rest = word
+    held = set().union(*spec.weights)
+    target = rest[0] if rest else next(s for s in spec.basis.states if s not in held)
+    word[first] -= 1
+    word[target] = word.get(target, 0) + 1
+    word = {ket: w for ket, w in word.items() if w}
+    return dataclasses.replace(spec, weights=[word] + spec.weights[1:])
+
+
+@pytest.mark.parametrize("code,N,operator", [("pcc", 2, "V^(1) all groups"),
+                                             ("pcc", 3, "V^(2) all groups"),
+                                             ("eecc", 2, "V^(2) group 1"),
+                                             ("eecc", 3, "V^(4) group 1")])
+def test_a_moved_unit_of_codeword_weight_turns_the_synthesis_row_red(code, N, operator):
+    mutant = _moved_unit(build(code, N))
+    assert cli.synthesis_check(mutant) == {
+        "name": "synthesis_%s_N%d" % (code, N), "passed": False,
+        "detail": "%s does not fix codeword 0; dim %d = L %d" % (operator, N, N)}
+    _, ops = _operator_set(code, N)
+    assert _dense_distance(ops, mutant.weights, mutant.denominator) > 1e-8
+
+
+def test_a_codeword_fixed_only_up_to_a_sign_turns_the_synthesis_row_red():
+    # PCC N=3 with codeword 0 on the H_2 pair labels (2,1), (1,2), (0,1) and
+    # (1,0) (weights doubled to keep them integer): V and X permute these
+    # kets among equal weights, but Pi_s1 Pi_s2 gives each the phase -1.
+    spec = build("pcc", 3)
+    quartet = {(a, a, 2 - a, b, b, 2 - b): 1 for a, b in ((2, 1), (1, 2), (0, 1), (1, 0))}
+    flipped = dataclasses.replace(spec, denominator=4, weights=[quartet] + [
+        {k: 2 * w for k, w in word.items()} for word in spec.weights[1:]])
+    assert cli.synthesis_check(flipped) == {
+        "name": "synthesis_pcc_N3", "passed": False,
+        "detail": "Pi_s1 Pi_s2 does not fix codeword 0; dim 3 = L 3"}
+    _, ops = _operator_set("pcc", 3)
+    assert _dense_distance(ops, flipped.weights, flipped.denominator) > 1e-8
+
+
+def test_codewords_that_are_not_orthonormal_turn_the_synthesis_row_red():
+    # Two equal codewords are each fixed, and there are L fixed orbits, but
+    # they span one dimension too few, so the projectors differ.
+    spec = build("eecc", 3)
+    twin = dataclasses.replace(spec, weights=[spec.weights[0]] + spec.weights[:2])
+    assert cli.synthesis_check(twin) == {"name": "synthesis_eecc_N3", "passed": False,
+                                         "detail": "codewords are not orthonormal; dim 3 = L 3"}
+    _, ops = _operator_set("eecc", 3)
+    assert _dense_distance(ops, twin.weights, twin.denominator) > 1e-8
+
+
+@pytest.mark.parametrize("N,extra", zip(range(4, 13), (2, 1, 6, 3, 12, 6, 20, 10, 30)))
+def test_pcc_from_n4_has_extra_fixed_orbits_that_are_phase_zero_quartets(N, extra):
+    # The published codewords are fixed, but dim - L more fixed orbits miss
+    # their support.  Each is |a>|b>, |b>|a>, |a'>|b'>, |b'>|a'> in H_{N-1}
+    # pair labels, with n' = N-1-n and b not in {a, a'}: a finding, recorded
+    # as the FAIL it gives.
+    spec = build("pcc", N)
+    assert cli.synthesis_check(spec)["detail"] == (
+        "orthonormal codewords fixed by every operator; dim %d != L %d" % (N + extra, N))
+    basis, ops = _operator_set("pcc", N)
+    support = {basis.index_of(ket) for word in spec.weights for ket in word}
+    off = [o for o in joint_unity_eigenspace(ops) if not support & set(o.kets)]
+    assert len(off) == extra
+    for kets, phases, _ in off:
+        a, b = basis.states[kets[0]][0], basis.states[kets[0]][3]
+        a_, b_ = N - 1 - a, N - 1 - b
+        assert b not in (a, a_)
+        assert sorted((basis.states[j][0], basis.states[j][3]) for j in kets) == sorted(
+            [(a, b), (b, a), (a_, b_), (b_, a_)])
+        assert phases == [0, 0, 0, 0]
 
 
 def test_inversion_all_groups():
@@ -229,18 +320,3 @@ def test_inversion_all_groups():
     psi = StateVector.from_terms(basis, {(0, 0, 1, 1, 1, 0): 1.0})
     out = apply(V.operator, psi)
     assert out.support() == [((1, 1, 0, 0, 0, 1), 1.0 + 0.0j)]
-
-
-@pytest.mark.parametrize("dim,refused", [(3, False), (4, True)])
-def test_projector_distance_refuses_projectors_over_the_size_limit(monkeypatch, dim, refused):
-    # With the limit at 18 entries, two 3x3 projectors (18) are made dense
-    # and two 4x4 ones (32) are refused.
-    monkeypatch.setattr(symmetry_mod, "_MAX_TRUNCATED_DIM", 18)
-    basis = enumerate_irreducible_subspace(dim - 1)
-    vecs = joint_unity_eigenspace([inversion_operator(dim - 1, 1, basis)])
-    if refused:
-        with pytest.raises(TruncationOverflow, match="^projector distance on 4 kets would "
-                           "make two dense 4x4 projectors, 32 entries, over the limit of 18$"):
-            projector_distance(vecs, vecs)
-    else:
-        assert projector_distance(vecs, vecs) == 0
