@@ -247,7 +247,7 @@ def synthesis_check(spec: CodeSpec) -> Dict:
     if code in _SYNTHESIS_SETS:
         _, ops = _SYNTHESIS_SETS[code](N)
         dim, L = len(joint_unity_eigenspace(ops)), len(spec.weights)
-        words = [{spec.basis.index_of(k): w for k, w in word.items()} for word in spec.weights]
+        words = [{ops[0].basis.index_of(k): w for k, w in word.items()} for word in spec.weights]
         fails = [] if _orthonormal(words, spec.denominator) else ["codewords are not orthonormal"]
         fails += ["%s does not fix codeword %d" % (op.name, k) for op in ops
                   for k, word in enumerate(words)
@@ -507,9 +507,8 @@ def criterion_bc_kl_and_moments(config: RunConfig = RunConfig()) -> Dict:
                                    rep.max_distortion_residual))
     for N in range(2, 7):
         spec = build_bc(N)
-        zero = spec.logical_states[0].amplitudes
-        support = np.flatnonzero(zero)
-        occupations, word = spec.basis.occupations[support], zero[support]
+        zero = spec.amplitudes[0]
+        occupations, word = np.array(list(zero)), np.array(list(zero.values()))
         for kind in ("loss", "gain", "dephasing"):
             for m in range(1, N + 1):
                 top = m - 1 if kind == "dephasing" else m
@@ -626,7 +625,7 @@ def criterion_recovery(config: RunConfig = RunConfig()) -> Dict:
         failures.append("canonical BC N=2: %s" % exc)
     else:
         for err in errs:
-            coeffs = random_logical_coefficients(rng, len(spec.logical_states), trials)
+            coeffs = random_logical_coefficients(rng, len(spec.weights), trials)
             worst = min(1.0, float(recovery_fidelity(spec, recov, err, coeffs).min()))
             if worst < 1 - 1e-10:
                 failures.append("canonical BC N=2 error %s fidelity deficit %.2e"

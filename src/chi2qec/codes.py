@@ -8,11 +8,14 @@ preferred logical basis, and the BC symmetry's factors are read from these
 weights.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+import functools
 import json
 import math
 from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from .fock import (
     BasisIndex,
@@ -33,13 +36,15 @@ Weights = Dict[Tuple[int, ...], int]
 
 @dataclass
 class CodeSpec:
-    """A named code instance: layout, parameters and logical basis states.
+    """A named code instance: layout, parameters and exact codewords.
 
     parameters: N (family size parameter), n (physical qudits), q (physical
     qudit dimension), b (logical dimension), k (logical qudits).  Each
     codeword is stated once, exactly, in `weights` over the unreduced
-    `denominator`; `logical_states` holds their float amplitudes, and the
-    photon numbers are derived from the weights.
+    `denominator`, every weight a positive int, so the weights' keys are
+    exactly the codeword's support.  Every float view (`amplitudes`,
+    `block`, `logical_states`) and the photon numbers are derived from the
+    weights; `space` lists the code's basis, which is read only on demand.
     """
 
     name: str
@@ -47,11 +52,44 @@ class CodeSpec:
     layout: ModeLayout
     weights: List[Weights]
     denominator: int
-    logical_states: List[StateVector]
+    space: Callable[[], BasisIndex] = field(repr=False, compare=False)
+    amplitudes: List[Dict[Tuple[int, ...], float]] = field(init=False, repr=False)
 
-    @property
+    def __post_init__(self):
+        """Amplitude sqrt(w) over the integer root of a perfect-square
+        denominator, else over sqrt(denominator): the closed forms' float bits
+        (reducing a weight would not keep them).  Kets are sorted, the order
+        of every basis the builders list."""
+        for ket, w in ((k, w) for word in self.weights for k, w in word.items()):
+            if type(w) is not int or w <= 0:
+                raise ValueError("%s N=%d: the weight of ket %s is %r, not a positive int"
+                                 % (self.name, self.parameters["N"], state_label(ket), w))
+        root = math.isqrt(self.denominator)
+        if root * root != self.denominator:
+            root = math.sqrt(self.denominator)
+        try:
+            self.amplitudes = [{ket: math.sqrt(word[ket]) / root for ket in sorted(word)}
+                               for word in self.weights]
+        except OverflowError:
+            raise ValueError("%s N=%d: codeword weights are too large for float "
+                             "amplitudes" % (self.name, self.parameters["N"])) from None
+
+    @functools.cached_property
     def basis(self) -> BasisIndex:
-        return self.logical_states[0].basis
+        return self.space()
+
+    @functools.cached_property
+    def logical_states(self) -> List[StateVector]:
+        """Dense codewords on `basis`: a view for tests and tools only."""
+        return [StateVector.from_terms(self.basis, word) for word in self.amplitudes]
+
+    def block(self, basis: BasisIndex) -> np.ndarray:
+        """The (basis.dimension, L) array whose column k is codeword k, on
+        any basis that holds the support (MissingBasisState otherwise)."""
+        out = np.zeros((basis.dimension, len(self.amplitudes)), dtype=complex)
+        for k, word in enumerate(self.amplitudes):
+            out[[basis.index_of(ket) for ket in word], k] = list(word.values())
+        return out
 
     @property
     def total_photons(self) -> Fraction:
@@ -69,43 +107,12 @@ class CodeSpec:
                 "caps": list(self.layout.caps),
             },
             "total_photons": [total.numerator, total.denominator],
-            "codewords": [
-                [
-                    [state_label(s), amp.real, amp.imag]
-                    for s, amp in psi.support(0)
-                ]
-                for psi in self.logical_states
-            ],
+            "codewords": [[[state_label(ket), amp, 0.0] for ket, amp in word.items()]
+                          for word in self.amplitudes],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-def _code(name: str, parameters: Dict[str, int], layout: ModeLayout,
-          space: Callable[[], BasisIndex], weights: List[Weights],
-          denominator: int) -> CodeSpec:
-    """CodeSpec whose codewords are `weights` / `denominator` on the basis
-    `space()` lists.
-
-    Each amplitude is sqrt(w) divided by the integer root of a
-    perfect-square denominator, else by sqrt(denominator), which keeps the
-    float bits of the closed forms (reducing a weight would not).  The
-    amplitudes are converted before `space` is called, so a weight too
-    large for a float is refused before any basis is listed.
-    """
-    root = math.isqrt(denominator)
-    if root * root != denominator:
-        root = math.sqrt(denominator)
-    try:
-        amplitudes = [{ket: math.sqrt(w) / root for ket, w in word.items()}
-                      for word in weights]
-    except OverflowError:
-        raise ValueError("%s N=%d: codeword weights are too large for float "
-                         "amplitudes" % (name, parameters["N"])) from None
-    basis = space()
-    return CodeSpec(name, parameters, layout, weights, denominator,
-                    [StateVector.from_terms(basis, a) for a in amplitudes])
 
 
 def build_pcc(N: int) -> CodeSpec:
@@ -138,10 +145,10 @@ def build_pcc(N: int) -> CodeSpec:
             a = (m + k, m + k, m - k)
             b = (m - k, m - k, m + k)
             words += [{a + a: 1, b + b: 1}, {a + b: 1, b + a: 1}]
-    return _code(
+    return CodeSpec(
         "PCC", {"N": N, "n": 2, "q": N, "b": N, "k": 1},
-        three_mode_layout(N - 1, groups=2),
-        lambda: enumerate_irreducible_subspace(N - 1, groups=2), words, 2)
+        three_mode_layout(N - 1, groups=2), words, 2,
+        lambda: enumerate_irreducible_subspace(N - 1, groups=2))
 
 
 def build_eecc(N: int) -> CodeSpec:
@@ -156,10 +163,10 @@ def build_eecc(N: int) -> CodeSpec:
     M = 2 * N - 2
     words = [{(M - j, M - j, j): 1, (j, j, M - j): 1} for j in range(N - 1)]
     words.append({(N - 1, N - 1, N - 1): 2})
-    return _code(
+    return CodeSpec(
         "EECC", {"N": N, "n": 1, "q": 2 * N - 1, "b": N, "k": 1},
-        three_mode_layout(M, groups=1),
-        lambda: enumerate_irreducible_subspace(M, groups=1), words, 2)
+        three_mode_layout(M, groups=1), words, 2,
+        lambda: enumerate_irreducible_subspace(M, groups=1))
 
 
 def _binomial_weights(N: int, parity: int) -> Dict[int, int]:
@@ -181,10 +188,10 @@ def build_bc(N: int) -> CodeSpec:
     M = 2 * N - 1
     words = [{(p, p, M - p): w for p, w in _binomial_weights(N, parity).items()}
              for parity in (0, 1)]
-    return _code(
+    return CodeSpec(
         "BC", {"N": N, "n": 1, "q": 2 * N, "b": 2, "k": 1},
-        three_mode_layout(M, groups=1),
-        lambda: enumerate_irreducible_subspace(M, groups=1), words, 4 ** (N - 1))
+        three_mode_layout(M, groups=1), words, 4 ** (N - 1),
+        lambda: enumerate_irreducible_subspace(M, groups=1))
 
 
 def build_two_mode_bc(N: int) -> CodeSpec:
@@ -201,9 +208,9 @@ def build_two_mode_bc(N: int) -> CodeSpec:
     even = _binomial_weights(N, 0)
     words = [{(p, M - p): w for p, w in even.items()},
              {(M - p, p): w for p, w in even.items()}]
-    return _code(
+    return CodeSpec(
         "BC2mode", {"N": N, "n": 1, "q": 2 * N, "b": 2, "k": 1}, layout,
-        lambda: enumerate_truncated_space(layout), words, 4 ** (N - 1))
+        words, 4 ** (N - 1), lambda: enumerate_truncated_space(layout))
 
 
 def mean_photons_per_mode(spec: CodeSpec) -> List[List[Fraction]]:

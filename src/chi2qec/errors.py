@@ -24,7 +24,6 @@ from .fock import (
     TruncationOverflow,
     adjoint,
     compose,
-    embed,
     ladder,
     monomial_operator,
 )
@@ -70,9 +69,8 @@ def _closure(kets, shifts) -> BasisIndex:
 
 
 def _support(code: CodeSpec):
-    """Kets with a nonzero amplitude in some codeword, in basis order."""
-    used = np.any([psi.amplitudes != 0 for psi in code.logical_states], axis=0)
-    return [code.basis.states[i] for i in np.flatnonzero(used)]
+    """Kets with a nonzero amplitude in some codeword, sorted (basis order)."""
+    return sorted(set().union(*code.weights))
 
 
 def _unit_shifts(modes: int, sign: int):
@@ -140,7 +138,7 @@ def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
     loss = math.comb(m + nm - 1, nm - 1) if m else 0
     operators = 1 + 2 * loss + (math.comb(m + nm - 2, nm - 1) if m >= 2 else 0)
     rows = len(_support(code)) * (1 + 2 * loss)
-    entries = operators * len(code.logical_states) * rows
+    entries = operators * len(code.weights) * rows
     if entries > _MAX_TRUNCATED_DIM:
         raise TruncationOverflow(
             "xi_%d on %s would stack %d image entries, over the limit of %d"
@@ -241,7 +239,7 @@ def check_ad_set_size(m: int, code: CodeSpec) -> None:
     nm = code.layout.n_modes
     rows = sum(math.prod(n + 1 for n in ket) for ket in _support(code))
     operators = math.comb(m + nm - 1, nm - 1)
-    entries = operators * len(code.logical_states) * rows
+    entries = operators * len(code.weights) * rows
     if entries > _MAX_TRUNCATED_DIM:
         raise TruncationOverflow(
             "order-%d damping on %s would stack %d image entries, over the limit of %d"
@@ -291,7 +289,7 @@ def kl_check(
     for e in errors:
         if e.operator.domain != basis:
             raise ValueError("error operators must share a basis")
-    words = np.column_stack([embed(psi, basis).amplitudes for psi in code.logical_states])
+    words = code.block(basis)
     # Columns [e0 w0, e0 w1, ..., e1 w0, ...]: each error applied to the block.
     images = np.hstack([e.operator.apply(words) for e in errors])
     K = len(errors)
@@ -389,8 +387,7 @@ def canonical_recovery(
             % (report.max_offdiag_residual, report.max_distortion_residual)
         )
     basis = errors[0].operator.domain
-    words = [embed(psi, basis).amplitudes for psi in code.logical_states]
-    W = np.column_stack(words)  # dim x L isometry onto the code space
+    W = code.block(basis)  # dim x L isometry onto the code space
     alpha = (report.alpha + report.alpha.conjugate().transpose()) / 2
     evals, U = np.linalg.eigh(alpha)
     kraus = []
@@ -417,9 +414,7 @@ def recovery_fidelity(
     block of logical amplitudes; returns the T fidelities.  The recovery
     Kraus matrices act on the error's basis."""
     basis = error.operator.domain
-    words = np.column_stack(
-        [embed(psi, basis).amplitudes for psi in code.logical_states]
-    )
+    words = code.block(basis)
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 2 or coeffs.shape[0] != words.shape[1]:
         raise DimensionMismatch(

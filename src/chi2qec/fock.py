@@ -78,7 +78,7 @@ class ModeLayout:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    @property
+    @functools.cached_property  # not a field: equality and hashing are unchanged
     def n_groups(self) -> int:
         return max(g for _, g in self.modes)
 

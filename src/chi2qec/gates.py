@@ -389,7 +389,7 @@ def verify_gates() -> List[dict]:
     from .codes import build_pcc
 
     pcc = build_pcc(3)
-    words = [psi.amplitudes for psi in pcc.logical_states]
+    words = pcc.block(pcc.basis).T
     L = np.column_stack([np.kron(wa, wb) for wa in words for wb in words])
     logical = L.conjugate().transpose() @ cz @ L
     omega = np.exp(2j * np.pi / 3)

@@ -162,7 +162,7 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
     # Every codeword's support kets moved by every case's shift, as one
     # (cases, kets, modes) array read by one integer matmul; a row is sound
     # when some kets stay alive and agree on each component (min == max).
-    supports = [w.basis.occupations[np.abs(w.amplitudes) > 0] for w in code.logical_states]
+    supports = [np.array(sorted(w), dtype=np.int64).reshape(len(w), -1) for w in code.weights]
     moved = np.concatenate(supports) + np.array([_shift(e, kind) for kind, e, _ in cases])[:, None]
     coeffs = np.array([[sum(c for m, c in terms if m == mode) for terms, _ in scheme.components]
                        for mode in range(moved.shape[2])])
@@ -294,9 +294,8 @@ def random_logical_coefficients(rng: np.random.Generator, L: int, count: int) ->
 
 def random_logical_states(code: CodeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """(code.basis.dimension, count) block of seeded random logical states."""
-    coeffs = random_logical_coefficients(rng, len(code.logical_states), count)
-    words = np.column_stack([w.amplitudes for w in code.logical_states])
-    return words @ coeffs
+    coeffs = random_logical_coefficients(rng, len(code.weights), count)
+    return code.block(code.basis) @ coeffs
 
 
 def to_csv(records: Sequence[SyndromeRecord]) -> str:

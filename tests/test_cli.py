@@ -15,7 +15,7 @@ from chi2qec import cli
 from chi2qec import errors as errors_mod
 from chi2qec import fock
 from chi2qec import symmetry as symmetry_mod
-from chi2qec.codes import build_bc, build_pcc
+from chi2qec.codes import build_bc, build_eecc, build_pcc
 from chi2qec.cli import (
     RunConfig,
     criterion_two_mode_bc,
@@ -284,6 +284,31 @@ def test_pcc_n100_synthesis_reads_orbits_in_little_memory():
     assert row == {"name": "synthesis_pcc_N100", "passed": False,
                    "detail": "orthonormal codewords fixed by every operator; dim 2550 != L 100"}
     assert peak < 64e6
+
+
+def test_eecc_n2000_synth_holds_no_dense_codeword():
+    # A dense codeword per logical state would hold 2000 x 3999 complex
+    # amplitudes (128 MB).
+    spec = build_eecc(2000)
+    tracemalloc.start()
+    try:
+        spec.to_json()
+        row = cli.synthesis_check(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["passed"]
+    assert peak < 16e6
+
+
+def test_synthesis_indexes_codewords_in_the_operators_basis(monkeypatch):
+    spec = build_pcc(3)
+    monkeypatch.setattr(type(spec), "basis", property(lambda self: pytest.fail("basis listed")))
+    assert cli.synthesis_check(spec)["passed"]
+    # |1,0,1> is outside H_2, so the support is not in the operators' basis.
+    stray = dataclasses.replace(spec, weights=[{(1, 0, 1, 1, 1, 1): 2}] + spec.weights[1:])
+    with pytest.raises(fock.MissingBasisState, match=r"\(1, 0, 1, 1, 1, 1\)"):
+        cli.synthesis_check(stray)
 
 
 _BC_EXACT = ("S w = w exactly: orthonormal codewords; V|+/-> = +/-|+/->; "

@@ -1,5 +1,6 @@
 """Code constructors, metadata and serialization."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -16,9 +17,11 @@ from chi2qec.codes import (
     mean_photons_per_mode,
     mean_total_photons,
 )
-from chi2qec import codes
+from chi2qec import cli, codes, fock
 from chi2qec.bounds import code_rate
-from chi2qec.fock import StateVector, inner_product
+from chi2qec.errors import _xi_basis, kl_check, xi_set
+from chi2qec.fock import StateVector, embed, inner_product
+from chi2qec.syndromes import IndefiniteParity, syndrome_table
 
 
 def _gram(spec):
@@ -291,3 +294,67 @@ def test_builders_reject_small_N(builder):
         build_bc(0)
     with pytest.raises(ValueError):
         build_two_mode_bc(0)
+
+
+@pytest.mark.parametrize("builder,Ns,closed_form", FAMILIES)
+def test_block_places_the_closed_forms_bit_for_bit_on_the_xi2_basis(builder, Ns, closed_form):
+    for N in range(Ns.start, 9):
+        spec = builder(N)
+        basis = _xi_basis(2, spec)
+        want = np.column_stack([embed(StateVector.from_terms(spec.basis, terms), basis).amplitudes
+                                for terms in closed_form(N)])
+        block = spec.block(basis)
+        assert np.array_equal(block, want) and block.tobytes() == want.tobytes()
+
+
+def test_block_refuses_a_basis_missing_a_support_ket():
+    spec = build_eecc(2)
+    with pytest.raises(fock.MissingBasisState):
+        spec.block(fock.BasisIndex([(0, 0, 2), (2, 2, 0)]))
+
+
+@pytest.mark.parametrize("weight", [0, -1, 1.5, Fraction(1), True])
+def test_a_weight_that_is_not_a_positive_int_is_refused(weight):
+    spec = build_bc(2)
+    with pytest.raises(ValueError, match="BC N=2: the weight of ket 0,0,3 is .*not a positive int"):
+        dataclasses.replace(spec, weights=[{(0, 0, 3): weight, (2, 2, 1): 3}, spec.weights[1]])
+
+
+def test_build_lists_no_basis_and_builds_no_state(monkeypatch):
+    built = []
+    basis_init, state_post_init = fock.BasisIndex.__init__, fock.StateVector.__post_init__
+    monkeypatch.setattr(fock.BasisIndex, "__init__",
+                        lambda self, states: built.append("basis") or basis_init(self, states))
+    monkeypatch.setattr(fock.StateVector, "__post_init__",
+                        lambda self: built.append("state") or state_post_init(self))
+    for name in ("pcc", "eecc", "bc", "bc2mode"):
+        for N in range(2, 9):
+            spec = build(name, N)
+            spec.to_json()
+    assert built == []
+    assert spec.logical_states is spec.logical_states  # listed on first read, then cached
+    assert built == ["basis", "state", "state"]
+
+
+def test_a_weights_mutant_reaches_every_reader():
+    spec = build_pcc(3)
+    w0, _, w2 = spec.weights
+    mutant = dataclasses.replace(spec, weights=[w0, {(2, 2, 0, 2, 2, 0): 2}, w2])
+    assert json.loads(mutant.to_json())["codewords"][1] == [["2,2,0,2,2,0", 1.0, 0.0]]
+    assert mean_total_photons(mutant) == [6, 8, 6]
+    assert mutant.total_photons == Fraction(20, 3)
+    assert mutant.logical_states[1].support() == [((2, 2, 0, 2, 2, 0), 1.0)]
+    assert kl_check(spec, xi_set(1, spec)).verdict
+    report = kl_check(mutant, xi_set(1, mutant))
+    assert not report.verdict
+    assert report.max_distortion_residual == pytest.approx(2 / 3)
+    assert cli.synthesis_check(mutant) == {
+        "name": "synthesis_pcc_N3", "passed": False,
+        "detail": "V^(2) all groups does not fix codeword 1; dim 3 = L 3"}
+    # Every H_2 x H_2 ket has the same p12 parities, so only a ket outside
+    # it changes the syndrome table: |1,0,1> has odd n_s + n_i.
+    assert len(syndrome_table(mutant)) == 12
+    stray = dataclasses.replace(mutant, weights=[w0, {(2, 2, 0, 2, 2, 0): 1,
+                                                      (1, 0, 1, 2, 2, 0): 1}, w2])
+    with pytest.raises(IndefiniteParity, match="mixed values"):
+        syndrome_table(stray)

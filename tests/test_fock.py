@@ -208,6 +208,15 @@ def test_two_mode_layout():
     assert basis.dimension == 16
 
 
+def test_n_groups_is_computed_once_and_leaves_equality_and_hash_alone():
+    layout = three_mode_layout(2, groups=2)
+    key = hash(layout)
+    assert layout.n_groups == 2 and vars(layout)["n_groups"] == 2
+    assert hash(layout) == key
+    assert layout == three_mode_layout(2, groups=2) != three_mode_layout(2, groups=1)
+    assert {layout: 1}[three_mode_layout(2, groups=2)] == 1
+
+
 def _reference_ladder(mode, kind, basis):
     """Per-state ladder over any BasisIndex: |n-1><n| sqrt(n) or
     |n+1><n| sqrt(n+1), dropping targets outside the basis."""

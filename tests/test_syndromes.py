@@ -219,11 +219,10 @@ def test_array_syndrome_tables_match_the_per_ket_reference(builder, Ns):
 
 
 def _eecc_with_words(*terms):
-    """EECC N=2 with hand-made codewords on the cap-2 product space, where
-    the p3 components need not be definite."""
-    basis = enumerate_truncated_space(three_mode_layout(2))
-    words = [StateVector.from_terms(basis, {ket: 1.0 for ket in kets}) for kets in terms]
-    return dataclasses.replace(build_eecc(2), logical_states=words)
+    """EECC N=2 with hand-made codewords on kets outside H_2, where the p3
+    components need not be definite."""
+    words = [{ket: 1 for ket in kets} for kets in terms]
+    return dataclasses.replace(build_eecc(2), weights=words, denominator=1)
 
 
 def test_syndrome_row_with_a_mixed_component_on_a_codeword_raises():
@@ -246,18 +245,19 @@ def test_syndrome_row_whose_codewords_disagree_raises():
 
 def test_syndrome_row_with_every_codeword_annihilated_raises():
     # a_s annihilates |0,0,2>, so its row has no image kets to read.
-    eecc = build_eecc(2)
-    word = StateVector.from_terms(eecc.basis, {(0, 0, 2): 1.0})
+    eecc = dataclasses.replace(build_eecc(2), weights=[{(0, 0, 2): 1}], denominator=1)
     with pytest.raises(IndefiniteParity, match="a_s annihilates every codeword"):
-        syndrome_table(dataclasses.replace(eecc, logical_states=[word]))
+        syndrome_table(eecc)
 
 
 def test_syndrome_table_reads_every_nonzero_amplitude():
     # a_s annihilates |0,0,2> but not the tiny |2,2,0> term, whose image
     # carries every row's parity.
-    eecc = build_eecc(2)
-    word = StateVector.from_terms(eecc.basis, {(0, 0, 2): 1.0, (2, 2, 0): 1e-13})
-    rows = syndrome_table(dataclasses.replace(eecc, logical_states=[word]))
+    big = 10 ** 26
+    eecc = dataclasses.replace(build_eecc(2), weights=[{(0, 0, 2): big, (2, 2, 0): 1}],
+                               denominator=big + 1)
+    assert 0 < eecc.amplitudes[0][(2, 2, 0)] < 1.1e-13
+    rows = syndrome_table(eecc)
     assert len(rows) == 6
 
 
