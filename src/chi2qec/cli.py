@@ -1,7 +1,10 @@
 """Command-line front end producing reproducible verification reports.
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage error
-(an error set too large to build is one).  Reports are deterministic for a
+(an error set too large to build is one), 141 when the reader closes
+standard output before the output is written (`chi2qec ... | head -1`):
+the rest is dropped, with no traceback, and the status is the one a
+SIGPIPE kill gives in the shell.  Reports are deterministic for a
 fixed seed and config.  Every JSON document is checked against the bundled
 report.schema.json (see `schema`) before it is printed; an invalid document
 raises SchemaViolation and nothing is printed.  A valid one is printed with
@@ -15,6 +18,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 import json
 import math
+import os
+import random
 import re
 import sys
 from typing import Dict, List, Optional
@@ -342,12 +347,19 @@ def cmd_syndromes(args, config: RunConfig):
     return distinct, results
 
 
+def _seeded_stream(seed: int) -> random.Random:
+    """The run's one bit stream for its random logical states.  A negative
+    seed is a usage error: random.Random would take -3 as the seed 3."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return random.Random(seed)
+
+
 def cmd_recover(args, config: RunConfig):
     if args.trials < 1:
         raise ValueError("--trials must be >= 1, got %d" % args.trials)
     spec = build(args.code, args.N)
-    rng = np.random.default_rng(config.seed)
-    states = random_logical_states(spec, rng, args.trials)
+    states = random_logical_states(spec, _seeded_stream(config.seed), args.trials)
     _, fids = full_recovery(spec, args.error, states)
     worst = min(1.0, float(fids.min()))
     passed = worst >= 1 - 1e-10
@@ -607,7 +619,7 @@ def criterion_syndrome_tables(config: RunConfig = RunConfig()) -> Dict:
 def criterion_recovery(config: RunConfig = RunConfig()) -> Dict:
     trials = 100
     failures = []
-    rng = np.random.default_rng(config.seed)
+    rng = _seeded_stream(config.seed)
     for spec, labels in ((build_pcc(3), ("a_s1", "a_p1")),
                          (build_eecc(2), ("a_s", "a_p"))):
         for label in labels:
@@ -766,6 +778,17 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, and the flush at exit, go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
+
+
+def _run(argv) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
@@ -774,6 +797,8 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         passed, results = args.func(args, config)
+    except BrokenPipeError:  # cmd_syndromes prints its CSV table itself
+        raise
     except (ValueError, KeyError, OSError, TruncationOverflow) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

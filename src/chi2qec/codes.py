@@ -13,7 +13,8 @@ from fractions import Fraction
 import functools
 import json
 import math
-from typing import Callable, Dict, List, Tuple
+import types
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .fock import (
 Weights = Dict[Tuple[int, ...], int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeSpec:
     """A named code instance: layout, parameters and exact codewords.
 
@@ -42,18 +43,21 @@ class CodeSpec:
     qudit dimension), b (logical dimension), k (logical qudits).  Each
     codeword is stated once, exactly, in `weights` over the unreduced
     `denominator`, every weight a positive int, so the weights' keys are
-    exactly the codeword's support.  Every float view (`amplitudes`,
-    `block`, `logical_states`) and the photon numbers are derived from the
-    weights; `space` lists the code's basis, which is read only on demand.
+    exactly the codeword's support.  The instance is frozen and each
+    codeword is a read-only mapping in a tuple, so no edit can leave a
+    derived view stale: a changed code is a new one (`dataclasses.replace`).
+    Every float view (`amplitudes`, `block`, `logical_states`) and the
+    photon numbers are derived from the weights; `space` lists the code's
+    basis, which is read only on demand.
     """
 
     name: str
     parameters: Dict[str, int]
     layout: ModeLayout
-    weights: List[Weights]
+    weights: Sequence[Mapping[Tuple[int, ...], int]]
     denominator: int
     space: Callable[[], BasisIndex] = field(repr=False, compare=False)
-    amplitudes: List[Dict[Tuple[int, ...], float]] = field(init=False, repr=False)
+    amplitudes: Sequence[Mapping[Tuple[int, ...], float]] = field(init=False, repr=False)
 
     def __post_init__(self):
         """Amplitude sqrt(w) over the integer root of a perfect-square
@@ -64,15 +68,18 @@ class CodeSpec:
             if type(w) is not int or w <= 0:
                 raise ValueError("%s N=%d: the weight of ket %s is %r, not a positive int"
                                  % (self.name, self.parameters["N"], state_label(ket), w))
+        weights = tuple(types.MappingProxyType(dict(word)) for word in self.weights)
+        object.__setattr__(self, "weights", weights)
         root = math.isqrt(self.denominator)
         if root * root != self.denominator:
             root = math.sqrt(self.denominator)
         try:
-            self.amplitudes = [{ket: math.sqrt(word[ket]) / root for ket in sorted(word)}
-                               for word in self.weights]
+            amplitudes = tuple(types.MappingProxyType(
+                {ket: math.sqrt(word[ket]) / root for ket in sorted(word)}) for word in weights)
         except OverflowError:
             raise ValueError("%s N=%d: codeword weights are too large for float "
                              "amplitudes" % (self.name, self.parameters["N"])) from None
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @functools.cached_property
     def basis(self) -> BasisIndex:

@@ -17,7 +17,9 @@ Conventions (part of the public contract):
     (inversions, swaps, restorations): a ket with no image leaves its
     column empty, and an image outside the basis is an error;
   * operators are weighted ket maps (one target ket and one coefficient
-    per column), states are dense complex vectors;
+    per column) acting on complex amplitude arrays over their domain, one
+    column per state; codewords are held as exact integer weights (`codes`)
+    and `StateVector` wraps one amplitude vector for tests and tools;
   * the text form of a basis state is "n1,n2,...,nk".
 """
 

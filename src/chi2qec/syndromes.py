@@ -17,6 +17,7 @@ exactly the loss-versus-gain discriminator the table needs.
 
 from dataclasses import dataclass
 import io
+import random
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -281,18 +282,27 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     return out, fidelities
 
 
-def random_logical_coefficients(rng: np.random.Generator, L: int, count: int) -> np.ndarray:
-    """L x count block of normalized complex logical amplitudes.
+def complex_normals(rng: random.Random, L: int, count: int) -> np.ndarray:
+    """L x count block of standard complex normals (mean |z|^2 = 1).
 
-    Column t is x + iy over its norm, with x and y the t-th pair of
-    L-vectors that rng.normal draws in turn.
+    One randbytes call gives two 53-bit uniforms u, v in (0, 1] per value,
+    and z = sqrt(-ln u) e^{2 pi i v}.  Column t reads bytes [16Lt, 16L(t+1))
+    of the stream, its L u's then its L v's, so a block is the columns that
+    one-column calls would draw in turn.
     """
-    draws = rng.normal(size=(count, 2, L))
-    coeffs = (draws[:, 0] + 1j * draws[:, 1]).T
+    bits = np.frombuffer(rng.randbytes(16 * L * count), "<u8") >> np.uint64(11)
+    u, v = ((bits.reshape(count, 2, L) + 1.0) * 2.0 ** -53).transpose(1, 2, 0)
+    return np.sqrt(-np.log(u)) * np.exp(2j * np.pi * v)
+
+
+def random_logical_coefficients(rng: random.Random, L: int, count: int) -> np.ndarray:
+    """L x count block of normalized complex logical amplitudes: the
+    columns of `complex_normals` over their norms."""
+    coeffs = complex_normals(rng, L, count)
     return coeffs / np.linalg.norm(coeffs, axis=0)
 
 
-def random_logical_states(code: CodeSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+def random_logical_states(code: CodeSpec, rng: random.Random, count: int) -> np.ndarray:
     """(code.basis.dimension, count) block of seeded random logical states."""
     coeffs = random_logical_coefficients(rng, len(code.weights), count)
     return code.block(code.basis) @ coeffs

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -104,13 +105,13 @@ def test_removed_config_keys_are_usage_errors(capsys, tmp_path, line):
 
 def test_report_all_seeds_recovery_draws_with_run_seed(capsys, monkeypatch):
     seeds = []
-    real = np.random.default_rng
+    real = random.Random
 
     def spy(seed=None):
         seeds.append(seed)
         return real(seed)
 
-    monkeypatch.setattr(cli.np.random, "default_rng", spy)
+    monkeypatch.setattr(cli.random, "Random", spy)
     main(["--seed", "7", "report", "all"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["seed"] == 7
@@ -306,7 +307,7 @@ def test_synthesis_indexes_codewords_in_the_operators_basis(monkeypatch):
     monkeypatch.setattr(type(spec), "basis", property(lambda self: pytest.fail("basis listed")))
     assert cli.synthesis_check(spec)["passed"]
     # |1,0,1> is outside H_2, so the support is not in the operators' basis.
-    stray = dataclasses.replace(spec, weights=[{(1, 0, 1, 1, 1, 1): 2}] + spec.weights[1:])
+    stray = dataclasses.replace(spec, weights=[{(1, 0, 1, 1, 1, 1): 2}, *spec.weights[1:]])
     with pytest.raises(fock.MissingBasisState, match=r"\(1, 0, 1, 1, 1, 1\)"):
         cli.synthesis_check(stray)
 
@@ -387,6 +388,16 @@ def test_main_recover_rejects_trials_below_one(capsys, trials):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--trials must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["recover", "eecc", "--N", "2", "--error", "a_s"],
+                                  ["report", "all"]])
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    # random.Random would take -3 as the seed 3.
+    assert main(["--seed", "-3"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected non-negative integer\n"
 
 
 def test_main_gates_exit_one(capsys):
@@ -701,12 +712,33 @@ def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch):
     assert tolerances == [1e-6, 1e-6, 1e-9]
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this chi2qec."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_parser_is_not_built_at_import():
     code = ("import chi2qec.cli as cli; print(cli._parser.cache_info().currsize); "
             "cli.main(['bounds', 'loss']); print(cli._parser.cache_info().currsize)")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=_child_env(), check=True).stdout
     assert out.split()[0] == "0" and out.split()[-1] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "pcc", "--N", "4"],
+    ["syndromes", "bc", "--N", "12"],
+    ["--format", "csv", "syndromes", "bc", "--N", "12"],  # cmd_syndromes prints it
+])
+def test_a_closed_stdout_ends_the_run_quietly_with_the_sigpipe_status(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "chi2qec.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=_child_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -320,6 +320,36 @@ def test_a_weight_that_is_not_a_positive_int_is_refused(weight):
         dataclasses.replace(spec, weights=[{(0, 0, 3): weight, (2, 2, 1): 3}, spec.weights[1]])
 
 
+def test_a_codeword_cannot_be_edited_in_place():
+    spec = build_pcc(3)
+    word = spec.weights[1]
+    with pytest.raises(TypeError):
+        word[(2, 2, 0, 2, 2, 0)] = 2
+    with pytest.raises(TypeError):
+        del word[next(iter(word))]
+    with pytest.raises(TypeError):
+        spec.weights[1] = {(2, 2, 0, 2, 2, 0): 2}
+    assert not hasattr(word, "pop") and not hasattr(spec.weights, "append")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.weights = [spec.weights[0], {(2, 2, 0, 2, 2, 0): 2}, spec.weights[2]]
+    with pytest.raises(TypeError):
+        spec.amplitudes[1][(2, 2, 0, 2, 2, 0)] = 1.0
+    assert spec == build_pcc(3)
+
+
+def test_replaced_weights_are_copied_and_frozen():
+    spec = build_eecc(2)
+    zero = {(2, 2, 0): 1, (0, 0, 2): 1}
+    twin = dataclasses.replace(spec, weights=[zero, spec.weights[1]])
+    assert twin == spec and type(twin.weights) is tuple
+    zero[(2, 2, 0)] = 3  # the caller's dict is not the codeword
+    assert twin.weights[0] == {(0, 0, 2): 1, (2, 2, 0): 1}
+    with pytest.raises(TypeError):
+        twin.weights[0][(2, 2, 0)] = 3
+    assert twin.to_json() == spec.to_json()
+    assert mean_total_photons(twin) == mean_total_photons(spec)
+
+
 def test_build_lists_no_basis_and_builds_no_state(monkeypatch):
     built = []
     basis_init, state_post_init = fock.BasisIndex.__init__, fock.StateVector.__post_init__

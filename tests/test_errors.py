@@ -1,6 +1,7 @@
 """Error families, Knill-Laflamme checks and canonical recovery."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_batched_recovery_fidelity_matches_per_state_loop():
     spec = build_bc(2)
     errs = xi_set(2, spec)
     recov = canonical_recovery(spec, errs, tol=1e-9)
-    coeffs = random_logical_coefficients(np.random.default_rng(23), 2, 30)
+    coeffs = random_logical_coefficients(random.Random(23), 2, 30)
     skew = _codeword_weighted_error(spec, errs[0].operator.domain, 0.5, 1.0)
     for err in errs + [skew]:
         fids = recovery_fidelity(spec, recov, err, coeffs)

@@ -209,3 +209,19 @@ def test_report_all_and_kl_check_load_no_numpy_ma():
             "basis = fock.enumerate_truncated_space(fock.three_mode_layout(2))\n"
             "fock.adjoint(fock.ladder(0, 'lower', basis))")
     assert "numpy.ma" not in _numpy_modules_after(code)
+
+
+def test_the_seeded_draws_load_no_numpy_random():
+    # numpy.random and the secrets, hmac and _hashlib modules it imports add
+    # about 5 MB to the resident memory of an import of every module; the
+    # seeded draws read random.Random instead.
+    names = ["chi2qec"] + ["chi2qec." + p.stem for p in MODULES]
+    code = ("import contextlib, importlib, io, sys\n"
+            "for name in %r: importlib.import_module(name)\n"
+            "from chi2qec import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['report', 'all']) == 1\n"  # the red gate identities
+            "    assert cli.main(['recover', 'eecc', '--N', '2', '--error', 'a_s']) == 0"
+            % names)
+    assert len(names) == 10
+    assert "numpy.random" not in _numpy_modules_after(code)

@@ -250,7 +250,7 @@ def _moved_unit(spec):
     word[first] -= 1
     word[target] = word.get(target, 0) + 1
     word = {ket: w for ket, w in word.items() if w}
-    return dataclasses.replace(spec, weights=[word] + spec.weights[1:])
+    return dataclasses.replace(spec, weights=[word, *spec.weights[1:]])
 
 
 @pytest.mark.parametrize("code,N,operator", [("pcc", 2, "V^(1) all groups"),
@@ -285,7 +285,7 @@ def test_codewords_that_are_not_orthonormal_turn_the_synthesis_row_red():
     # Two equal codewords are each fixed, and there are L fixed orbits, but
     # they span one dimension too few, so the projectors differ.
     spec = build("eecc", 3)
-    twin = dataclasses.replace(spec, weights=[spec.weights[0]] + spec.weights[:2])
+    twin = dataclasses.replace(spec, weights=[spec.weights[0], *spec.weights[:2]])
     assert cli.synthesis_check(twin) == {"name": "synthesis_eecc_N3", "passed": False,
                                          "detail": "codewords are not orthonormal; dim 3 = L 3"}
     _, ops = _operator_set("eecc", 3)

@@ -1,6 +1,10 @@
-"""Parity measurement, syndrome tables and full recovery."""
+"""Parity measurement, syndrome tables, the seeded sampler and full recovery."""
 
+import cmath
 import dataclasses
+import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -35,11 +39,13 @@ from chi2qec.syndromes import (
     SyndromeRecord,
     _parity,
     _recovery_pipeline,
+    complex_normals,
     full_recovery,
     measure_parity,
     p12_scheme,
     p3_scheme,
     p_bc_scheme,
+    random_logical_coefficients,
     random_logical_states,
     restoration_isometry,
     syndrome_table,
@@ -281,7 +287,7 @@ def test_restoration_isometry_maps_and_partial_isometry():
 )
 def test_full_recovery_unit_fidelity(builder, N, labels):
     spec = builder(N)
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for label in labels:
         for _ in range(10):
             psi = random_logical_states(spec, rng, 1)
@@ -305,19 +311,64 @@ def test_full_recovery_identity_case_and_errors():
 
 def test_random_logical_state_is_normalized():
     spec = build_pcc(3)
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     psi = random_logical_states(spec, rng, 1)
     assert psi.shape == (spec.basis.dimension, 1)
     assert np.linalg.norm(psi[:, 0]) == pytest.approx(1.0)
+
+
+def test_same_seed_same_block_and_other_seeds_other_blocks():
+    block = random_logical_coefficients(random.Random(2026), 3, 100)
+    again = random_logical_coefficients(random.Random(2026), 3, 100)
+    assert block.shape == (3, 100)
+    assert block.tobytes() == again.tobytes()
+    for seed in (0, 1, 2027, 2**70):
+        other = random_logical_coefficients(random.Random(seed), 3, 100)
+        assert not np.any(np.isclose(other, block))
+
+
+def test_a_block_is_the_columns_of_one_column_draws_in_turn():
+    batch_rng, loop_rng = random.Random(9), random.Random(9)
+    block = complex_normals(batch_rng, 4, 25)
+    loop = np.column_stack([complex_normals(loop_rng, 4, 1) for _ in range(25)])
+    assert block.tobytes() == loop.tobytes()
+    assert batch_rng.getstate() == loop_rng.getstate()
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8])
+def test_every_column_has_unit_norm(L):
+    coeffs = random_logical_coefficients(random.Random(L), L, 500)
+    assert np.max(np.abs(np.linalg.norm(coeffs, axis=0) - 1)) <= 1e-15
+
+
+def test_complex_normals_have_unit_mean_modulus_squared_and_uniform_phases():
+    n = 10**5
+    z = complex_normals(random.Random(2026), 1, n)[0]
+    # |z|^2 is exponential with mean 1 and variance 1.
+    assert abs(np.mean(np.abs(z) ** 2) - 1) <= 5 / math.sqrt(n)
+    # Each of 16 equal phase sectors holds n/16 draws, within 5 sigma.
+    sector = np.floor(np.angle(z) / (2 * np.pi) * 16).astype(int) % 16
+    counts = np.bincount(sector, minlength=16)
+    p = 1 / 16
+    assert np.max(np.abs(counts - n * p)) <= 5 * math.sqrt(n * p * (1 - p))
+    # cos and sin of a uniform phase have mean 0 and variance 1/2.
+    phase = z / np.abs(z)
+    assert abs(phase.mean().real) <= 5 / math.sqrt(2 * n)
+    assert abs(phase.mean().imag) <= 5 / math.sqrt(2 * n)
 
 
 # Per-state reference: the recovery loop as it ran one trial at a time.
 
 
 def _reference_random_logical_state(code, rng):
-    coeffs = rng.normal(size=len(code.logical_states)) + 1j * rng.normal(
-        size=len(code.logical_states)
-    )
+    """One trial from the next 16 L bytes of the stream: L uniforms u, then
+    L uniforms v, each the top 53 bits of a little-endian 64-bit word plus
+    one, over 2^53; amplitude sqrt(-ln u) e^{2 pi i v}, then normalized."""
+    L = len(code.logical_states)
+    words = struct.unpack("<%dQ" % (2 * L), rng.randbytes(16 * L))
+    uniforms = [((w >> 11) + 1) / 2**53 for w in words]
+    coeffs = np.array([math.sqrt(-math.log(u)) * cmath.exp(2j * math.pi * v)
+                       for u, v in zip(uniforms[:L], uniforms[L:])])
     coeffs /= np.linalg.norm(coeffs)
     amps = sum(c * w.amplitudes for c, w in zip(coeffs, code.logical_states))
     return StateVector(code.basis, amps)
@@ -373,8 +424,8 @@ def test_restoration_isometry_matches_dense_reference(case, groups):
 def test_batched_recovery_matches_per_state_loop(builder, N, labels):
     spec = builder(N)
     trials = 25
-    batch_rng = np.random.default_rng(17)
-    loop_rng = np.random.default_rng(17)
+    batch_rng = random.Random(17)
+    loop_rng = random.Random(17)
     # Off-code columns lose different norms to the error, so they check
     # that every column is normalized on its own.
     off_code = np.random.default_rng(4).normal(size=(2, spec.basis.dimension, 5))
@@ -393,13 +444,13 @@ def test_batched_recovery_matches_per_state_loop(builder, N, labels):
             assert np.max(np.abs(out[:, t] - want_out)) <= 1e-12
             assert abs(fids[t] - want_fid) <= 1e-12
     # Both paths consumed the same draws.
-    assert batch_rng.normal() == loop_rng.normal()
+    assert batch_rng.getstate() == loop_rng.getstate()
 
 
 def test_full_recovery_rejects_annihilated_column_and_bad_shape():
     spec = build_eecc(2)
     assert spec.basis.states[0] == (0, 0, 2)  # no signal photon to lose
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     block = np.column_stack(
         [random_logical_states(spec, rng, 1)[:, 0], np.eye(spec.basis.dimension)[:, 0]]
     )
