@@ -44,6 +44,7 @@ from .errors import (
     xi_set,
 )
 from .fock import (
+    _check_size,
     TruncationOverflow,
     enumerate_irreducible_subspace,
     monomial_action,
@@ -61,6 +62,7 @@ from .syndromes import (
     full_recovery,
     random_logical_coefficients,
     random_logical_states,
+    recovery_kets,
     syndrome_table,
     to_csv,
 )
@@ -76,6 +78,8 @@ class RunConfig:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be finite and positive, got %r"
                              % self.tolerance)
+        if self.seed < 0:  # random.Random would take -3 as the seed 3
+            raise ValueError("expected non-negative integer")
         if self.format not in ("json", "csv", "text"):
             raise ValueError("format must be json, csv or text")
 
@@ -347,19 +351,14 @@ def cmd_syndromes(args, config: RunConfig):
     return distinct, results
 
 
-def _seeded_stream(seed: int) -> random.Random:
-    """The run's one bit stream for its random logical states.  A negative
-    seed is a usage error: random.Random would take -3 as the seed 3."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    return random.Random(seed)
-
-
 def cmd_recover(args, config: RunConfig):
     if args.trials < 1:
         raise ValueError("--trials must be >= 1, got %d" % args.trials)
     spec = build(args.code, args.N)
-    states = random_logical_states(spec, _seeded_stream(config.seed), args.trials)
+    kets = recovery_kets(spec, args.error)
+    _check_size(kets * args.trials, "recovery of %d trials on %d kets would stack %d entries"
+                % (args.trials, kets, kets * args.trials))
+    states = random_logical_states(spec, random.Random(config.seed), args.trials)
     _, fids = full_recovery(spec, args.error, states)
     worst = min(1.0, float(fids.min()))
     passed = worst >= 1 - 1e-10
@@ -619,7 +618,7 @@ def criterion_syndrome_tables(config: RunConfig = RunConfig()) -> Dict:
 def criterion_recovery(config: RunConfig = RunConfig()) -> Dict:
     trials = 100
     failures = []
-    rng = _seeded_stream(config.seed)
+    rng = random.Random(config.seed)
     for spec, labels in ((build_pcc(3), ("a_s1", "a_p1")),
                          (build_eecc(2), ("a_s", "a_p"))):
         for label in labels:

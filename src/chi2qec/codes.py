@@ -87,7 +87,7 @@ class CodeSpec:
 
     @functools.cached_property
     def logical_states(self) -> List[StateVector]:
-        """Dense codewords on `basis`: a view for tests and tools only."""
+        """Dense codewords on `basis`; the benchmark tracer reads them."""
         return [StateVector.from_terms(self.basis, word) for word in self.amplitudes]
 
     def block(self, basis: BasisIndex) -> np.ndarray:

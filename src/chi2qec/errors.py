@@ -16,13 +16,11 @@ import numpy as np
 
 from .codes import CodeSpec
 from .fock import (
-    _MAX_TRUNCATED_DIM,
+    _check_size,
     BasisIndex,
     DimensionMismatch,
     LinearOperator,
     ModeLayout,
-    TruncationOverflow,
-    adjoint,
     compose,
     ladder,
     monomial_operator,
@@ -139,11 +137,7 @@ def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
     operators = 1 + 2 * loss + (math.comb(m + nm - 2, nm - 1) if m >= 2 else 0)
     rows = len(_support(code)) * (1 + 2 * loss)
     entries = operators * len(code.weights) * rows
-    if entries > _MAX_TRUNCATED_DIM:
-        raise TruncationOverflow(
-            "xi_%d on %s would stack %d image entries, over the limit of %d"
-            % (m, code.name, entries, _MAX_TRUNCATED_DIM)
-        )
+    _check_size(entries, "xi_%d on %s would stack %d image entries" % (m, code.name, entries))
     return enclosing_basis(
         code, [_shift(e, kind) for e in _compositions(m, nm) for kind in ("loss", "gain")]
     )
@@ -195,18 +189,6 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     return out
 
 
-def loss_kraus_completeness_residual(
-    kraus: Sequence[ErrorOperator], on: BasisIndex
-) -> float:
-    """Max-entry deviation of sum E^dag E from the identity, restricted to
-    the given sub-basis of the Kraus domain."""
-    basis = kraus[0].operator.domain
-    total = sum(compose(adjoint(e.operator), e.operator).dense() for e in kraus)
-    idx = [basis.index_of(s) for s in on.states]
-    dense = total[np.ix_(idx, idx)]
-    return float(np.max(np.abs(dense - np.eye(len(idx)))))
-
-
 def amplitude_damping_kraus(
     gamma: float, m: int, mode: int, basis: BasisIndex
 ) -> ErrorOperator:
@@ -234,17 +216,14 @@ def amplitude_damping_kraus(
 
 def check_ad_set_size(m: int, code: CodeSpec) -> None:
     """Refuse, with TruncationOverflow, an order-m damping set whose KL
-    check would stack more than _MAX_TRUNCATED_DIM image entries: K*L image
-    columns over the support kets and every ket below them."""
+    check would stack image entries over the size limit: K*L image columns
+    over the support kets and every ket below them."""
     nm = code.layout.n_modes
     rows = sum(math.prod(n + 1 for n in ket) for ket in _support(code))
     operators = math.comb(m + nm - 1, nm - 1)
     entries = operators * len(code.weights) * rows
-    if entries > _MAX_TRUNCATED_DIM:
-        raise TruncationOverflow(
-            "order-%d damping on %s would stack %d image entries, over the limit of %d"
-            % (m, code.name, entries, _MAX_TRUNCATED_DIM)
-        )
+    _check_size(entries, "order-%d damping on %s would stack %d image entries"
+                % (m, code.name, entries))
 
 
 def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:

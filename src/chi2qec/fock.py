@@ -2,7 +2,7 @@
 
 Basis enumeration for the three-wave-mixing irreducible subspaces
 H_N = Span{|n,n,N-n> : 0 <= n <= N} and for capped product spaces,
-plus ladder/number monomials, ket maps and a small operator/state algebra.
+plus ladder/number monomials and ket maps, each one weighted ket map.
 
 Conventions (part of the public contract):
   * irreducible bases are ordered by ascending n per qudit group, with
@@ -18,8 +18,8 @@ Conventions (part of the public contract):
     column empty, and an image outside the basis is an error;
   * operators are weighted ket maps (one target ket and one coefficient
     per column) acting on complex amplitude arrays over their domain, one
-    column per state; codewords are held as exact integer weights (`codes`)
-    and `StateVector` wraps one amplitude vector for tests and tools;
+    column per state; codewords are held as exact integer weights (`codes`);
+  * `StateVector`, `apply` and `embed` stay only because the benchmark reads them;
   * the text form of a basis state is "n1,n2,...,nk".
 """
 
@@ -162,7 +162,7 @@ def state_label(state: FockBasisState) -> str:
 
 @dataclass
 class StateVector:
-    """Dense complex amplitudes over an ordered basis."""
+    """Dense amplitudes over a basis; the benchmark tracer reads them."""
 
     basis: BasisIndex
     amplitudes: np.ndarray
@@ -177,23 +177,15 @@ class StateVector:
 
     @classmethod
     def from_terms(cls, basis: BasisIndex, terms) -> "StateVector":
-        """Build from {state tuple: amplitude} (or iterable of pairs)."""
+        """From {ket: amplitude} or pairs; builds `CodeSpec.logical_states`."""
         amps = np.zeros(basis.dimension, dtype=complex)
         items = terms.items() if hasattr(terms, "items") else terms
         for state, amp in items:
             amps[basis.index_of(state)] += amp
         return cls(basis, amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / n)
-
     def support(self, tol: float = 1e-12):
+        """(ket, amplitude) pairs over `tol`; the benchmark tracer reads them."""
         return [
             (self.basis.states[i], self.amplitudes[i])
             for i in np.flatnonzero(np.abs(self.amplitudes) > tol)
@@ -207,8 +199,7 @@ class LinearOperator:
     Column j sends ket j to ket `rows[j]` with coefficient `coeffs[j]`;
     `rows[j] == -1` leaves the column empty.  Every operator the suite
     builds has this form: a photon-number shift, a ket permutation or a
-    diagonal moves each ket to at most one ket, and no two kets to the same
-    one (`adjoint` relies on the latter and checks it).
+    diagonal moves each ket to at most one ket.
     """
 
     domain: BasisIndex
@@ -263,6 +254,7 @@ class LinearOperator:
 
 
 def apply(op: LinearOperator, state: StateVector) -> StateVector:
+    """`op` on one state; kept as the benchmark's per-layer metrics name it."""
     if op.domain != state.basis:
         raise DimensionMismatch("operator domain does not match state basis")
     return StateVector(op.domain, op.apply(state.amplitudes))
@@ -278,47 +270,17 @@ def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     return LinearOperator(a.domain, rows, coeffs)
 
 
-def tensor_basis(a: BasisIndex, b: BasisIndex) -> BasisIndex:
-    return BasisIndex(sa + sb for sa in a for sb in b)
-
-
-def adjoint(op: LinearOperator) -> LinearOperator:
-    cols, rows = op._mapped()
-    if np.any(np.diff(np.sort(rows)) == 0):
-        raise ValueError("adjoint: two kets map to the same ket")
-    dim = op.domain.dimension
-    out_rows = np.full(dim, -1, dtype=np.int64)
-    out_coeffs = np.zeros(dim, dtype=complex)
-    out_rows[rows] = cols
-    out_coeffs[rows] = op.coeffs[cols].conjugate()
-    return LinearOperator(op.domain, out_rows, out_coeffs)
-
-
-def inner_product(x: StateVector, y: StateVector) -> complex:
-    if x.basis != y.basis:
-        raise DimensionMismatch("inner product over different bases")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
-
-
 def embed(state: StateVector, into: BasisIndex) -> StateVector:
     """Re-express a state in a larger basis; amplitudes are preserved exactly.
 
     Raises MissingBasisState if any support state is absent from `into`.
+    Kept as the benchmark's per-layer metrics name it.
     """
     amps = np.zeros(into.dimension, dtype=complex)
     for s, amp in zip(state.basis.states, state.amplitudes):
         if amp != 0:
             amps[into.index_of(s)] = amp
     return StateVector(into, amps)
-
-
-def project(state: StateVector, onto: BasisIndex) -> StateVector:
-    """Restrict a state to a sub-basis, dropping amplitudes outside it."""
-    amps = np.zeros(onto.dimension, dtype=complex)
-    for i, s in enumerate(onto.states):
-        if s in state.basis:
-            amps[i] = state.amplitudes[state.basis.index_of(s)]
-    return StateVector(onto, amps)
 
 
 def enumerate_irreducible_subspace(N: int, groups: int = 1) -> BasisIndex:
@@ -340,10 +302,18 @@ def enumerate_irreducible_subspace(N: int, groups: int = 1) -> BasisIndex:
 _MAX_TRUNCATED_DIM = 2_000_000
 
 
+def _check_size(count: int, prefix: str) -> None:
+    """The one size limit: refuse `count` entries (kets, or array entries a
+    step would stack) over it, with TruncationOverflow("<prefix>, over the
+    limit of <limit>").  Callers count before they build."""
+    if count > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow("%s, over the limit of %d" % (prefix, _MAX_TRUNCATED_DIM))
+
+
 def enumerate_truncated_space(layout: ModeLayout) -> BasisIndex:
     """Full product basis up to per-mode caps, lexicographic order."""
-    if math.prod(c + 1 for c in layout.caps) > _MAX_TRUNCATED_DIM:
-        raise TruncationOverflow("product space would exceed %d states" % _MAX_TRUNCATED_DIM)
+    states = math.prod(c + 1 for c in layout.caps)
+    _check_size(states, "product space of %d states" % states)
     return BasisIndex(itertools.product(*[range(c + 1) for c in layout.caps]))
 
 

@@ -17,7 +17,6 @@ from .fock import (
     BasisIndex,
     enumerate_irreducible_subspace,
     monomial_operator,
-    tensor_basis,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -208,8 +207,7 @@ _MPLUS[_C111, _C111] = 1.0  # |111> restores unitarity)
 
 
 def pair_basis() -> BasisIndex:
-    h2 = enumerate_irreducible_subspace(2)
-    return tensor_basis(h2, h2)
+    return enumerate_irreducible_subspace(2, groups=2)
 
 
 def cnot3_12() -> np.ndarray:

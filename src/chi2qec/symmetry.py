@@ -18,13 +18,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .codes import CodeSpec
-from .fock import (
-    _MAX_TRUNCATED_DIM,
-    BasisIndex,
-    DimensionMismatch,
-    LinearOperator,
-    TruncationOverflow,
-)
+from .fock import _check_size, BasisIndex, DimensionMismatch, LinearOperator
 
 
 class NonCommutingOperators(ValueError):
@@ -55,7 +49,7 @@ class SymmetryOperator:
     @property
     def operator(self) -> LinearOperator:
         """The float form, coefficients read from the reduced phases: exactly
-        1 at phase 0 and -1 at a half turn."""
+        1 at phase 0 and -1 at a half turn.  The benchmark tracer reads it."""
         k, M = self.phases, self.modulus
         return LinearOperator(self.basis, self.rows,
                               np.where(2 * k == M, -1, np.exp(2j * np.pi * k / M)))
@@ -200,10 +194,8 @@ def joint_unity_eigenspace(ops: Sequence[SymmetryOperator]) -> List[FixedOrbit]:
     if any(s.basis != basis for s in ops):
         raise ValueError("operators must share a domain")
     entries = 2 * len(ops) ** 2 * basis.dimension
-    if entries > _MAX_TRUNCATED_DIM:
-        raise TruncationOverflow("commutation check of %d operators on %d kets would stack %d "
-                                 "entries, over the limit of %d"
-                                 % (len(ops), basis.dimension, entries, _MAX_TRUNCATED_DIM))
+    _check_size(entries, "commutation check of %d operators on %d kets would stack %d entries"
+                % (len(ops), basis.dimension, entries))
     M = math.lcm(*(s.modulus for s in ops))
     R, P = np.array([s.rows for s in ops]), np.array([s.phases * (M // s.modulus) for s in ops])
     # ab[:, a, b] is a.b (b acts first): rows R[a][R[b]], phases P[a][R[b]] + P[b].

@@ -17,6 +17,7 @@ exactly the loss-versus-gain discriminator the table needs.
 
 from dataclasses import dataclass
 import io
+import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,10 +26,10 @@ import numpy as np
 from .codes import CodeSpec
 from .errors import _closure, _compositions, _monomial_label, _shift, _unit_shifts
 from .fock import (
+    _check_size,
     BasisIndex,
     DimensionMismatch,
     LinearOperator,
-    StateVector,
     ket_map_operator,
     ladder,
 )
@@ -110,11 +111,6 @@ def _parity(kets, scheme: ParityScheme) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def measure_parity(state: StateVector, scheme: ParityScheme) -> Tuple[int, ...]:
-    """Common modular value of each component over the state's support."""
-    return _parity([s for s, _ in state.support()], scheme)
-
-
 def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> List[SyndromeRecord]:
     """Parities of each declared single error's image of every codeword.
 
@@ -127,6 +123,8 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
     PCC: 12 rows (single loss + single gain on 6 modes) with (p12, net
     change mod 3).  EECC: 6 rows with (p3, net change mod 3).  BC: loss and
     gain monomials of each order m in 1..N (default: all) with (pBC, qBC).
+    A table whose (cases, support kets, modes) array of moved kets would
+    exceed the size limit is refused before the cases are listed.
     """
     if code.name in ("PCC", "EECC"):
         if monitored_order is not None:
@@ -141,6 +139,7 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
                                     for g in range(1, layout.n_groups + 1)))
                  for kind, delta in (("loss", -1), ("gain", 1))
                  for unit, (_, group) in zip(_unit_shifts(layout.n_modes, 1), layout.modes)]
+        n_cases = len(cases)
     elif code.name == "BC":
         N = code.parameters["N"]
         if N < 2:
@@ -154,12 +153,19 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
             raise ValueError("BC N=%d monitors orders 1..%d, got %d"
                              % (N, N, monitored_order))
         scheme = p_bc_scheme(N)
-        cases = [(kind, exps, (sign * m % (6 * N - 3),))
+        # Listed only after the size check below.
+        cases = ((kind, exps, (sign * m % (6 * N - 3),))
                  for m in orders
                  for kind, sign in (("loss", -1), ("gain", 1))
-                 for exps in _compositions(m, 3)]
+                 for exps in _compositions(m, 3))
+        n_cases = 2 * sum(math.comb(m + 2, 2) for m in orders)
     else:
         raise ValueError("no syndrome table for code %r" % code.name)
+    kets = sum(map(len, code.weights))
+    entries = n_cases * kets * code.layout.n_modes
+    _check_size(entries, "the %s N=%d syndrome table of %d errors on %d support kets would "
+                "stack %d entries" % (code.name, code.parameters["N"], n_cases, kets, entries))
+    cases = list(cases)
     # Every codeword's support kets moved by every case's shift, as one
     # (cases, kets, modes) array read by one integer matmul; a row is sound
     # when some kets stay alive and agree on each component (min == max).
@@ -232,9 +238,10 @@ _EECC_SEQUENCES = {"a_s": _eecc_recovery_gates, "a_p": _eecc_recovery_gates}
 
 
 def _recovery_pipeline(code: CodeSpec, error_label: str):
-    """(lowered mode, restoration case, gate unitaries) of the published
-    pipeline for one detected loss; None for error_label "none".
-    Raises ValueError for a code without a published pipeline."""
+    """(lowered basis, lowered mode, restoration case, gate builder) of the
+    published pipeline for one detected loss; None for error_label "none".
+    The lowered basis is the code basis and every ket the lowered mode takes
+    it to.  Raises ValueError for a code without a published pipeline."""
     if code.name == "PCC" and code.parameters["N"] == 3:
         sequences = _PCC_SEQUENCES
     elif code.name == "EECC" and code.parameters["N"] == 2:
@@ -246,7 +253,15 @@ def _recovery_pipeline(code: CodeSpec, error_label: str):
     if error_label not in sequences:
         raise KeyError("unsupported %s error %r" % (code.name, error_label))
     mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
-    return mode, case, sequences[error_label]()
+    big = _closure(code.basis.states, [_unit_shifts(code.layout.n_modes, -1)[mode]])
+    return big, mode, case, sequences[error_label]
+
+
+def recovery_kets(code: CodeSpec, error_label: str) -> int:
+    """Kets per state of the largest block `full_recovery` stacks: the
+    lowered basis, or the code basis for error_label "none"."""
+    pipeline = _recovery_pipeline(code, error_label)
+    return code.basis.dimension if pipeline is None else pipeline[0].dimension
 
 
 def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
@@ -265,9 +280,7 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     pipeline = _recovery_pipeline(code, error_label)
     if pipeline is None:
         return states, np.ones(states.shape[1])
-    mode, case, gates = pipeline
-    # The code basis and every ket the lowered mode takes it to.
-    big = _closure(code.basis.states, [_unit_shifts(code.layout.n_modes, -1)[mode]])
+    big, mode, case, gates = pipeline
     rows = [big.index_of(s) for s in code.basis.states]
     embedded = np.zeros((big.dimension, states.shape[1]), dtype=complex)
     embedded[rows] = states
@@ -276,7 +289,7 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     if np.any(norms == 0):
         raise ValueError("the error annihilates a state of the block")
     out = restoration_isometry(case, big).apply(corrupted / norms)[rows]
-    for U in gates:
+    for U in gates():
         out = U @ out
     fidelities = np.abs(np.sum(states.conjugate() * out, axis=0))
     return out, fidelities

@@ -16,6 +16,7 @@ from chi2qec import cli
 from chi2qec import errors as errors_mod
 from chi2qec import fock
 from chi2qec import symmetry as symmetry_mod
+from chi2qec import syndromes as syndromes_mod
 from chi2qec.codes import build_bc, build_eecc, build_pcc
 from chi2qec.cli import (
     RunConfig,
@@ -259,7 +260,7 @@ def test_synth_refuses_a_commutation_stack_over_the_limit_before_building_it(
         monkeypatch, capsys, limit, refused):
     # PCC N=3 has 7 operators on 9 kets: its commutation check stacks
     # 2 * 7^2 * 9 = 882 entries, which a limit of 882 allows and 881 refuses.
-    monkeypatch.setattr(symmetry_mod, "_MAX_TRUNCATED_DIM", limit)
+    monkeypatch.setattr(fock, "_MAX_TRUNCATED_DIM", limit)
     stacks, stack = [], np.stack
     monkeypatch.setattr(np, "stack", lambda arrays, **kw: stacks.append(1) or stack(arrays, **kw))
     assert main(["--format", "csv", "synth", "pcc", "--N", "3"]) == (2 if refused else 0)
@@ -391,13 +392,27 @@ def test_main_recover_rejects_trials_below_one(capsys, trials):
 
 
 @pytest.mark.parametrize("argv", [["recover", "eecc", "--N", "2", "--error", "a_s"],
-                                  ["report", "all"]])
+                                  ["report", "all"],
+                                  ["synth", "eecc", "--N", "2"],
+                                  ["kl-check", "bc", "--N", "2", "--errors", "xi1"],
+                                  ["gates", "verify"],
+                                  ["bounds", "theorems"],
+                                  ["syndromes", "pcc", "--N", "3"]])
 def test_a_negative_seed_is_a_usage_error(capsys, argv):
     # random.Random would take -3 as the seed 3.
     assert main(["--seed", "-3"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: expected non-negative integer\n"
+
+
+def test_a_negative_seed_in_a_config_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("seed = -3\n")
+    assert main(["--config", str(path), "synth", "eecc", "--N", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: expected non-negative integer\n")
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        RunConfig(seed=-1)
 
 
 def test_main_gates_exit_one(capsys):
@@ -581,6 +596,56 @@ def test_main_syndromes_bc_single_order(capsys):
     assert main(["syndromes", "bc", "--N", "2", "--order", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][-1]["detail"] == "12 rows"  # 18 for all orders
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["syndromes", "bc", "--N", "31"],
+     "error: the BC N=31 syndrome table of 11966 errors on 62 support kets would stack "
+     "2225676 entries, over the limit of 2000000\n"),
+    (["syndromes", "bc", "--N", "515"],
+     "error: the BC N=515 syndrome table of 46062630 errors on 1030 support kets would "
+     "stack 142333526700 entries, over the limit of 2000000\n"),
+    (["syndromes", "bc", "--N", "515", "--order", "30"],
+     "error: the BC N=515 syndrome table of 992 errors on 1030 support kets would stack "
+     "3065280 entries, over the limit of 2000000\n"),
+])
+def test_syndromes_bc_refuses_an_oversized_table_before_listing_it(monkeypatch, capsys,
+                                                                   argv, message):
+    # The (cases, support kets, modes) array of moved kets is counted first:
+    # BC N=31 would stack 2 * (C(34, 3) - 1) * 62 * 3 entries.
+    listed = []
+    compositions = syndromes_mod._compositions
+    monkeypatch.setattr(syndromes_mod, "_compositions",
+                        lambda *a: listed.append(1) or compositions(*a))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+    assert listed == []
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["syndromes", "bc", "--N", "30"], 10910),  # 1963800 entries: the largest N that runs
+    (["syndromes", "bc", "--N", "515", "--order", "1"], 6),
+])
+def test_syndromes_bc_just_under_the_size_limit_runs(capsys, argv, rows):
+    assert main(["--format", "csv"] + argv) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + rows
+
+
+def test_recover_refuses_trials_over_the_size_limit_before_drawing(monkeypatch, capsys):
+    # PCC N=3 a_s1 holds each trial on 15 kets: 133,333 trials stack
+    # 1,999,995 entries and 133,334 trials are over the limit.
+    monkeypatch.setattr(cli, "random_logical_states",
+                        lambda *a: pytest.fail("states drawn"))
+    argv = ["recover", "pcc", "--N", "3", "--error", "a_s1", "--trials", "133334"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: recovery of 133334 trials on 15 kets would "
+                                   "stack 2000010 entries, over the limit of 2000000\n")
+    monkeypatch.undo()
+    for trials in ([], ["--trials", "10"]):  # the default 100 and the benchmark's 10
+        argv = ["--format", "csv", "recover", "eecc", "--N", "2", "--error", "a_s"] + trials
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(
+            "over %s trials\n" % (trials[1] if trials else 100))
 
 
 def test_main_syndromes_bc_past_operator_size_limit(capsys):

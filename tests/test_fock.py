@@ -16,19 +16,15 @@ from chi2qec.fock import (
     ModeLayout,
     StateVector,
     TruncationOverflow,
-    adjoint,
     apply,
     compose,
     embed,
     enumerate_irreducible_subspace,
     enumerate_truncated_space,
-    inner_product,
     ladder,
     monomial_action,
     monomial_operator,
-    project,
     state_label,
-    tensor_basis,
     three_mode_layout,
     two_mode_layout,
 )
@@ -78,10 +74,10 @@ def test_ladder_matrix_elements():
 
 def test_number_operator_expectation():
     basis = enumerate_irreducible_subspace(2)
-    psi = StateVector.from_terms(basis, {(0, 0, 2): 0.6, (1, 1, 1): 0.8})
+    psi = np.array([0.6, 0.8, 0])  # 0.6|0,0,2> + 0.8|1,1,1>
     n = [monomial_operator([(mode, "number")], basis) for mode in range(3)]
-    assert inner_product(psi, apply(n[2], psi)) == pytest.approx(0.36 * 2 + 0.64)
-    total = sum(inner_product(psi, apply(op, psi)) for op in n)
+    assert np.vdot(psi, n[2].apply(psi)) == pytest.approx(0.36 * 2 + 0.64)
+    total = sum(np.vdot(psi, op.apply(psi)) for op in n)
     assert total == pytest.approx(0.36 * 2 + 0.64 * 3)
 
 
@@ -94,11 +90,10 @@ def test_ladder_adjoint_is_inner_product_transpose(mode, coeffs):
     y = np.zeros(dim, dtype=complex)
     x[: len(coeffs) // 2] = coeffs[: len(coeffs) // 2]
     y[: len(coeffs) - len(coeffs) // 2] = coeffs[len(coeffs) // 2:]
-    a = ladder(mode, "lower", basis)
-    sx = StateVector(basis, x)
-    sy = StateVector(basis, y)
-    lhs = inner_product(sx, apply(a, sy))
-    rhs = inner_product(apply(adjoint(a), sx), sy)
+    # On a capped product space the raising operator is the lowering
+    # operator's adjoint.
+    lhs = np.vdot(x, ladder(mode, "lower", basis).apply(y))
+    rhs = np.vdot(ladder(mode, "raise", basis).apply(x), y)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -113,15 +108,18 @@ def test_compose_and_tensor():
     with pytest.raises(DimensionMismatch):
         compose(a, LinearOperator.identity(enumerate_irreducible_subspace(1)))
     small = enumerate_irreducible_subspace(1)
-    assert tensor_basis(small, small) == enumerate_irreducible_subspace(1, groups=2)
+    pair = enumerate_irreducible_subspace(1, groups=2)
+    assert pair.states == tuple(a + b for a in small.states for b in small.states)
 
 
 def test_embed_project_round_trip():
     small = enumerate_irreducible_subspace(2)
     big = enumerate_truncated_space(three_mode_layout(2))
     psi = StateVector.from_terms(small, {(0, 0, 2): 0.6, (2, 2, 0): 0.8})
-    back = project(embed(psi, big), small)
-    assert np.allclose(back.amplitudes, psi.amplitudes)
+    rows = [big.index_of(s) for s in small.states]
+    big_amplitudes = embed(psi, big).amplitudes
+    assert np.array_equal(big_amplitudes[rows], psi.amplitudes)
+    assert np.count_nonzero(big_amplitudes) == 2
 
 
 def test_embed_missing_state_raises():
@@ -176,25 +174,17 @@ def _sample_operators(basis):
     ]
 
 
-def test_compose_adjoint_and_apply_equal_the_dense_products():
+def test_compose_and_apply_equal_the_dense_products():
     basis = enumerate_truncated_space(three_mode_layout(2))
     ops = _sample_operators(basis)
     rng = np.random.default_rng(3)
     block = rng.normal(size=(basis.dimension, 4)) + 1j * rng.normal(size=(basis.dimension, 4))
     for a in ops:
-        assert np.allclose(adjoint(a).dense(), a.dense().conjugate().transpose(),
-                           rtol=0, atol=1e-15)
         assert np.allclose(a.apply(block), a.dense() @ block, rtol=0, atol=1e-12)
         assert np.allclose(a.apply(block[:, 0]), a.dense() @ block[:, 0], rtol=0, atol=1e-12)
         for b in ops:
             assert np.allclose(compose(a, b).dense(), a.dense() @ b.dense(),
                                rtol=0, atol=1e-12)
-
-
-def test_adjoint_refuses_a_map_that_merges_kets():
-    basis = enumerate_irreducible_subspace(2)
-    with pytest.raises(ValueError):
-        adjoint(LinearOperator(basis, [0, 0, -1], [1, 1, 0]))
 
 
 def test_state_label():

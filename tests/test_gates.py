@@ -8,7 +8,7 @@ the printed identities themselves.
 import numpy as np
 import pytest
 
-from chi2qec.fock import tensor_basis
+from chi2qec.fock import enumerate_irreducible_subspace
 from chi2qec.gates import (
     SQRT2,
     _generator_eigh,
@@ -105,7 +105,7 @@ def test_cz_gate_matches_the_per_ket_diagonal_reference():
     # of the two code blocks' second qutrits.
     digit = {(1, 1, 1): 0, (0, 0, 2): 1, (2, 2, 0): 2}
     omega = np.exp(2j * np.pi / 3)
-    basis = tensor_basis(pair_basis(), pair_basis())
+    basis = enumerate_irreducible_subspace(2, groups=4)  # pair_basis() x pair_basis()
     cz22 = np.diag([omega ** (digit[st[3:6]] * digit[st[9:12]]) for st in basis.states])
     FF = np.kron(cnot2pp_12(), cnot2pp_12())
     assert np.array_equal(cz_gate(), FF.conjugate().transpose() @ cz22 @ FF)

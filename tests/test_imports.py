@@ -82,10 +82,6 @@ def test_no_unused_imports(path):
 # Module-level functions and classes of the package that no module of it
 # references, each with the reason it stays.
 UNREFERENCED = {
-    "fock.project": "test reference: restricts a state in the fock tests",
-    "fock.inner_product": "test reference: checks states in the fock tests",
-    "syndromes.measure_parity": "test reference: parity of a state's support",
-    "errors.loss_kraus_completeness_residual": "test reference: sum E^dag E = I",
     "codes.mean_photons_per_mode": "paper property: per-mode photon numbers, tested",
     "gates.cnot3_12": "paper gate: the printed qutrit CNOT, tested unitary",
     "gates.lambda_s_gate": "paper gate: Lambda(S) on embedded qubits, tested",
@@ -202,12 +198,10 @@ def test_np_unique_loads_numpy_ma():
 
 def test_report_all_and_kl_check_load_no_numpy_ma():
     code = ("import contextlib, io, sys\n"
-            "from chi2qec import cli, fock\n"
+            "from chi2qec import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['report', 'all']) == 1\n"  # the red gate identities
-            "    assert cli.main(['kl-check', 'bc', '--N', '5', '--errors', 'xi5']) == 0\n"
-            "basis = fock.enumerate_truncated_space(fock.three_mode_layout(2))\n"
-            "fock.adjoint(fock.ladder(0, 'lower', basis))")
+            "    assert cli.main(['kl-check', 'bc', '--N', '5', '--errors', 'xi5']) == 0")
     assert "numpy.ma" not in _numpy_modules_after(code)
 
 

@@ -122,6 +122,7 @@ def test_schema_check_agrees_with_jsonschema(report, data):
     (("tool",), True, r"^\$\.tool: True is not 'chi2qec'"),
     (("passed",), 1, r"^\$\.passed: 1 is not of type 'boolean'"),
     (("extra",), 1, r"^\$\.extra: no value is allowed here"),
+    (("config", "seed"), -1, r"^\$\.config\.seed: -1 is below the minimum 0"),
 ])
 def test_listed_mutations_get_the_jsonschema_verdict(report, path, value, message):
     doc = copy.deepcopy(report)

@@ -21,16 +21,9 @@ from chi2qec.errors import (
 )
 from chi2qec.fock import (
     DimensionMismatch,
-    StateVector,
-    adjoint,
-    apply,
-    compose,
-    embed,
-    enumerate_irreducible_subspace,
     enumerate_truncated_space,
     ladder,
     monomial_operator,
-    project,
     three_mode_layout,
 )
 from chi2qec.syndromes import (
@@ -41,7 +34,6 @@ from chi2qec.syndromes import (
     _recovery_pipeline,
     complex_normals,
     full_recovery,
-    measure_parity,
     p12_scheme,
     p3_scheme,
     p_bc_scheme,
@@ -54,25 +46,19 @@ from chi2qec.syndromes import (
 
 
 def test_measure_parity_definite():
-    basis = enumerate_irreducible_subspace(2)
-    psi = StateVector.from_terms(basis, {(2, 2, 0): 0.6, (0, 0, 2): 0.8})
-    assert measure_parity(psi, p3_scheme()) == (0, 0, 0)
+    assert _parity([(2, 2, 0), (0, 0, 2)], p3_scheme()) == (0, 0, 0)
 
 
 def test_measure_parity_indefinite_raises():
     # All H_2 kets share even pairwise sums, so mix in a ket from the
     # enclosing truncated space with odd n_s + n_i.
-    basis = enumerate_truncated_space(three_mode_layout(2))
-    psi = StateVector.from_terms(basis, {(0, 0, 2): 0.6, (1, 0, 1): 0.8})
     with pytest.raises(IndefiniteParity):
-        measure_parity(psi, p3_scheme())
+        _parity([(0, 0, 2), (1, 0, 1)], p3_scheme())
 
 
 def test_measure_parity_rejects_empty_state():
-    basis = enumerate_irreducible_subspace(1)
-    psi = StateVector(basis, np.zeros(2))
     with pytest.raises(ValueError):
-        measure_parity(psi, p3_scheme())
+        _parity([], p3_scheme())
 
 
 def test_parity_scheme_rejects_bad_modulus():
@@ -151,8 +137,8 @@ def test_bc_tables_over_N(N):
 
 def _reference_syndrome_rows(code):
     """(label, p) of each row the operator way: the row's monomial on the
-    codewords' enclosing basis, applied to every embedded codeword, and the
-    parity of the nonzero normalized images."""
+    codewords' enclosing basis, applied to the codeword block, and the
+    parity of the support kets of each nonzero normalized image."""
     if code.name == "BC":
         N = code.parameters["N"]
         scheme = p_bc_scheme(N)
@@ -166,9 +152,12 @@ def _reference_syndrome_rows(code):
     for kind, exps in errors:
         basis = enclosing_basis(code, [_shift(exps, kind)])
         op = monomial_operator(_factors(exps, kind), basis)
-        images = [apply(op, embed(w, basis)) for w in code.logical_states]
-        values = {measure_parity(im.normalized(), scheme)
-                  for im in images if im.norm() > 1e-12}
+        values = set()
+        for image in op.apply(code.block(basis)).T:
+            norm = np.linalg.norm(image)
+            if norm > 1e-12:
+                kets = [basis.states[j] for j in np.flatnonzero(np.abs(image / norm) > 1e-12)]
+                values.add(_parity(kets, scheme))
         assert len(values) == 1
         rows.append((_monomial_label(code.layout, exps, kind), values.pop()))
     return rows
@@ -186,8 +175,8 @@ def test_syndrome_tables_match_operator_reference(builder, Ns):
 
 def _per_ket_syndrome_rows(code, order=None):
     """(label, p) of each row read ket by ket: every codeword's support kets
-    moved by the row's shift, annihilated kets dropped, and `_parity` (the
-    reader `measure_parity` uses) of the kets left."""
+    moved by the row's shift, annihilated kets dropped, and `_parity` of the
+    kets left."""
     if code.name == "BC":
         N = code.parameters["N"]
         scheme = p_bc_scheme(N)
@@ -201,8 +190,8 @@ def _per_ket_syndrome_rows(code, order=None):
     for kind, exps in errors:
         shift = _shift(exps, kind)
         values = set()
-        for word in code.logical_states:
-            moved = [tuple(n + d for n, d in zip(ket, shift)) for ket, _ in word.support(0)]
+        for word in code.weights:
+            moved = [tuple(n + d for n, d in zip(ket, shift)) for ket in word]
             kets = [ket for ket in moved if min(ket) >= 0]
             if kets:
                 values.add(_parity(kets, scheme))
@@ -274,7 +263,7 @@ def test_restoration_isometry_maps_and_partial_isometry():
     dst = big.index_of((0, 0, 2))
     assert R.dense()[dst, src] == 1.0
     # R^dag R is a projector onto the declared domain.
-    P = compose(adjoint(R), R).dense()
+    P = R.dense().conjugate().T @ R.dense()
     assert np.allclose(P @ P, P)
     assert np.trace(P).real == pytest.approx(2.0)
     with pytest.raises(KeyError):
@@ -299,14 +288,14 @@ def test_full_recovery_unit_fidelity(builder, N, labels):
 
 def test_full_recovery_identity_case_and_errors():
     spec = build_eecc(2)
-    psi = spec.logical_states[0].amplitudes[:, None]
+    psi = spec.block(spec.basis)[:, :1]
     out, fid = full_recovery(spec, "none", psi)
     assert fid[0] == 1.0
     with pytest.raises(KeyError):
         full_recovery(spec, "a_i", psi)
     bc = build_bc(2)
     with pytest.raises(ValueError):
-        full_recovery(bc, "a_s", bc.logical_states[0].amplitudes[:, None])
+        full_recovery(bc, "a_s", bc.block(bc.basis)[:, :1])
 
 
 def test_random_logical_state_is_normalized():
@@ -364,25 +353,29 @@ def _reference_random_logical_state(code, rng):
     """One trial from the next 16 L bytes of the stream: L uniforms u, then
     L uniforms v, each the top 53 bits of a little-endian 64-bit word plus
     one, over 2^53; amplitude sqrt(-ln u) e^{2 pi i v}, then normalized."""
-    L = len(code.logical_states)
+    L = len(code.weights)
     words = struct.unpack("<%dQ" % (2 * L), rng.randbytes(16 * L))
     uniforms = [((w >> 11) + 1) / 2**53 for w in words]
     coeffs = np.array([math.sqrt(-math.log(u)) * cmath.exp(2j * math.pi * v)
                        for u, v in zip(uniforms[:L], uniforms[L:])])
     coeffs /= np.linalg.norm(coeffs)
-    amps = sum(c * w.amplitudes for c, w in zip(coeffs, code.logical_states))
-    return StateVector(code.basis, amps)
+    codewords = code.block(code.basis).T
+    return sum(c * w for c, w in zip(coeffs, codewords))
 
 
 def _reference_full_recovery(code, error_label, state):
-    mode, case, gates = _recovery_pipeline(code, error_label)
+    """One state's pipeline with dense matrices on the capped product space."""
+    _, mode, case, gates = _recovery_pipeline(code, error_label)
     big = enumerate_truncated_space(three_mode_layout(2, groups=code.layout.n_groups))
-    corrupted = apply(ladder(mode, "lower", big), embed(state, big)).normalized()
-    restored = apply(restoration_isometry(case, big), corrupted)
-    out = project(restored, code.basis).amplitudes
-    for U in gates:
+    rows = [big.index_of(s) for s in code.basis.states]
+    embedded = np.zeros(big.dimension, dtype=complex)
+    embedded[rows] = state
+    corrupted = ladder(mode, "lower", big).dense() @ embedded
+    corrupted /= np.linalg.norm(corrupted)
+    out = (restoration_isometry(case, big).dense() @ corrupted)[rows]
+    for U in gates():
         out = U @ out
-    return out, float(abs(np.vdot(state.amplitudes, out)))
+    return out, float(abs(np.vdot(state, out)))
 
 
 # Per-qutrit maps of each published restoration circuit, keyed by pipeline
@@ -410,7 +403,7 @@ def test_restoration_isometry_matches_dense_reference(case, groups):
     # Each pipeline's restoration, through the shared per-mode map it
     # selects, is the published circuit's map.
     builder, N, label, mapping = _PUBLISHED_RESTORATIONS[case]
-    _, shared_case, _ = _recovery_pipeline(builder(N), label)
+    _, _, shared_case, _ = _recovery_pipeline(builder(N), label)
     assert shared_case in _RESTORATION_MAPS
     big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
     got = restoration_isometry(shared_case, big).dense()
@@ -434,8 +427,8 @@ def test_batched_recovery_matches_per_state_loop(builder, N, labels):
         logical = random_logical_states(spec, batch_rng, trials)
         states = [_reference_random_logical_state(spec, loop_rng) for _ in range(trials)]
         for t, psi in enumerate(states):
-            assert np.max(np.abs(logical[:, t] - psi.amplitudes)) <= 1e-12
-        states += [StateVector(spec.basis, v) for v in off_code.T]
+            assert np.max(np.abs(logical[:, t] - psi)) <= 1e-12
+        states += list(off_code.T)
         block = np.column_stack([logical, off_code])
         out, fids = full_recovery(spec, label, block)
         assert out.shape == block.shape and fids.shape == (trials + 5,)
