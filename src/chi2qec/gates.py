@@ -5,6 +5,9 @@ Appendix-style 3x3 matrices use the basis order v = [|1,1,1>, |2,2,0>,
 |2,2,0>].  Helpers convert between the two.  Gates that are printed on a
 partial domain are completed to unitaries by identity on the untouched
 complement.  Each gate function returns its unitary as a complex ndarray.
+Generator exponentials are exact closed forms (G3 is diagonal, and every
+other G_k has the spectrum {0, +-r}), so no check here factorizes a
+matrix.
 """
 
 import functools
@@ -93,23 +96,42 @@ def generator(k: int) -> np.ndarray:
 
 
 @functools.cache
-def _generator_eigh(k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors V, V^dag) of G_k, read-only, from one eigh."""
-    evals, vecs = np.linalg.eigh(generator(k))
-    parts = (evals, vecs, vecs.conjugate().transpose())
-    for part in parts:
-        part.flags.writeable = False
-    return parts
+def _generator_closed_form(k: int) -> Tuple[float, np.ndarray, np.ndarray]:
+    """(r, G, G^2) of the constructed G_k, the arrays read-only, built once
+    per process.  r = 0 marks a diagonal G_k (G3).  Every other G_k has
+    the spectrum {0, +-r} with r^2 = tr(G^2)/2, so G^3 = r^2 G; that is
+    checked here, within rounding, and a G_k that fails it raises
+    ValueError."""
+    G = generator(k)
+    G2 = G @ G
+    G2.flags.writeable = False
+    if not np.count_nonzero(G - np.diag(G.diagonal())):
+        return 0.0, G, G2
+    r = math.sqrt(np.trace(G2).real / 2)
+    residual = float(np.max(np.abs(G2 @ G - r * r * G)))
+    if residual > 1e-12 * r ** 3:
+        raise ValueError(
+            "G%d is neither diagonal nor of spectrum {0, +-r}: "
+            "|G^3 - r^2 G| = %.3e" % (k, residual))
+    return r, G, G2
 
 
 def evolve(decomposition: Sequence[Tuple[int, float]]) -> np.ndarray:
-    """Ordered product of exp(i angle G_k) = V exp(i angle D) V^dag, from
-    G_k's cached eigh; the first listed factor is the leftmost in the
-    product (matching how the decompositions are written)."""
+    """Ordered product of exp(i angle G_k); the first listed factor is the
+    leftmost in the product (matching how the decompositions are written).
+    Each factor is exact in closed form, with no eigensolver: a diagonal
+    G_k (G3) is exponentiated elementwise on its diagonal, and every other
+    G_k, whose spectrum is {0, +-r}, gives I + (i sin(r angle)/r) G
+    + ((cos(r angle) - 1)/r^2) G^2."""
     out = np.eye(3, dtype=complex)
     for k, angle in decomposition:
-        evals, vecs, vecs_h = _generator_eigh(k)
-        out = out @ ((vecs * np.exp(1j * angle * evals)) @ vecs_h)
+        r, G, G2 = _generator_closed_form(k)
+        if r:
+            factor = (_I3 + (1j * math.sin(r * angle) / r) * G
+                      + ((math.cos(r * angle) - 1) / (r * r)) * G2)
+        else:
+            factor = np.diag(np.exp(1j * angle * G.diagonal()))
+        out = out @ factor
     return out
 
 
@@ -365,8 +387,8 @@ def verify_gates() -> List[dict]:
     record("H_chain_four_factor_code_block",
            "G6 factors dropped, restricted to the code space",
            four, h, restrict=[zero, one])
-    record("H_conjugation", "XP^-1 Hprime XP",
-           np.linalg.inv(xp) @ hp @ xp, h)
+    # X_P is real orthogonal, so its transpose is its inverse.
+    record("H_conjugation", "XP^-1 Hprime XP", xp.transpose() @ hp @ xp, h)
 
     for k in range(3, 8):
         record("G%d_printed" % k, "G%d commutator construction" % k,

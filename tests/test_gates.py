@@ -8,10 +8,11 @@ the printed identities themselves.
 import numpy as np
 import pytest
 
+from chi2qec import cli, gates
 from chi2qec.fock import enumerate_irreducible_subspace
 from chi2qec.gates import (
     SQRT2,
-    _generator_eigh,
+    _generator_closed_form,
     _three_wave_operator,
     canonical_to_v,
     cnot2_21,
@@ -34,11 +35,13 @@ from chi2qec.gates import (
     xp_gate,
 )
 
+# The documented red identities, in verify_gates order, with the max
+# deviation each prints.
 RED_IDENTITIES = {
-    "XP_two_factor",
-    "Hprime_full",
-    "H_chain_full",
-    "H_chain_code_block",
+    "XP_two_factor": "1.000e+00",
+    "Hprime_full": "1.000e+00",
+    "H_chain_full": "9.530e-01",
+    "H_chain_code_block": "1.225e+00",
 }
 
 
@@ -81,19 +84,47 @@ def test_cached_generator_matrix_is_read_only():
     assert np.array_equal(generator(6), _fresh_generators()[5])
 
 
-def test_cached_generator_eighs_are_read_only():
+def test_cached_generator_closed_forms_are_read_only():
     for k in range(1, 8):
-        for part in _generator_eigh(k):
+        _, G, G2 = _generator_closed_form(k)
+        for part in (G, G2):
             with pytest.raises(ValueError):
                 part[0] = 1.0
 
 
+def test_g3_is_diagonal_and_every_other_generator_cubes_to_r2_g():
+    for k in range(1, 8):
+        G = _fresh_generators()[k - 1]
+        r, _, _ = _generator_closed_form(k)
+        if k == 3:
+            assert np.count_nonzero(G - np.diag(G.diagonal())) == 0
+            assert r == 0.0
+            continue
+        r2 = np.trace(G @ G).real / 2
+        assert r == pytest.approx(np.sqrt(r2), rel=1e-15)
+        assert np.max(np.abs(G @ G @ G - r2 * G)) <= 1e-14 * r2 ** 1.5
+        assert np.allclose(np.linalg.eigvalsh(G), [-r, 0.0, r], atol=1e-14)
+
+
+def test_closed_form_refuses_a_generator_without_spectrum_zero_plus_minus_r(monkeypatch):
+    lopsided = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+    monkeypatch.setattr(gates, "generator", lambda k: lopsided)
+    with pytest.raises(ValueError, match="neither diagonal"):
+        _generator_closed_form.__wrapped__(1)
+
+
+# Every angle that verify_gates and the EECC recovery gates exponentiate at,
+# and one that none of them uses.
+ANGLES = (np.pi / 3, -np.pi / 3, 2 * np.pi / 3, -2 * np.pi / 3,
+          np.pi / 6, -np.pi / 6, -np.pi / 12, 0.7)
+
+
+@pytest.mark.parametrize("angle", ANGLES)
 @pytest.mark.parametrize("k", range(1, 8))
-def test_evolve_factor_has_the_bits_of_a_fresh_eigh(k):
+def test_evolve_factor_matches_an_eigh_reference(k, angle):
     evals, vecs = np.linalg.eigh(_fresh_generators()[k - 1])
-    angle = 0.7
-    fresh = (vecs * np.exp(1j * angle * evals)) @ vecs.conjugate().transpose()
-    assert evolve([(k, angle)]).tobytes() == (np.eye(3, dtype=complex) @ fresh).tobytes()
+    reference = (vecs * np.exp(1j * angle * evals)) @ vecs.conjugate().transpose()
+    assert np.max(np.abs(evolve([(k, angle)]) - reference)) <= 1e-14
 
 
 def test_verify_gates_twice_in_a_row_gives_equal_records():
@@ -154,6 +185,25 @@ def test_hadamard_conjugation_is_exact():
     assert ok and dev < 1e-10
 
 
+def test_xp_is_real_orthogonal():
+    # Why H_conjugation may multiply by the transpose of X_P for its inverse.
+    xp = xp_gate()
+    assert np.count_nonzero(xp.imag) == 0
+    assert np.max(np.abs(xp.transpose() @ xp - np.eye(3))) <= 1e-15
+
+
+def test_red_identities_are_pinned_by_name_and_deviation():
+    rows = verify_gates()
+    red = {r["name"]: "%.3e" % r["max_deviation"] for r in rows if not r["passed"]}
+    assert list(red.items()) == list(RED_IDENTITIES.items())
+    assert all(r["max_deviation"] <= 1e-14 for r in rows if r["passed"])
+    assert cli.criterion_gates() == {
+        "name": "7_gate_identities",
+        "passed": False,
+        "detail": "failing: " + ", ".join(RED_IDENTITIES),
+    }
+
+
 def test_g6_exponential_acts_as_sigma_x_on_lower_block():
     # e^{i 2pi G6/3} = i sigma_x on span{|220>,|002>} (G6 = 3/4 sigma_x
     # there); this is why the printed two-factor X_P form cannot hold.
@@ -166,7 +216,7 @@ def test_g6_exponential_acts_as_sigma_x_on_lower_block():
 def test_verify_gates_verdicts():
     results = {r["name"]: r["passed"] for r in verify_gates()}
     failed = {name for name, ok in results.items() if not ok}
-    assert failed == RED_IDENTITIES
+    assert failed == set(RED_IDENTITIES)
     for name in (
         "XP_single_factor",
         "Hprime_qubit_block",

@@ -173,7 +173,7 @@ def test_importing_builds_no_generator_matrices():
             "for name in %r: importlib.import_module(name)\n"
             "from chi2qec import gates\n"
             "assert gates._generator_matrices.cache_info().currsize == 0\n"
-            "assert gates._generator_eigh.cache_info().currsize == 0" % names)
+            "assert gates._generator_closed_form.cache_info().currsize == 0" % names)
     _loaded_in_fresh_interpreter(code, "chi2qec")
 
 

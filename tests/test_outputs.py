@@ -126,6 +126,18 @@ STALE_DIGESTS = {
         "b875e50f32cef4e8309a3a03d89500713aaaf7073edc171f33c8f1c8d8daf2b0",
     "--format text synth bc --N 6":
         "51a9fb7f6af96a1baeda6471849ad34bdffd57cbf9aed799315de3b1ba5e9d60",
+    # The generator exponentials are closed forms and H_conjugation multiplies
+    # by the transpose of the orthogonal X_P instead of np.linalg.inv, so four
+    # passing rows' rounding-level deviations moved (XP_single_factor 4.443e-16
+    # -> 5.551e-16, Hprime_qubit_block 1.606e-15 -> 1.632e-15,
+    # H_chain_four_factor_code_block 1.618e-15 -> 1.776e-15, H_conjugation
+    # 2.220e-16 -> 1.110e-16); verdicts unchanged.
+    "--format json gates verify":
+        "164c5b9b500481ad6ccd2f258e808e440ad6d77bc7872ed481e5a90d6d8e4859",
+    "--format csv gates verify":
+        "d46a497394dc00948be71c97b0bf5ca88efbf6f37a579c8a08320c79d8e511df",
+    "--format text gates verify":
+        "4a524f9e4b3177c5b3fa0827a5dd9d5947cf9f756d8f65c1d205e401545a3509",
 }
 
 
