@@ -352,13 +352,49 @@ def bc_moment_numerator(code: CodeSpec, h: int, g: int, m: int, side: str,
 # Canonical recovery.
 
 
+def _alpha_range_basis(alpha: np.ndarray, tol: float) -> np.ndarray:
+    """K x r columns C with C^dag alpha C = I_r that span the range of the
+    Hermitian positive semidefinite `alpha`, by pivoted Cholesky: Gram-Schmidt
+    of the errors under alpha, in order of largest residual.
+
+    Step r takes the error p with the largest residual d and stops when
+    d <= tol; otherwise c = (e_p - C conj(L[p, :r])) / sqrt(d) is column r of
+    C, L[:, r] = alpha c, and |L[:, r]|^2 comes off the residuals.
+    """
+    K = alpha.shape[0]
+    C = np.zeros((K, K), dtype=complex)
+    L = np.zeros((K, K), dtype=complex)
+    residual = alpha.diagonal().real.copy()
+    r = 0
+    while r < K:
+        p = int(np.argmax(residual))
+        d = residual[p]
+        if d <= tol:
+            break
+        c = -(C[:, :r] @ L[p, :r].conjugate())
+        c[p] += 1.0
+        c /= math.sqrt(d)
+        C[:, r] = c
+        L[:, r] = alpha @ c
+        residual -= np.abs(L[:, r]) ** 2
+        r += 1
+    return C[:, :r]
+
+
 def canonical_recovery(
     code: CodeSpec, errors: Sequence[ErrorOperator], tol: float = DEFAULT_KL_TOL
 ) -> List[np.ndarray]:
-    """Standard KL recovery: diagonalize alpha, orthonormalize the error
-    subspaces and return the projector-conjugated isometries as Kraus
-    matrices on the errors' basis.  Requires the error set to pass
-    kl_check."""
+    """Standard KL recovery (Knill and Laflamme, PRA 55, 900 (1997)) as Kraus
+    matrices on the errors' basis.  Requires the error set to pass kl_check.
+
+    The columns C of `_alpha_range_basis` (residual cut at `tol`) give the
+    error sectors F_k = sum_u C[u, k] E_u, orthonormal on the code space
+    (F_k^dag F_l = delta_kl P there) and spanning every error's image; Kraus k
+    maps sector k back onto the code space, W (F_k W)^dag.  The sectors are
+    Gram-Schmidt of the errors under alpha rather than alpha's eigenvectors:
+    both span the same space, so the channel is the same, and no matrix is
+    factorized.
+    """
     report = kl_check(code, errors, tol)
     if not report.verdict:
         raise KLViolation(
@@ -368,18 +404,14 @@ def canonical_recovery(
     basis = errors[0].operator.domain
     W = code.block(basis)  # dim x L isometry onto the code space
     alpha = (report.alpha + report.alpha.conjugate().transpose()) / 2
-    evals, U = np.linalg.eigh(alpha)
+    C = _alpha_range_basis(alpha, tol)
     kraus = []
-    for k in range(len(errors)):
-        d = evals[k]
-        if d <= tol:
-            continue
-        # F_k restricted to the code space: dim x L.
+    for k in range(C.shape[1]):
+        # F_k restricted to the code space: dim x L, an isometry into sector k.
         FkW = sum(
-            U[u, k] * errors[u].operator.apply(W) for u in range(len(errors))
+            C[u, k] * errors[u].operator.apply(W) for u in range(len(errors))
         )
-        Vk = FkW / math.sqrt(d)  # isometry from code space into error sector
-        kraus.append(W @ Vk.conjugate().transpose())  # error sector back to code space
+        kraus.append(W @ FkW.conjugate().transpose())  # error sector back to code space
     return kraus
 
 

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from chi2qec.codes import build_bc, build_eecc, build_pcc, build_two_mode_bc
 from chi2qec.errors import (
+    DEFAULT_KL_TOL,
     ErrorOperator,
+    _alpha_range_basis,
     _compositions,
     KLViolation,
     ad_product_set,
@@ -187,6 +189,58 @@ def test_canonical_recovery_unit_fidelity():
             coeffs /= np.linalg.norm(coeffs)
             fid = recovery_fidelity(spec, recov, err, coeffs[:, None])
             assert fid[0] == pytest.approx(1.0, abs=1e-10)
+
+
+# Codes and the error sets they correct, with the rank of alpha on each.
+RECOVERY_CASES = [
+    (build_bc, 2, 1, 7), (build_bc, 2, 2, 14), (build_bc, 3, 3, 23), (build_bc, 4, 4, 34),
+    (build_pcc, 2, 1, 13), (build_pcc, 3, 1, 13), (build_eecc, 2, 1, 7), (build_eecc, 3, 1, 7),
+]
+
+
+def _assert_orthonormal_range_basis(alpha, C):
+    scale = 1e-12 * np.max(np.abs(alpha))
+    assert np.max(np.abs(C.conjugate().T @ alpha @ C - np.eye(C.shape[1]))) <= scale
+    # alpha C C^dag alpha = alpha: the columns span the whole range.
+    assert np.max(np.abs(alpha @ C @ C.conjugate().T @ alpha - alpha)) <= scale
+
+
+@pytest.mark.parametrize("builder,N,m,rank", RECOVERY_CASES)
+def test_alpha_range_basis_is_orthonormal_under_alpha_and_spans_its_range(builder, N, m, rank):
+    spec = builder(N)
+    alpha = kl_check(spec, xi_set(m, spec)).alpha
+    alpha = (alpha + alpha.conjugate().T) / 2  # as canonical_recovery symmetrises it
+    C = _alpha_range_basis(alpha, DEFAULT_KL_TOL)
+    _assert_orthonormal_range_basis(alpha, C)
+    # The rank is the count of eigenvalues the eigensolver puts above the cut.
+    assert C.shape == (alpha.shape[0], rank)
+    assert int(np.sum(np.linalg.eigvalsh(alpha) > DEFAULT_KL_TOL)) == rank
+
+
+def test_alpha_range_basis_of_a_rank_deficient_alpha():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    alpha = B @ B.conjugate().T  # rank 3 of 6
+    C = _alpha_range_basis(alpha, DEFAULT_KL_TOL)
+    assert C.shape == (6, 3)
+    _assert_orthonormal_range_basis(alpha, C)
+
+
+@pytest.mark.parametrize("alpha", [np.zeros((4, 4)), 1e-10 * np.eye(4),
+                                   np.diag([1e-12, -1e-12, DEFAULT_KL_TOL])])
+def test_alpha_range_basis_is_empty_when_every_residual_is_below_the_cut(alpha):
+    assert _alpha_range_basis(alpha, DEFAULT_KL_TOL).shape == (alpha.shape[0], 0)
+
+
+@pytest.mark.parametrize("builder,N,m,rank", RECOVERY_CASES)
+def test_canonical_recovery_corrects_every_error_of_the_set(builder, N, m, rank):
+    spec = builder(N)
+    errs = xi_set(m, spec)
+    recov = canonical_recovery(spec, errs)
+    assert len(recov) == rank
+    coeffs = random_logical_coefficients(random.Random(N + 10 * m), len(spec.weights), 20)
+    for err in errs:
+        assert recovery_fidelity(spec, recov, err, coeffs).min() >= 1 - 1e-10, err.label
 
 
 def _reference_recovery_fidelity(code, recovery, error, logical_amplitudes):
