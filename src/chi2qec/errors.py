@@ -253,6 +253,31 @@ def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
     return out
 
 
+def _gram_blocks(errors: Sequence[ErrorOperator], words: np.ndarray):
+    """The diagonal blocks G_aa of the error images' Gram, as an L x K x K
+    array, and the largest modulus in any a != b block.
+
+    The images are one dim x K slab per codeword (column u of slab a is
+    E_u w_a), and each K x K block G_ab = slab_a^dag slab_b is one product:
+    an a != b block gives its largest modulus and is dropped.
+    """
+    K = len(errors)
+    L = words.shape[1]
+    slabs = np.empty((L, words.shape[0], K), dtype=complex)  # [a, row, u]
+    for u, e in enumerate(errors):
+        slabs[:, :, u] = e.operator.apply(words).transpose()
+    diag = np.empty((L, K, K), dtype=complex)  # [a, u, v]
+    peaks = []
+    for a in range(L):
+        bra = slabs[a].conjugate().transpose()
+        for b in range(L):
+            if a == b:
+                np.matmul(bra, slabs[b], out=diag[a])
+            else:
+                peaks.append(np.abs(bra @ slabs[b]).max())
+    return diag, float(np.max(peaks)) if peaks else 0.0
+
+
 def kl_check(
     code: CodeSpec, errors: Sequence[ErrorOperator], tol: float = DEFAULT_KL_TOL
 ) -> KLReport:
@@ -261,6 +286,11 @@ def kl_check(
     alpha_uv is the mean of the logical-diagonal entries; the verdict is
     true iff (i) every a != b entry vanishes within tol and (ii) every
     logical-diagonal entry matches alpha_uv within tol.
+
+    The Gram is formed one K x K codeword-pair block at a time
+    (`_gram_blocks`), so at most the K*L images, one conjugated dim x K
+    slab of them, the L diagonal blocks and one more block are held at
+    once, never the (KL) x (KL) Gram.
     """
     if not errors:
         raise ValueError("kl_check needs at least one error operator")
@@ -268,21 +298,12 @@ def kl_check(
     for e in errors:
         if e.operator.domain != basis:
             raise ValueError("error operators must share a basis")
-    words = code.block(basis)
-    # Columns [e0 w0, e0 w1, ..., e1 w0, ...]: each error applied to the block.
-    images = np.hstack([e.operator.apply(words) for e in errors])
-    K = len(errors)
-    L = words.shape[1]
-    gram = images.conjugate().transpose() @ images  # (K*L) x (K*L)
-    M = gram.reshape(K, L, K, L).transpose(0, 2, 1, 3)  # [u, v, a, b]
-
-    alpha = M.trace(axis1=2, axis2=3) / L
-    diag = np.einsum("uvaa->uva", M)
-    off = M.copy()
-    for a in range(L):
-        off[:, :, a, a] = 0.0
-    max_off = float(np.max(np.abs(off))) if off.size else 0.0
-    max_dist = float(np.max(np.abs(diag - alpha[:, :, None])))
+    diag, max_off = _gram_blocks(errors, code.block(basis))
+    alpha = diag[0].copy()
+    for block in diag[1:]:
+        alpha += block  # left to right in codeword order, as a trace sums
+    alpha /= len(diag)
+    max_dist = float(np.max(np.abs(diag - alpha)))
     return KLReport(
         labels=[e.label for e in errors],
         alpha=alpha,
@@ -387,10 +408,12 @@ def canonical_recovery(
     """Standard KL recovery (Knill and Laflamme, PRA 55, 900 (1997)) as Kraus
     matrices on the errors' basis.  Requires the error set to pass kl_check.
 
-    The columns C of `_alpha_range_basis` (residual cut at `tol`) give the
-    error sectors F_k = sum_u C[u, k] E_u, orthonormal on the code space
-    (F_k^dag F_l = delta_kl P there) and spanning every error's image; Kraus k
-    maps sector k back onto the code space, W (F_k W)^dag.  The sectors are
+    `tol` bounds the KL residuals only.  The columns C of
+    `_alpha_range_basis`, with residuals cut at K * eps * max diag(alpha)
+    (the relative cut of numpy's `matrix_rank`), give the error sectors
+    F_k = sum_u C[u, k] E_u, orthonormal on the code space (F_k^dag F_l =
+    delta_kl P there) and spanning every error's image; Kraus k maps sector
+    k back onto the code space, W (F_k W)^dag.  The sectors are
     Gram-Schmidt of the errors under alpha rather than alpha's eigenvectors:
     both span the same space, so the channel is the same, and no matrix is
     factorized.
@@ -404,7 +427,8 @@ def canonical_recovery(
     basis = errors[0].operator.domain
     W = code.block(basis)  # dim x L isometry onto the code space
     alpha = (report.alpha + report.alpha.conjugate().transpose()) / 2
-    C = _alpha_range_basis(alpha, tol)
+    cut = alpha.shape[0] * np.finfo(float).eps * float(alpha.diagonal().real.max())
+    C = _alpha_range_basis(alpha, cut)
     kraus = []
     for k in range(C.shape[1]):
         # F_k restricted to the code space: dim x L, an isometry into sector k.

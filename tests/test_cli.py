@@ -133,6 +133,14 @@ def test_criteria_fail_below_floating_point_resolution(criterion):
     assert not criterion(RunConfig(tolerance=1e-30))["passed"]
 
 
+@pytest.mark.parametrize("tolerance", [1.6, 2, 9.5, 1e300])
+def test_recovery_criterion_passes_at_a_loose_tolerance(tolerance):
+    # BC N=2 corrects xi2 at every tolerance its KL check passes: the rank
+    # cut of alpha is relative to alpha's scale, not the run's tolerance.
+    record = cli.criterion_recovery(RunConfig(tolerance=tolerance))
+    assert record["passed"], record
+
+
 def test_bc_moment_cross_check_fails_on_a_wrong_exact_sum(monkeypatch):
     real = cli.bc_moment_numerator
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from chi2qec.errors import (
     xi_set,
 )
 from chi2qec.fock import (
+    BasisIndex,
     DimensionMismatch,
     LinearOperator,
     apply,
@@ -107,14 +109,9 @@ def test_kl_check_xi1_binomial_qubit():
     assert rep.alpha[0, 0] == pytest.approx(1.0)
 
 
-def _per_column_kl(code, errors):
-    """alpha and both residuals from one error image per codeword and error,
-    each a separate `apply` on one vector."""
-    basis = errors[0].operator.domain
-    words = [embed(psi, basis) for psi in code.logical_states]
-    images = np.column_stack(
-        [apply(e.operator, w).amplitudes for e in errors for w in words])
-    K, L = len(errors), len(words)
+def _single_gram_kl(images, K, L):
+    """alpha and both residuals from the whole (KL) x (KL) Gram of the image
+    columns [e0 w0, e0 w1, ..., e1 w0, ...]."""
     M = (images.conjugate().transpose() @ images).reshape(K, L, K, L).transpose(0, 2, 1, 3)
     alpha = M.trace(axis1=2, axis2=3) / L
     off = M.copy()
@@ -122,6 +119,16 @@ def _per_column_kl(code, errors):
         off[:, :, a, a] = 0.0
     dist = np.einsum("uvaa->uva", M) - alpha[:, :, None]
     return alpha, float(np.max(np.abs(off))), float(np.max(np.abs(dist)))
+
+
+def _per_column_kl(code, errors):
+    """alpha and both residuals from one error image per codeword and error,
+    each a separate `apply` on one vector, through the single Gram."""
+    basis = errors[0].operator.domain
+    words = [embed(psi, basis) for psi in code.logical_states]
+    images = np.column_stack(
+        [apply(e.operator, w).amplitudes for e in errors for w in words])
+    return _single_gram_kl(images, len(errors), len(words))
 
 
 # The kl-check jobs of the benchmark's kl-scale workload.
@@ -132,17 +139,136 @@ KL_SCALE_CASES = (
 )
 
 
-@pytest.mark.parametrize("builder,N,m", KL_SCALE_CASES)
+def _damping_sets(kind):
+    """Criterion 4's bc2mode damping sets at gamma 0.01 and 0.05 and every
+    order 1..N: each configuration alone, the same-parity sets, or the
+    joint set of an order."""
+    def sets(spec):
+        out = []
+        for gamma in (0.01, 0.05):
+            for order in range(1, spec.parameters["N"] + 1):
+                joint = ad_product_set(gamma, order, spec)
+                out += {"singles": [[e] for e in joint],
+                        "same-parity": [joint[::2]] if len(joint) > 2 else [],
+                        "joint": [joint]}[kind]
+        return out
+    return sets
+
+
+def _lowest_order_sets(spec):
+    return [lowest_order_loss_kraus(0.01, spec)]
+
+
+def _damping_up_to_order_2(spec):
+    """`kl-check --errors ad --order 2`: damping of orders 0, 1 and 2."""
+    return [[e for m in range(3) for e in ad_product_set(0.01, m, spec)]]
+
+
+# Beyond kl-scale: the lowest-order families, criterion 4's damping sets,
+# PCC N=5 xi2, and damping to order 2 on PCC and BC N=2, which fails KL
+# in the a != b blocks.
+KL_BLOCK_CASES = KL_SCALE_CASES + (
+    [pytest.param(b, n, _lowest_order_sets, id="%s-%d-lowest-order" % (b.__name__, n))
+     for b in (build_pcc, build_eecc) for n in (2, 3)]
+    + [pytest.param(build_two_mode_bc, n, _damping_sets(kind),
+                    id="build_two_mode_bc-%d-ad-%s" % (n, kind))
+       for n in (2, 3) for kind in ("singles", "same-parity", "joint")]
+    + [(build_pcc, 5, 2)]
+    + [pytest.param(b, 2, _damping_up_to_order_2, id="%s-2-ad-order-2" % b.__name__)
+       for b in (build_pcc, build_bc)]
+)
+
+
+@pytest.mark.parametrize("builder,N,m", KL_BLOCK_CASES)
 def test_block_applied_kl_check_matches_the_per_column_path(builder, N, m):
     spec = builder(N)
-    errs = xi_set(m, spec)
-    rep = kl_check(spec, errs)
-    alpha, max_off, max_dist = _per_column_kl(spec, errs)
-    assert np.array_equal(rep.alpha, alpha)
-    assert np.array_equal(np.signbit(rep.alpha.real), np.signbit(alpha.real))
-    assert np.array_equal(np.signbit(rep.alpha.imag), np.signbit(alpha.imag))
-    assert rep.max_offdiag_residual == max_off
-    assert rep.max_distortion_residual == max_dist
+    sets = [xi_set(m, spec)] if isinstance(m, int) else m(spec)
+    assert sets
+    for errs in sets:
+        rep = kl_check(spec, errs)
+        alpha, max_off, max_dist = _per_column_kl(spec, errs)
+        if len(errs) == 1:
+            # A 1 x 1 block is a dot product, not the Gram's matrix product,
+            # so it agrees to rounding only.
+            scale = 1e-15 * np.max(np.abs(alpha))
+            assert np.max(np.abs(rep.alpha - alpha)) <= scale
+            assert abs(rep.max_offdiag_residual - max_off) <= scale
+            assert abs(rep.max_distortion_residual - max_dist) <= scale
+            continue
+        assert np.array_equal(rep.alpha, alpha)
+        assert np.array_equal(np.signbit(rep.alpha.real), np.signbit(alpha.real))
+        assert np.array_equal(np.signbit(rep.alpha.imag), np.signbit(alpha.imag))
+        assert rep.max_offdiag_residual == max_off
+        assert rep.max_distortion_residual == max_dist
+
+
+@pytest.mark.parametrize("builder", [build_pcc, build_bc])
+def test_damping_to_order_2_fails_kl_in_a_cross_codeword_block(builder):
+    # The test above holds max_off to the single Gram bit for bit; here an
+    # a != b block is what decides the verdict.
+    spec = builder(2)
+    rep = kl_check(spec, _damping_up_to_order_2(spec)[0])
+    assert not rep.verdict
+    assert rep.max_offdiag_residual > 1e-4 > rep.max_distortion_residual
+
+
+@st.composite
+def _random_ket_maps(draw):
+    """A dim x L block of complex codewords and K complex weighted ket maps
+    on `dim` one-mode kets, some columns left empty."""
+    dim = draw(st.integers(1, 40))
+    K = draw(st.integers(1, 10))
+    L = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    basis = BasisIndex([(n,) for n in range(dim)])
+    words = rng.normal(size=(dim, L)) + 1j * rng.normal(size=(dim, L))
+    errors = [ErrorOperator("E%d" % u, LinearOperator(
+        basis, rng.integers(-1, dim, size=dim),
+        rng.normal(size=dim) + 1j * rng.normal(size=dim))) for u in range(K)]
+    return words, errors
+
+
+class _Words:
+    """A code as kl_check reads it: only its codeword block."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def block(self, basis):
+        return self.words
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_ket_maps())
+def test_block_applied_kl_check_matches_the_single_gram_on_complex_ket_maps(case):
+    words, errors = case
+    K, L = len(errors), words.shape[1]
+    images = np.column_stack([e.operator.apply(words[:, a]) for e in errors for a in range(L)])
+    alpha, max_off, max_dist = _single_gram_kl(images, K, L)
+    rep = kl_check(_Words(words), errors)
+    scale = 1e-14 * max(1.0, float(np.max(np.abs(images))) ** 2 * words.shape[0])
+    assert rep.alpha.shape == (K, K)
+    assert np.max(np.abs(rep.alpha - alpha)) <= scale
+    assert abs(rep.max_offdiag_residual - max_off) <= scale
+    assert abs(rep.max_distortion_residual - max_dist) <= scale
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_kl_check_holds_no_full_gram(N):
+    # The least a single Gram product must hold: the images, their conjugate
+    # and the (KL) x (KL) Gram.  The codeword-pair blocks stay well below it.
+    spec = build_pcc(N)
+    errs = xi_set(2, spec)
+    kl_check(spec, errs)
+    dim, K, L = errs[0].operator.domain.dimension, len(errs), len(spec.weights)
+    tracemalloc.start()
+    try:
+        kl_check(spec, errs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dim * K * L * 16 + (K * L) ** 2 * 16
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -241,6 +367,14 @@ def test_canonical_recovery_corrects_every_error_of_the_set(builder, N, m, rank)
     coeffs = random_logical_coefficients(random.Random(N + 10 * m), len(spec.weights), 20)
     for err in errs:
         assert recovery_fidelity(spec, recov, err, coeffs).min() >= 1 - 1e-10, err.label
+
+
+@pytest.mark.parametrize("builder,N,m,rank", RECOVERY_CASES)
+def test_canonical_recovery_rank_does_not_follow_the_kl_tolerance(builder, N, m, rank):
+    # tol bounds the KL residuals only: a rank cut at 2 itself would drop
+    # pivots of every case here but BC N=3 and N=4.
+    spec = builder(N)
+    assert len(canonical_recovery(spec, xi_set(m, spec), tol=2)) == rank
 
 
 def _reference_recovery_fidelity(code, recovery, error, logical_amplitudes):
