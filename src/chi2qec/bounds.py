@@ -186,13 +186,15 @@ def theorem_checks() -> List[Dict]:
 
 
 def saturation_report(code: CodeSpec) -> Dict:
-    """Whether the code saturates the single-photon-loss bound: it holds at
-    the code's parameters and fails with one fewer physical qudit."""
+    """The check row `saturation_<code>`: whether the code saturates the
+    single-photon-loss bound, that is, it holds at the code's parameters
+    and fails with one fewer physical qudit."""
     p = code.parameters
+    name = "saturation_%s" % code.name
     if code.name not in ("PCC", "EECC"):
         return {
-            "code": code.name,
-            "saturates": False,
+            "name": name,
+            "passed": False,
             "detail": "no saturation statement for this family",
         }
     n, q, b, k = p["n"], p["q"], p["b"], p["k"]
@@ -207,8 +209,7 @@ def saturation_report(code: CodeSpec) -> Dict:
     lhs = (1 + 3 * n) * b ** k
     rhs = (4 * q - 3) ** n
     return {
-        "code": code.name,
-        "saturates": holds and fails_below,
-        "n": n,
+        "name": name,
+        "passed": holds and fails_below,
         "detail": "(1+3n)b^k=%d <= (4q-3)^n=%d; fails at %s" % (lhs, rhs, shrunk),
     }

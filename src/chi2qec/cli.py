@@ -386,12 +386,8 @@ def cmd_gates(args, config: RunConfig):
 
 def _bound_rows() -> List[Dict]:
     """Bound theorem rows, then the N=2 PCC and EECC loss-bound saturation."""
-    rows = bounds_mod.theorem_checks()
-    for spec in (build_pcc(2), build_eecc(2)):
-        rep = bounds_mod.saturation_report(spec)
-        rows.append({"name": "saturation_%s" % rep["code"],
-                     "passed": rep["saturates"], "detail": rep["detail"]})
-    return rows
+    return bounds_mod.theorem_checks() + [
+        bounds_mod.saturation_report(spec) for spec in (build_pcc(2), build_eecc(2))]
 
 
 _BOUND_DEFAULTS = {"n": 1, "q": 2, "b": 2, "k": 1, "t": 1}

@@ -1,13 +1,15 @@
 """chi(2) generator algebra on H_2 and the logical/physical gate library.
 
-Appendix-style 3x3 matrices use the basis order v = [|1,1,1>, |2,2,0>,
-|0,0,2>]; the canonical H_2 basis is ascending-n [|0,0,2>, |1,1,1>,
-|2,2,0>].  Helpers convert between the two.  Gates that are printed on a
-partial domain are completed to unitaries by identity on the untouched
-complement.  Each gate function returns its unitary as a complex ndarray.
-Generator exponentials are exact closed forms (G3 is diagonal, and every
-other G_k has the spectrum {0, +-r}), so no check here factorizes a
-matrix.
+Every matrix here is in the canonical H_2 order [|0,0,2>, |1,1,1>,
+|2,2,0>] (ascending n, the order of `enumerate_irreducible_subspace(2)`,
+the codes and the recovery pipelines).  The appendix prints its generator
+matrices in the order v = [|1,1,1>, |2,2,0>, |0,0,2>]; that order appears
+only in `printed_generator_matrix`, which places the printed tables on
+H_2.  Gates that are printed on a partial domain are completed to
+unitaries by identity on the untouched complement.  Each gate function
+returns its unitary as a complex ndarray.  Generator exponentials are
+exact closed forms (G3 is diagonal, and every other G_k has the spectrum
+{0, +-r}), so no check here factorizes a matrix.
 """
 
 import functools
@@ -24,37 +26,15 @@ from .fock import (
 
 SQRT2 = math.sqrt(2.0)
 
-# Appendix basis order on H_2.
-V_ORDER = ((1, 1, 1), (2, 2, 0), (0, 0, 2))
-# Canonical H_2 order (ascending n): index of each v-state.
-_CANONICAL = ((0, 0, 2), (1, 1, 1), (2, 2, 0))
-
-
-def _perm_v_to_canonical() -> np.ndarray:
-    """Permutation P with (P M P^T) converting a v-order matrix to
-    canonical H_2 order."""
-    P = np.zeros((3, 3))
-    for c_idx, state in enumerate(_CANONICAL):
-        v_idx = V_ORDER.index(state)
-        P[c_idx, v_idx] = 1.0
-    return P
-
-
-def v_to_canonical(matrix: np.ndarray) -> np.ndarray:
-    P = _perm_v_to_canonical()
-    return P @ matrix @ P.transpose()
-
-
-def canonical_to_v(matrix: np.ndarray) -> np.ndarray:
-    P = _perm_v_to_canonical()
-    return P.transpose() @ matrix @ P
+# H_2 indices of the three kets.
+_C002, _C111, _C220 = 0, 1, 2
+_I3 = np.eye(3, dtype=complex)
 
 
 def _three_wave_operator() -> np.ndarray:
-    """A = a_s^dag a_i^dag a_p on H_2, in v order."""
+    """A = a_s^dag a_i^dag a_p on H_2."""
     h2 = enumerate_irreducible_subspace(2)
-    op = monomial_operator([(2, "lower"), (1, "raise"), (0, "raise")], h2)
-    return canonical_to_v(op.dense())
+    return monomial_operator([(2, "lower"), (1, "raise"), (0, "raise")], h2).dense()
 
 
 def _comm(a, b):
@@ -87,7 +67,7 @@ def generator(k: int) -> np.ndarray:
     G3 = i[G1,G2], G4 = i[G3,G1], G5 = i[G3,G2],
     G6 = (i[G1,G4] + i[G5,G2]) / (4 sqrt 2), G7 = i[G2,G4] / (2 sqrt 2).
     The normalizations reproduce the printed 3x3 matrices; see the tests
-    for the printed forms.  Returns the 3x3 Hermitian matrix in v order,
+    for the printed forms.  Returns the 3x3 Hermitian matrix on H_2,
     shared and read-only.
     """
     if not 1 <= k <= 7:
@@ -155,54 +135,42 @@ def equal_up_to_global_phase(A: np.ndarray, B: np.ndarray, tol: float = 1e-10):
 
 
 # ---------------------------------------------------------------------------
-# 3x3 logical gates in v order.
-
-
-def _ket(v_index: int) -> np.ndarray:
-    e = np.zeros(3, dtype=complex)
-    e[v_index] = 1.0
-    return e
+# 3x3 logical gates on H_2.
 
 
 def xp_gate() -> np.ndarray:
     """X_P: |111> fixed, |220> -> (|220>-|002>)/sqrt2,
     |002> -> (|220>+|002>)/sqrt2 (rotates the code basis onto
     {|220>, |111>})."""
-    U = np.zeros((3, 3), dtype=complex)
-    U[0, 0] = 1.0
-    U[:, 1] = (_ket(1) - _ket(2)) / SQRT2
-    U[:, 2] = (_ket(1) + _ket(2)) / SQRT2
-    return U
+    s = 1 / SQRT2
+    return np.array([[s, 0, -s],
+                     [0, 1, 0],
+                     [s, 0, s]], dtype=complex)
 
 
 def hprime_gate() -> np.ndarray:
-    """H': Hadamard on the {|111>, |220>} qutrit block, |002> fixed."""
-    U = np.zeros((3, 3), dtype=complex)
-    U[:, 0] = (_ket(1) - _ket(0)) / SQRT2
-    U[:, 1] = (_ket(1) + _ket(0)) / SQRT2
-    U[2, 2] = 1.0
-    return U
+    """H': Hadamard on the {|111>, |220>} qutrit block, |002> fixed:
+    |111> -> (|220>-|111>)/sqrt2, |220> -> (|220>+|111>)/sqrt2."""
+    s = 1 / SQRT2
+    return np.array([[1, 0, 0],
+                     [0, -s, s],
+                     [0, s, s]], dtype=complex)
 
 
 def hadamard_gate() -> np.ndarray:
     """Encoded Hadamard: |0~> -> (|0~>+|1~>)/sqrt2 etc. with
     |0~> = (|220>+|002>)/sqrt2, |1~> = |111>, and the orthogonal
     combination (|002>-|220>)/sqrt2 fixed."""
-    zero = (_ket(1) + _ket(2)) / SQRT2
-    one = _ket(0)
-    w = (_ket(2) - _ket(1)) / SQRT2
-    return (
-        np.outer((zero + one) / SQRT2, zero.conjugate())
-        + np.outer((zero - one) / SQRT2, one.conjugate())
-        + np.outer(w, w.conjugate())
-    )
+    zero = np.array([1, 0, 1], dtype=complex) / SQRT2
+    one = np.array([0, 1, 0], dtype=complex)
+    w = np.array([1, 0, -1], dtype=complex) / SQRT2
+    return (np.outer((zero + one) / SQRT2, zero)
+            + np.outer((zero - one) / SQRT2, one)
+            + np.outer(w, w))
 
 
 # ---------------------------------------------------------------------------
-# Two-physical-qutrit gates on H_2 (x) H_2 (canonical 9-dim basis).
-# 3x3 primitives below are in CANONICAL H_2 order [|002>, |111>, |220>].
-
-_C002, _C111, _C220 = 0, 1, 2
+# Two-physical-qutrit gates on H_2 (x) H_2 (the 9-dim `pair_basis`).
 
 
 def _proj(i):
@@ -217,7 +185,6 @@ def _shift(i, j):
     return M
 
 
-_I3 = np.eye(3, dtype=complex)
 _SWAP02 = _shift(_C002, _C220) + _shift(_C220, _C002)
 _CYCLE = (
     _shift(_C220, _C111) + _shift(_C111, _C002) + _shift(_C002, _C220)
@@ -286,7 +253,7 @@ def lambda_s_gate() -> np.ndarray:
     """Lambda(S) on two embedded qubits (H_2 x H_2): conjugate the
     both-qutrits-in-|111> phase-i gate by X_P on each factor; equals
     diag(1,1,1,i) in the logical basis."""
-    xp = v_to_canonical(xp_gate())
+    xp = xp_gate()
     D = np.eye(9, dtype=complex)
     i11 = 3 * _C111 + _C111
     D[i11, i11] = 1j
@@ -294,30 +261,26 @@ def lambda_s_gate() -> np.ndarray:
     return XX.conjugate().transpose() @ D @ XX
 
 
-# Printed 3x3 generator matrices (v order) that the commutator
-# constructions must reproduce.
+# The appendix's 3x3 generator matrices as printed, in its order
+# v = [|111>, |220>, |002>]; `_V_ON_H2[j]` is the H_2 index of v_j.
+_V_ON_H2 = [_C111, _C220, _C002]
+_PRINTED_GENERATORS = {
+    3: [[1, 0, 0], [0, -2, 0], [0, 0, 1]],
+    4: [[0, 3, 0], [3, 0, 0], [0, 0, 0]],
+    5: [[0, 3j, 0], [-3j, 0, 0], [0, 0, 0]],
+    6: [[0, 0, 0], [0, 0, 0.75], [0, 0.75, 0]],
+    7: [[0, 0, 0], [0, 0, -0.75j], [0, 0.75j, 0]],
+}
+
+
 def printed_generator_matrix(k: int) -> np.ndarray:
-    if k == 3:
-        return np.diag([1.0, -2.0, 1.0]).astype(complex)
-    if k == 4:
-        M = np.zeros((3, 3), dtype=complex)
-        M[0, 1] = M[1, 0] = 3.0
-        return M
-    if k == 5:
-        M = np.zeros((3, 3), dtype=complex)
-        M[0, 1] = 3.0j
-        M[1, 0] = -3.0j
-        return M
-    if k == 6:
-        M = np.zeros((3, 3), dtype=complex)
-        M[1, 2] = M[2, 1] = 0.75
-        return M
-    if k == 7:
-        M = np.zeros((3, 3), dtype=complex)
-        M[1, 2] = -0.75j
-        M[2, 1] = 0.75j
-        return M
-    raise ValueError("printed matrices exist for k in 3..7")
+    """The appendix's printed G_k (k in 3..7), placed on H_2; the
+    commutator constructions must reproduce it."""
+    if k not in _PRINTED_GENERATORS:
+        raise ValueError("printed matrices exist for k in 3..7")
+    M = np.zeros((3, 3), dtype=complex)
+    M[np.ix_(_V_ON_H2, _V_ON_H2)] = _PRINTED_GENERATORS[k]
+    return M
 
 
 def _restrict(U: np.ndarray, vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -365,7 +328,7 @@ def verify_gates() -> List[dict]:
     record("XP_single_factor", "e^{i pi G7/3}", evolve([(7, np.pi / 3)]), xp)
     record("Hprime_full", "e^{i pi G4/6} e^{-i pi G5/12}",
            evolve([(4, np.pi / 6), (5, -np.pi / 12)]), hp)
-    qubit_block = [np.eye(3, dtype=complex)[:, 0], np.eye(3, dtype=complex)[:, 1]]
+    qubit_block = [_I3[:, _C111], _I3[:, _C220]]
     record("Hprime_qubit_block", "same, restricted to {|111>,|220>}",
            evolve([(4, np.pi / 6), (5, -np.pi / 12)]), hp, restrict=qubit_block)
     chain = evolve(
@@ -379,8 +342,8 @@ def verify_gates() -> List[dict]:
         ]
     )
     record("H_chain_full", "six-factor generator chain", chain, h)
-    zero = np.array([0, 1, 1], dtype=complex) / SQRT2
-    one = np.array([1, 0, 0], dtype=complex)
+    zero = (_I3[:, _C220] + _I3[:, _C002]) / SQRT2
+    one = _I3[:, _C111]
     record("H_chain_code_block", "same, restricted to the code space",
            chain, h, restrict=[zero, one])
     four = evolve([(7, -np.pi / 3), (4, np.pi / 6), (5, -np.pi / 12), (7, np.pi / 3)])

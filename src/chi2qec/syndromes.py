@@ -40,7 +40,6 @@ from .gates import (
     evolve,
     lambda21_h,
     lambda21_h_bar,
-    v_to_canonical,
 )
 
 
@@ -224,9 +223,7 @@ def _eecc_recovery_gates() -> List[np.ndarray]:
     e^{-i pi G5/6} then e^{i pi G7/3} (the printed sign on the first
     exponent maps beta |220> to -beta |111>; the oracle-selected sign is
     implemented)."""
-    g1 = v_to_canonical(evolve([(5, -np.pi / 6)]))
-    g2 = v_to_canonical(evolve([(7, np.pi / 3)]))
-    return [g1, g2]
+    return [evolve([(5, -np.pi / 6)]), evolve([(7, np.pi / 3)])]
 
 
 _PCC_SEQUENCES = {
@@ -241,7 +238,8 @@ def _recovery_pipeline(code: CodeSpec, error_label: str):
     """(lowered basis, lowered mode, restoration case, gate builder) of the
     published pipeline for one detected loss; None for error_label "none".
     The lowered basis is the code basis and every ket the lowered mode takes
-    it to.  Raises ValueError for a code without a published pipeline."""
+    it to.  Raises ValueError for a code without a published pipeline or an
+    error label it has none for."""
     if code.name == "PCC" and code.parameters["N"] == 3:
         sequences = _PCC_SEQUENCES
     elif code.name == "EECC" and code.parameters["N"] == 2:
@@ -251,7 +249,8 @@ def _recovery_pipeline(code: CodeSpec, error_label: str):
     if error_label == "none":
         return None
     if error_label not in sequences:
-        raise KeyError("unsupported %s error %r" % (code.name, error_label))
+        raise ValueError("unsupported %s error %r: expected %s or none"
+                         % (code.name, error_label, ", ".join(sequences)))
     mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
     big = _closure(code.basis.states, [_unit_shifts(code.layout.n_modes, -1)[mode]])
     return big, mode, case, sequences[error_label]

@@ -180,9 +180,11 @@ def test_ratio_inequality_on_int64_grid_arrays_matches_python_ints():
 
 
 def test_saturation_reports():
-    pcc = saturation_report(build_pcc(2))
-    assert pcc["saturates"] and pcc["n"] == 2
-    eecc = saturation_report(build_eecc(2))
-    assert eecc["saturates"] and eecc["n"] == 1
-    bc = saturation_report(build_bc(2))
-    assert not bc["saturates"]
+    pcc, eecc, bc = build_pcc(2), build_eecc(2), build_bc(2)
+    assert saturation_report(pcc)["passed"] and pcc.parameters["n"] == 2
+    assert saturation_report(eecc)["passed"] and eecc.parameters["n"] == 1
+    assert saturation_report(bc) == {
+        "name": "saturation_BC",
+        "passed": False,
+        "detail": "no saturation statement for this family",
+    }

@@ -581,6 +581,11 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "among the PCC support kets"),
     (["kl-check", "pcc", "--N", "2", "--errors", "lowest-order", "--gamma", "0.34"],
      "error: gamma must satisfy 0 <= gamma < 1/4"),
+    # Unquoted: the message is a ValueError's, not a KeyError's repr.
+    (["recover", "pcc", "--N", "3", "--error", "a_i1"],
+     "error: unsupported PCC error 'a_i1': expected a_s1, a_p1 or none\n"),
+    (["recover", "eecc", "--N", "2", "--error", "a_i"],
+     "error: unsupported EECC error 'a_i': expected a_s, a_p or none\n"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2

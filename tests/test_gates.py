@@ -14,7 +14,6 @@ from chi2qec.gates import (
     SQRT2,
     _generator_closed_form,
     _three_wave_operator,
-    canonical_to_v,
     cnot2_21,
     cnot2p_12,
     cnot2pp_12,
@@ -30,10 +29,11 @@ from chi2qec.gates import (
     lambda_s_gate,
     pair_basis,
     printed_generator_matrix,
-    v_to_canonical,
     verify_gates,
     xp_gate,
 )
+
+H2 = enumerate_irreducible_subspace(2)
 
 # The documented red identities, in verify_gates order, with the max
 # deviation each prints.
@@ -155,11 +155,6 @@ def test_generator_index_validation():
         printed_generator_matrix(2)
 
 
-def test_basis_conversion_round_trip():
-    M = np.arange(9, dtype=complex).reshape(3, 3)
-    assert np.allclose(canonical_to_v(v_to_canonical(M)), M)
-
-
 def test_equal_up_to_global_phase():
     U = xp_gate()
     ok, theta, dev = equal_up_to_global_phase(1j * U, U)
@@ -211,9 +206,38 @@ def test_g6_exponential_acts_as_sigma_x_on_lower_block():
     # e^{i 2pi G6/3} = i sigma_x on span{|220>,|002>} (G6 = 3/4 sigma_x
     # there); this is why the printed two-factor X_P form cannot hold.
     U = evolve([(6, 2 * np.pi / 3)])
-    block = U[1:, 1:]
+    lower = [H2.index_of((2, 2, 0)), H2.index_of((0, 0, 2))]
+    block = U[np.ix_(lower, lower)]
     assert np.allclose(block, 1j * np.array([[0, 1], [1, 0]]), atol=1e-12)
-    assert U[0, 0] == pytest.approx(1.0)
+    assert U[H2.index_of((1, 1, 1)), H2.index_of((1, 1, 1))] == pytest.approx(1.0)
+
+
+def test_appendix_order_is_placed_on_h2_by_named_kets():
+    # The appendix prints its matrices in the order |111>, |220>, |002>.
+    # Each printed table, placed on H_2 by the basis's own index of those
+    # kets, is the constructed generator; and the logical gates map named
+    # kets as their docstrings say.
+    v_rows = [H2.index_of(state) for state in ((1, 1, 1), (2, 2, 0), (0, 0, 2))]
+    for k, table in gates._PRINTED_GENERATORS.items():
+        placed = np.zeros((3, 3), dtype=complex)
+        placed[np.ix_(v_rows, v_rows)] = table
+        assert np.array_equal(printed_generator_matrix(k), placed), k
+        assert np.max(np.abs(generator(k) - placed)) <= 1e-14, k
+
+    k002, k111, k220 = (np.eye(3)[:, H2.index_of(st)] for st in ((0, 0, 2), (1, 1, 1), (2, 2, 0)))
+    zero, one = (k220 + k002) / SQRT2, k111
+    maps = {
+        xp_gate: [(k111, k111), (k220, (k220 - k002) / SQRT2),
+                  (k002, (k220 + k002) / SQRT2)],
+        hprime_gate: [(k002, k002), (k111, (k220 - k111) / SQRT2),
+                      (k220, (k220 + k111) / SQRT2)],
+        hadamard_gate: [(zero, (zero + one) / SQRT2), (one, (zero - one) / SQRT2),
+                        ((k002 - k220) / SQRT2, (k002 - k220) / SQRT2)],
+    }
+    for gate, pairs in maps.items():
+        U = gate()
+        for ket, image in pairs:
+            assert np.max(np.abs(U @ ket - image)) <= 1e-15, gate.__name__
 
 
 def test_verify_gates_verdicts():

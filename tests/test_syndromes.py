@@ -291,7 +291,7 @@ def test_full_recovery_identity_case_and_errors():
     psi = spec.block(spec.basis)[:, :1]
     out, fid = full_recovery(spec, "none", psi)
     assert fid[0] == 1.0
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="expected a_s, a_p or none"):
         full_recovery(spec, "a_i", psi)
     bc = build_bc(2)
     with pytest.raises(ValueError):
