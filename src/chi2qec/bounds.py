@@ -12,8 +12,7 @@ from typing import Dict, List, NamedTuple
 import numpy as np
 
 from .codes import CodeSpec
-from .errors import _closure, _unit_shifts
-from .fock import enumerate_irreducible_subspace
+from .fock import enumerate_irreducible_subspace, shift_closure, unit_shifts
 
 SEARCH_CAP_N = 64
 SEARCH_CAP_QB = 64
@@ -116,7 +115,7 @@ def corrupted_dimension(q: int) -> int:
     listing the distinct kets (once per q in a process)."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return len(_closure(enumerate_irreducible_subspace(q - 1), _unit_shifts(3, -1)))
+    return len(shift_closure(enumerate_irreducible_subspace(q - 1), unit_shifts(3, -1)))
 
 
 def theorem_checks() -> List[Dict]:

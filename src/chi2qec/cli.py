@@ -28,7 +28,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import codes as codes_mod
-from . import errors as errors_mod
 from . import gates as gates_mod
 from . import symmetry as symmetry_mod
 from .codes import CodeSpec, build, build_bc, build_eecc, build_pcc, build_two_mode_bc
@@ -40,6 +39,7 @@ from .errors import (
     check_ad_set_size,
     kl_check,
     lowest_order_loss_kraus,
+    monomial_factors,
     recovery_fidelity,
     xi_set,
 )
@@ -310,13 +310,11 @@ def _error_set_for(args, spec):
         if order < 0:
             raise ValueError("--order must be >= 0, got %d" % order)
         # Every order's size is checked before any set is built, so an
-        # oversized order is refused without building the orders below it.
+        # oversized order is refused, by the name of the lowest such order,
+        # without building the orders below it.
         for m in range(order + 1):
             check_ad_set_size(m, spec)
-        out = []
-        for m in range(order + 1):
-            out.extend(ad_product_set(gamma, m, spec))
-        return out
+        return [e for m in range(order + 1) for e in ad_product_set(gamma, m, spec)]
     raise ValueError("unknown error family %r: expected xi0, xi<m> with m a "
                      "number without a leading zero, lowest-order or ad" % choice)
 
@@ -527,7 +525,7 @@ def criterion_bc_kl_and_moments(config: RunConfig = RunConfig()) -> Dict:
                             failures.append("moment N=%d %s h=%d g=%d m=%d"
                                             % (N, kind, h, g, m))
                         exps = (h, g, top - h - g)
-                        img = monomial_action(errors_mod._factors(exps, kind),
+                        img = monomial_action(monomial_factors(exps, kind),
                                               occupations)[0] * word
                         brute = np.vdot(img, img).real
                         exact = float(Fraction(z, spec.denominator))

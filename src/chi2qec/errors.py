@@ -5,6 +5,9 @@ P E_u^dag E_v P = alpha_uv P with Hermitian (not necessarily diagonal)
 alpha.  For photon-loss/gain sets the off-diagonal alpha entries vanish
 automatically (photon-number bookkeeping); for dephasing sets they are
 allowed, which is exactly the projection-correctability relaxation.
+
+Every loss, gain, dephasing and damping operator is built by one kernel,
+`fock.shift_operator`: one photon-number shift, one coefficient per ket.
 """
 
 from dataclasses import dataclass
@@ -21,9 +24,10 @@ from .fock import (
     DimensionMismatch,
     LinearOperator,
     ModeLayout,
-    compose,
-    ladder,
     monomial_operator,
+    shift_closure,
+    shift_operator,
+    unit_shifts,
 )
 
 DEFAULT_KL_TOL = 1e-9
@@ -54,26 +58,9 @@ def _mode_tag(layout: ModeLayout, mode: int) -> str:
     return short if layout.n_groups == 1 else "%s%d" % (short, group)
 
 
-def _closure(kets, shifts) -> BasisIndex:
-    """`kets` and every nonnegative ket + shift, in lexicographic order."""
-    kets = list(kets)
-    out = set(kets)
-    for shift in shifts:
-        for ket in kets:
-            moved = tuple(n + d for n, d in zip(ket, shift))
-            if min(moved) >= 0:
-                out.add(moved)
-    return BasisIndex(sorted(out))
-
-
 def _support(code: CodeSpec):
     """Kets with a nonzero amplitude in some codeword, sorted (basis order)."""
     return sorted(set().union(*code.weights))
-
-
-def _unit_shifts(modes: int, sign: int):
-    """One photon more (sign 1) or fewer (sign -1) in each single mode."""
-    return [tuple(sign * int(i == mode) for i in range(modes)) for mode in range(modes)]
 
 
 def enclosing_basis(code: CodeSpec, shifts) -> BasisIndex:
@@ -84,25 +71,25 @@ def enclosing_basis(code: CodeSpec, shifts) -> BasisIndex:
     lexicographic order keeps image rows in the relative order a capped
     product space gives them.
     """
-    return _closure(_support(code), shifts)
+    return shift_closure(_support(code), shifts)
 
 
 _FACTOR_OF_KIND = {"loss": "lower", "gain": "raise", "dephasing": "number"}
 
 
-def _factors(exponents, kind):
+def monomial_factors(exponents, kind):
     """A monomial's factors: mode 0's act first, then mode 1's, and so on."""
     factor = _FACTOR_OF_KIND[kind]
     return [(mode, factor) for mode, power in enumerate(exponents) for _ in range(power)]
 
 
-def _shift(exponents, kind):
+def monomial_shift(exponents, kind):
     """Photon-number change of a loss, gain or dephasing monomial."""
     sign = {"loss": -1, "gain": 1, "dephasing": 0}[kind]
     return tuple(sign * p for p in exponents)
 
 
-def _monomial_label(layout, exponents, kind) -> str:
+def monomial_label(layout, exponents, kind) -> str:
     stem = {"loss": "a_%s", "gain": "adag_%s", "dephasing": "n_%s"}[kind]
     parts = []
     for mode, power in enumerate(exponents):
@@ -115,13 +102,13 @@ def _monomial_label(layout, exponents, kind) -> str:
     return " ".join(parts) if parts else "I"
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -139,7 +126,7 @@ def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
     entries = operators * len(code.weights) * rows
     _check_size(entries, "xi_%d on %s would stack %d image entries" % (m, code.name, entries))
     return enclosing_basis(
-        code, [_shift(e, kind) for e in _compositions(m, nm) for kind in ("loss", "gain")]
+        code, [monomial_shift(e, kind) for e in compositions(m, nm) for kind in ("loss", "gain")]
     )
 
 
@@ -157,9 +144,9 @@ def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
     if m >= 2:
         families.append(("dephasing", m - 1))
     for kind, degree in families:
-        ops += [ErrorOperator(_monomial_label(layout, e, kind),
-                              monomial_operator(_factors(e, kind), basis))
-                for e in _compositions(degree, layout.n_modes)]
+        ops += [ErrorOperator(monomial_label(layout, e, kind),
+                              monomial_operator(monomial_factors(e, kind), basis))
+                for e in compositions(degree, layout.n_modes)]
     return ops
 
 
@@ -173,7 +160,8 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     code's support and its images for gamma below 1/(largest photon total on
     a support ket); a larger gamma is refused, as E_0 would not be real.
     """
-    basis = enclosing_basis(code, _unit_shifts(code.layout.n_modes, -1))
+    lowered = unit_shifts(code.layout.n_modes, -1)
+    basis = enclosing_basis(code, lowered)
     totals = basis.occupations.sum(axis=1)
     top = totals.max()  # a support ket's: each single-loss image holds one photon fewer
     if not (0 <= gamma and gamma * top < 1):
@@ -182,36 +170,11 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     diag = np.sqrt(1.0 - gamma * totals.astype(float))
     out = [ErrorOperator("E_0", LinearOperator.diagonal(basis, diag))]
     if gamma > 0:
-        for mode in range(code.layout.n_modes):
-            a = ladder(mode, "lower", basis)
-            op = LinearOperator(basis, a.rows, math.sqrt(gamma) * a.coeffs)
-            out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(code.layout, mode), op))
+        for mode, shift in enumerate(lowered):
+            coeff = math.sqrt(gamma) * np.sqrt(basis.occupations[:, mode])
+            out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(code.layout, mode),
+                                     shift_operator(basis, coeff, shift)))
     return out
-
-
-def amplitude_damping_kraus(
-    gamma: float, m: int, mode: int, basis: BasisIndex
-) -> ErrorOperator:
-    """A(m) = sum_{n>=m} sqrt(C(n,m)) gamma^{m/2} (1-gamma)^{(n-m)/2} |n-m><n|
-    on one mode of `basis`; a column whose target is not in the basis is
-    left empty.  On a basis that holds every ket below each of its kets on
-    that mode, summing A(m)^dag A(m) over m resolves the identity exactly."""
-    if not 0 <= gamma < 1:
-        raise ValueError("gamma must satisfy 0 <= gamma < 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    rows = np.full(basis.dimension, -1, dtype=np.int64)
-    coeffs = np.zeros(basis.dimension)
-    for j, s in enumerate(basis.states):
-        n = s[mode]
-        target = s[:mode] + (n - m,) + s[mode + 1:]
-        if n < m or target not in basis:
-            continue
-        rows[j] = basis.index_of(target)
-        coeffs[j] = math.sqrt(math.comb(n, m)) * gamma ** (m / 2.0) * (1 - gamma) ** (
-            (n - m) / 2.0
-        )
-    return ErrorOperator("A_%d(mode %d)" % (m, mode), LinearOperator(basis, rows, coeffs))
 
 
 def check_ad_set_size(m: int, code: CodeSpec) -> None:
@@ -227,29 +190,39 @@ def check_ad_set_size(m: int, code: CodeSpec) -> None:
 
 
 def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
-    """All products of per-mode amplitude-damping Kraus operators with total
-    loss order m over every mode of the code.
+    """All products A_k0(0) A_k1(1) ... of per-mode damping Kraus operators,
+    A_k(l) = sum_n sqrt(C(n,k)) gamma^{k/2} (1-gamma)^{(n-k)/2} |n-k><n| on
+    mode l, with total loss order k0 + k1 + ... = m.
 
     Damping only lowers photon numbers, so the operators act on the code's
     support and every ket below a support ket: one basis for every order m,
-    on which the products of all orders resolve the identity.  As for xi_m,
-    an oversized set is refused (`check_ad_set_size`) before anything is
-    built.
+    on which the products of all orders resolve the identity.  Each product
+    is one `shift_operator` whose coefficient multiplies the per-mode
+    factors, mode 0 first.  As for xi_m, an oversized set is refused
+    (`check_ad_set_size`) before anything is built.
     """
+    if m < 0:
+        raise ValueError("m must be >= 0")
     check_ad_set_size(m, code)
-    nm = code.layout.n_modes
-    support = _support(code)
+    if not 0 <= gamma < 1:
+        raise ValueError("gamma must satisfy 0 <= gamma < 1")
     basis = BasisIndex(sorted({
-        below for ket in support
+        below for ket in _support(code)
         for below in itertools.product(*(range(n + 1) for n in ket))
     }))
+    occupations = basis.occupations
+    # factor[k][n]: A_k's coefficient on |n>, zero for n < k.
+    factor = [np.array([math.sqrt(math.comb(n, k)) * gamma ** (k / 2.0)
+                        * (1 - gamma) ** ((n - k) / 2.0) if n >= k else 0.0
+                        for n in range(int(occupations.max()) + 1)])
+              for k in range(m + 1)]
     out = []
-    for exps in _compositions(m, nm):
-        op = LinearOperator.identity(basis)
+    for exps in compositions(m, code.layout.n_modes):
+        coeff = 1.0
         for mode, k in enumerate(exps):
-            op = compose(amplitude_damping_kraus(gamma, k, mode, basis).operator, op)
+            coeff = coeff * factor[k][occupations[:, mode]]
         label = " ".join("A_%d(%d)" % (mode, k) for mode, k in enumerate(exps))
-        out.append(ErrorOperator(label, op))
+        out.append(ErrorOperator(label, shift_operator(basis, coeff, monomial_shift(exps, "loss"))))
     return out
 
 

@@ -10,16 +10,17 @@ Conventions (part of the public contract):
   * capped product bases are lexicographic in the occupation tuple;
   * every operator is square: it maps one basis (its `domain`) into
     itself;
-  * ladder and monomial operators act on any basis: each column's final
-    ket is looked up in the basis, and a column whose ket is annihilated
-    or leaves the basis is dropped;
+  * one kernel, `shift_operator`, builds every operator that moves each
+    ket by one photon-number shift with one coefficient per ket: a column
+    whose coefficient is zero or whose ket leaves the basis is dropped;
   * `ket_map_operator` builds the 0/1 operators that send kets to kets
     (inversions, swaps, restorations): a ket with no image leaves its
     column empty, and an image outside the basis is an error;
   * operators are weighted ket maps (one target ket and one coefficient
     per column) acting on complex amplitude arrays over their domain, one
     column per state; codewords are held as exact integer weights (`codes`);
-  * `StateVector`, `apply` and `embed` stay only because the benchmark reads them;
+  * `StateVector`, `apply`, `embed` and `compose` stay only because the
+    benchmark reads them;
   * the text form of a basis state is "n1,n2,...,nk".
 """
 
@@ -261,7 +262,7 @@ def apply(op: LinearOperator, state: StateVector) -> StateVector:
 
 
 def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    """Operator product a.b (apply b first)."""
+    """Operator product a.b (apply b first); the benchmark names it."""
     if b.domain != a.domain:
         raise DimensionMismatch("compose: bases differ")
     # Index -1 (an empty column of b) picks the appended empty entry.
@@ -310,6 +311,23 @@ def _check_size(count: int, prefix: str) -> None:
         raise TruncationOverflow("%s, over the limit of %d" % (prefix, _MAX_TRUNCATED_DIM))
 
 
+def unit_shifts(modes: int, sign: int):
+    """One photon more (sign 1) or fewer (sign -1) in each single mode."""
+    return [tuple(sign * int(i == mode) for i in range(modes)) for mode in range(modes)]
+
+
+def shift_closure(kets, shifts) -> BasisIndex:
+    """`kets` and every nonnegative ket + shift, in lexicographic order."""
+    kets = list(kets)
+    out = set(kets)
+    for shift in shifts:
+        for ket in kets:
+            moved = tuple(n + d for n, d in zip(ket, shift))
+            if min(moved) >= 0:
+                out.add(moved)
+    return BasisIndex(sorted(out))
+
+
 def enumerate_truncated_space(layout: ModeLayout) -> BasisIndex:
     """Full product basis up to per-mode caps, lexicographic order."""
     states = math.prod(c + 1 for c in layout.caps)
@@ -350,19 +368,22 @@ def monomial_action(
     return coeff, shift
 
 
-def monomial_operator(
-    factors: Sequence[Tuple[int, str]], basis: BasisIndex
-) -> LinearOperator:
-    """`monomial_action` on the kets of `basis` as one ket map: a column
-    whose ket is annihilated, or moves out of the basis, is left empty."""
+def shift_operator(basis: BasisIndex, coeff: np.ndarray, shift) -> LinearOperator:
+    """The ket map sending ket j of `basis` to ket j + shift with
+    coefficient coeff[j]: a column whose coefficient is zero, or whose ket
+    moves out of the basis, is left empty."""
     occupations = basis.occupations
-    coeff, shift = monomial_action(factors, occupations)
     cols = np.flatnonzero(coeff)
     lookup = basis._lookup
     rows = np.full(basis.dimension, -1, dtype=np.int64)
     rows[cols] = [lookup.get(ket, -1)
                   for ket in map(tuple, (occupations[cols] + shift).tolist())]
     return LinearOperator(basis, rows, np.where(rows >= 0, coeff, 0))
+
+
+def monomial_operator(factors: Sequence[Tuple[int, str]], basis: BasisIndex) -> LinearOperator:
+    """`monomial_action` on the kets of `basis` as one ket map."""
+    return shift_operator(basis, *monomial_action(factors, basis.occupations))
 
 
 def ket_map_operator(

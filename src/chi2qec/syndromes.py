@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .codes import CodeSpec
-from .errors import _closure, _compositions, _monomial_label, _shift, _unit_shifts
+from .errors import compositions, monomial_label, monomial_shift
 from .fock import (
     _check_size,
     BasisIndex,
@@ -32,6 +32,8 @@ from .fock import (
     LinearOperator,
     ket_map_operator,
     ladder,
+    shift_closure,
+    unit_shifts,
 )
 from .gates import (
     cnot2_21,
@@ -137,7 +139,7 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
         cases = [(kind, unit, tuple(delta % 3 * (g == group)
                                     for g in range(1, layout.n_groups + 1)))
                  for kind, delta in (("loss", -1), ("gain", 1))
-                 for unit, (_, group) in zip(_unit_shifts(layout.n_modes, 1), layout.modes)]
+                 for unit, (_, group) in zip(unit_shifts(layout.n_modes, 1), layout.modes)]
         n_cases = len(cases)
     elif code.name == "BC":
         N = code.parameters["N"]
@@ -156,7 +158,7 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
         cases = ((kind, exps, (sign * m % (6 * N - 3),))
                  for m in orders
                  for kind, sign in (("loss", -1), ("gain", 1))
-                 for exps in _compositions(m, 3))
+                 for exps in compositions(m, 3))
         n_cases = 2 * sum(math.comb(m + 2, 2) for m in orders)
     else:
         raise ValueError("no syndrome table for code %r" % code.name)
@@ -169,7 +171,7 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
     # (cases, kets, modes) array read by one integer matmul; a row is sound
     # when some kets stay alive and agree on each component (min == max).
     supports = [np.array(sorted(w), dtype=np.int64).reshape(len(w), -1) for w in code.weights]
-    moved = np.concatenate(supports) + np.array([_shift(e, kind) for kind, e, _ in cases])[:, None]
+    moved = np.concatenate(supports) + np.array([monomial_shift(e, kind) for kind, e, _ in cases])[:, None]
     coeffs = np.array([[sum(c for m, c in terms if m == mode) for terms, _ in scheme.components]
                        for mode in range(moved.shape[2])])
     moduli = np.array([modulus for _, modulus in scheme.components])
@@ -185,9 +187,9 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
                     ([k for k in image.tolist() if min(k) >= 0] for image in images) if kets}
         if not parities:
             raise IndefiniteParity("%s annihilates every codeword: no image kets to read %s from"
-                                   % (_monomial_label(code.layout, exps, kind), scheme.name))
+                                   % (monomial_label(code.layout, exps, kind), scheme.name))
         raise IndefiniteParity("codewords disagree on %s: %r" % (scheme.name, sorted(parities)))
-    return [SyndromeRecord(_monomial_label(code.layout, exps, kind), tuple(p), q)
+    return [SyndromeRecord(monomial_label(code.layout, exps, kind), tuple(p), q)
             for (kind, exps, q), p in zip(cases, low.tolist())]
 
 
@@ -252,7 +254,7 @@ def _recovery_pipeline(code: CodeSpec, error_label: str):
         raise ValueError("unsupported %s error %r: expected %s or none"
                          % (code.name, error_label, ", ".join(sequences)))
     mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
-    big = _closure(code.basis.states, [_unit_shifts(code.layout.n_modes, -1)[mode]])
+    big = shift_closure(code.basis.states, [unit_shifts(code.layout.n_modes, -1)[mode]])
     return big, mode, case, sequences[error_label]
 
 

@@ -121,7 +121,7 @@ def test_corrupted_dimensions_are_enumerated_once_per_process(monkeypatch):
     def no_closure(*args):
         raise AssertionError("closure enumerated again")
 
-    monkeypatch.setattr(bounds, "_closure", no_closure)
+    monkeypatch.setattr(bounds, "shift_closure", no_closure)
     assert theorem_checks()[-1]["passed"]
 
 

@@ -586,6 +586,11 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
      "error: unsupported PCC error 'a_i1': expected a_s1, a_p1 or none\n"),
     (["recover", "eecc", "--N", "2", "--error", "a_i"],
      "error: unsupported EECC error 'a_i': expected a_s, a_p or none\n"),
+    # Outside 0 <= gamma < 1, NaN included, damping is refused.
+    (["kl-check", "bc2mode", "--N", "2", "--errors", "ad", "--gamma", "nan"],
+     "error: gamma must satisfy 0 <= gamma < 1\n"),
+    (["kl-check", "bc2mode", "--N", "2", "--errors", "ad", "--gamma", "1"],
+     "error: gamma must satisfy 0 <= gamma < 1\n"),
 ])
 def test_main_rejects_unsupported_inputs(capsys, argv, message):
     assert main(argv) == 2
@@ -627,8 +632,8 @@ def test_syndromes_bc_refuses_an_oversized_table_before_listing_it(monkeypatch, 
     # The (cases, support kets, modes) array of moved kets is counted first:
     # BC N=31 would stack 2 * (C(34, 3) - 1) * 62 * 3 entries.
     listed = []
-    compositions = syndromes_mod._compositions
-    monkeypatch.setattr(syndromes_mod, "_compositions",
+    compositions = syndromes_mod.compositions
+    monkeypatch.setattr(syndromes_mod, "compositions",
                         lambda *a: listed.append(1) or compositions(*a))
     assert main(argv) == 2
     assert capsys.readouterr() == ("", message)
@@ -741,7 +746,7 @@ def test_oversized_damping_order_is_refused_before_lower_orders_are_built(
     # Orders 0-2 of PCC N=6 fit and order 3 does not; every order's size is
     # checked before any damping operator is built.
     calls = []
-    monkeypatch.setattr(errors_mod, "amplitude_damping_kraus",
+    monkeypatch.setattr(errors_mod, "shift_operator",
                         lambda *args: calls.append(args))
     assert main(["kl-check", "pcc", "--N", "6", "--errors", "ad", "--order", "3"]) == 2
     assert calls == []

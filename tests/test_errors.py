@@ -15,12 +15,11 @@ from chi2qec.errors import (
     DEFAULT_KL_TOL,
     ErrorOperator,
     _alpha_range_basis,
-    _compositions,
     KLViolation,
     ad_product_set,
-    amplitude_damping_kraus,
     bc_moment_numerator,
     canonical_recovery,
+    compositions,
     enclosing_basis,
     kl_check,
     lowest_order_loss_kraus,
@@ -32,10 +31,8 @@ from chi2qec.fock import (
     DimensionMismatch,
     LinearOperator,
     apply,
-    compose,
     embed,
     enumerate_truncated_space,
-    two_mode_layout,
 )
 from chi2qec.syndromes import random_logical_coefficients
 
@@ -50,6 +47,12 @@ def test_xi_set_sizes_three_modes(m, size):
 def test_xi_set_rejects_negative_order():
     with pytest.raises(ValueError):
         xi_set(-1, build_bc(2))
+
+
+@pytest.mark.parametrize("m", [-1, -6])  # PCC has six modes
+def test_damping_set_rejects_negative_order(m):
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        ad_product_set(0.01, m, build_pcc(2))
 
 
 def test_enclosing_basis_is_the_sorted_closure_of_the_support():
@@ -91,13 +94,13 @@ def test_amplitude_damping_resolves_identity(gamma):
 
 
 def test_amplitude_damping_matrix_element():
-    basis = enumerate_truncated_space(two_mode_layout(3))
     gamma = 0.04
-    A1 = amplitude_damping_kraus(gamma, 1, 0, basis)
-    src = basis.index_of((3, 0))
-    dst = basis.index_of((2, 0))
+    A1 = {e.label: e.operator for e in ad_product_set(gamma, 1, build_two_mode_bc(2))}
+    op = A1["A_0(1) A_1(0)"]  # one signal photon lost, none from the pump
+    src = op.domain.index_of((3, 0))
+    dst = op.domain.index_of((2, 0))
     expected = math.sqrt(3) * math.sqrt(gamma) * (1 - gamma)
-    assert A1.operator.dense()[dst, src] == pytest.approx(expected)
+    assert op.dense()[dst, src] == pytest.approx(expected)
 
 
 def test_kl_check_xi1_binomial_qubit():
@@ -492,9 +495,9 @@ def _xi_actions(m, modes):
     acts = [lambda ket: (1.0, ket)]
     if m >= 1:
         acts += [_monomial_action(e, kind) for kind in ("lower", "raise")
-                 for e in _compositions(m, modes)]
+                 for e in compositions(m, modes)]
     if m >= 2:
-        acts += [_monomial_action(e, "number") for e in _compositions(m - 1, modes)]
+        acts += [_monomial_action(e, "number") for e in compositions(m - 1, modes)]
     return acts
 
 
@@ -561,7 +564,7 @@ def _ad_family(gamma, order, spec):
     for m in range(order + 1):
         errs += ad_product_set(gamma, m, spec)
         actions += [lambda ket, d=drops: _damping_action(gamma, d, modes, ket)
-                    for drops in _compositions(m, len(modes))]
+                    for drops in compositions(m, len(modes))]
     return errs, actions
 
 
@@ -572,16 +575,19 @@ def test_two_mode_damping_matches_the_reference_engine(N, order):
 
 
 def _product_space_ad_set(gamma, order, spec):
-    """The damping family on the code's capped product space."""
+    """The damping family on the code's capped product space, each operator
+    listed ket by ket from `_damping_action`."""
     modes = range(spec.layout.n_modes)
     basis = enumerate_truncated_space(spec.layout)
     out = []
     for m in range(order + 1):
-        for drops in _compositions(m, len(modes)):
-            op = LinearOperator.identity(basis)
-            for mode, k in zip(modes, drops):
-                op = compose(amplitude_damping_kraus(gamma, k, mode, basis).operator, op)
-            out.append(ErrorOperator(str(drops), op))
+        for drops in compositions(m, len(modes)):
+            rows, coeffs = [], []
+            for ket in basis.states:
+                hit = _damping_action(gamma, drops, modes, ket)
+                rows.append(-1 if hit is None else basis.index_of(hit[1]))
+                coeffs.append(0.0 if hit is None else hit[0])
+            out.append(ErrorOperator(str(drops), LinearOperator(basis, rows, coeffs)))
     return out
 
 
@@ -596,3 +602,31 @@ def test_damping_on_three_mode_codes_matches_the_product_space(builder, N):
     scale = max(1.0, float(np.max(np.abs(ref.alpha))))
     assert np.max(np.abs(rep.alpha - ref.alpha)) <= 1e-14 * scale
     _assert_matches_reference(spec, errs, actions)
+
+
+_AD_CODES = ([(b, N) for b in (build_pcc, build_eecc, build_bc) for N in (2, 3)]
+             + [(build_two_mode_bc, N) for N in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("builder,N", _AD_CODES,
+                         ids=["%s-N%d" % (b.__name__[6:], N) for b, N in _AD_CODES])
+def test_damping_products_are_the_reference_ket_maps(builder, N):
+    # Ket by ket, every product's target row and coefficient bytes are the
+    # reference's; a zero coefficient (gamma 0 at order >= 1) leaves the
+    # column empty.
+    spec = builder(N)
+    modes = range(spec.layout.n_modes)
+    for gamma in (0.0, 0.01, 0.05, 0.3, 0.99):
+        for m in range(4):
+            errs = ad_product_set(gamma, m, spec)
+            assert len(errs) == len(list(compositions(m, len(modes))))
+            for e, drops in zip(errs, compositions(m, len(modes))):
+                basis = e.operator.domain
+                rows, coeffs = [], []
+                for ket in basis.states:
+                    hit = _damping_action(gamma, drops, modes, ket)
+                    live = hit is not None and hit[0] != 0
+                    rows.append(basis.index_of(hit[1]) if live else -1)
+                    coeffs.append(hit[0] if live else 0.0)
+                assert e.operator.rows.tolist() == rows, (gamma, drops)
+                assert e.operator.coeffs.tobytes() == np.array(coeffs, complex).tobytes()

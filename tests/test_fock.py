@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chi2qec.errors import _factors
+from chi2qec.errors import monomial_factors
 from chi2qec.fock import (
     BasisIndex,
     DimensionMismatch,
@@ -314,7 +314,7 @@ def test_error_monomials_equal_composed_ladders(data):
     factors = [(mode, step) for mode, p in enumerate(exps) for _ in range(p)]
     layout = _layout(caps)
     basis = enumerate_truncated_space(layout)
-    op = monomial_operator(_factors(exps, kind), basis)
+    op = monomial_operator(monomial_factors(exps, kind), basis)
     _assert_same_operator(op, _reference_product(factors, basis))
 
 

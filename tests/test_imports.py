@@ -1,5 +1,6 @@
 """Every module of the package uses every name it imports, every
 module-level def the package does not reference is a recorded exception,
+no module reads another's underscore names but the one size limit,
 importing the package loads numpy only and builds no generator matrices,
 `report all` checks its JSON without jsonschema, and no run loads
 numpy.ma."""
@@ -144,6 +145,56 @@ def test_dead_surface_scan_flags_a_new_unreferenced_def():
 def test_every_unreferenced_def_has_a_recorded_reason():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_defs(sources, _per_layer_references()) == sorted(UNREFERENCED)
+
+
+# The one underscore name a module may read from another: the size limit.
+SHARED_PRIVATE = ["fock._check_size"]
+
+
+def private_reads(sources, package="chi2qec"):
+    """Sorted "reader: module.name" for every underscore name a module of
+    `sources` ({module: source} of one package) reads from another one, by
+    `from .module import _name` (or `from package.module import _name`) or
+    as `alias._name` for a module imported as `from . import module as
+    alias`."""
+    out = set()
+    for reader, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module if node.level == 1 else None
+            if node.level == 0 and (node.module or "").startswith(package + "."):
+                module = node.module[len(package) + 1:]
+            for alias in node.names:
+                if node.level == 1 and node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif module is not None and alias.name.startswith("_"):
+                    out.add((reader, module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                out.add((reader, aliases[node.value.id], node.attr))
+    return sorted("%s: %s.%s" % read for read in out)
+
+
+def test_private_read_scan_flags_reads_across_modules():
+    sources = {
+        "a": "def _own():\n    pass\n_own()\n",
+        "b": ("from .a import _own, public\n"
+              "from chi2qec.c import _absolute\n"
+              "from . import a as a_mod, c\n"
+              "x = a_mod._hidden, a_mod.shown, c._z\n"),
+        "c": "from .fock import _check_size\nimport os\nos._exit\n",
+    }
+    assert private_reads(sources) == [
+        "b: a._hidden", "b: a._own", "b: c._absolute", "b: c._z", "c: fock._check_size"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sorted({read.split(": ")[1] for read in private_reads(sources)}) == SHARED_PRIVATE
 
 
 def _loaded_in_fresh_interpreter(code, package):

@@ -12,12 +12,11 @@ import pytest
 from chi2qec.cli import expected_syndrome_rows
 from chi2qec.codes import build_bc, build_eecc, build_pcc
 from chi2qec.errors import (
-    _compositions,
-    _factors,
-    _monomial_label,
-    _shift,
-    _unit_shifts,
+    compositions,
     enclosing_basis,
+    monomial_factors,
+    monomial_label,
+    monomial_shift,
 )
 from chi2qec.fock import (
     DimensionMismatch,
@@ -25,6 +24,7 @@ from chi2qec.fock import (
     ladder,
     monomial_operator,
     three_mode_layout,
+    unit_shifts,
 )
 from chi2qec.syndromes import (
     _RESTORATION_MAPS,
@@ -143,15 +143,15 @@ def _reference_syndrome_rows(code):
         N = code.parameters["N"]
         scheme = p_bc_scheme(N)
         errors = [(kind, exps) for m in range(1, N + 1)
-                  for kind in ("loss", "gain") for exps in _compositions(m, 3)]
+                  for kind in ("loss", "gain") for exps in compositions(m, 3)]
     else:
         scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
         errors = [(kind, exps) for kind in ("loss", "gain")
-                  for exps in _unit_shifts(code.layout.n_modes, 1)]
+                  for exps in unit_shifts(code.layout.n_modes, 1)]
     rows = []
     for kind, exps in errors:
-        basis = enclosing_basis(code, [_shift(exps, kind)])
-        op = monomial_operator(_factors(exps, kind), basis)
+        basis = enclosing_basis(code, [monomial_shift(exps, kind)])
+        op = monomial_operator(monomial_factors(exps, kind), basis)
         values = set()
         for image in op.apply(code.block(basis)).T:
             norm = np.linalg.norm(image)
@@ -159,7 +159,7 @@ def _reference_syndrome_rows(code):
                 kets = [basis.states[j] for j in np.flatnonzero(np.abs(image / norm) > 1e-12)]
                 values.add(_parity(kets, scheme))
         assert len(values) == 1
-        rows.append((_monomial_label(code.layout, exps, kind), values.pop()))
+        rows.append((monomial_label(code.layout, exps, kind), values.pop()))
     return rows
 
 
@@ -181,14 +181,14 @@ def _per_ket_syndrome_rows(code, order=None):
         N = code.parameters["N"]
         scheme = p_bc_scheme(N)
         errors = [(kind, exps) for m in ([order] if order else range(1, N + 1))
-                  for kind in ("loss", "gain") for exps in _compositions(m, 3)]
+                  for kind in ("loss", "gain") for exps in compositions(m, 3)]
     else:
         scheme = p12_scheme() if code.name == "PCC" else p3_scheme()
         errors = [(kind, exps) for kind in ("loss", "gain")
-                  for exps in _unit_shifts(code.layout.n_modes, 1)]
+                  for exps in unit_shifts(code.layout.n_modes, 1)]
     rows = []
     for kind, exps in errors:
-        shift = _shift(exps, kind)
+        shift = monomial_shift(exps, kind)
         values = set()
         for word in code.weights:
             moved = [tuple(n + d for n, d in zip(ket, shift)) for ket in word]
@@ -196,7 +196,7 @@ def _per_ket_syndrome_rows(code, order=None):
             if kets:
                 values.add(_parity(kets, scheme))
         assert len(values) == 1
-        rows.append((_monomial_label(code.layout, exps, kind), values.pop()))
+        rows.append((monomial_label(code.layout, exps, kind), values.pop()))
     return rows
 
 
