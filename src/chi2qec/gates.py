@@ -236,29 +236,41 @@ def cnot2pp_12() -> np.ndarray:
     )
 
 
-def cz_gate() -> np.ndarray:
-    """Logical qutrit CZ: (F (x) F)^dag CZ22 (F (x) F), F = CNOT2pp.  CZ22,
-    the qutrit CZ (phase omega^{jk}) between the second physical qutrits of
-    the two code blocks, is diagonal, so it scales the rows of F (x) F; the
-    digit of |n,n,2-n> is (1 - n) mod 3: |111> -> 0, |002> -> 1, |220> -> 2."""
+def _cz_phases() -> np.ndarray:
+    """The 81 diagonal entries of the logical qutrit CZ,
+    (F (x) F)^dag CZ22 (F (x) F) with F = CNOT2pp.  CZ22, the qutrit CZ
+    (phase omega^{jk}) between the second physical qutrits of the two code
+    blocks, is diagonal and F is a ket permutation, so CZ is diagonal: its
+    entry at a ket is CZ22's phase at the ket F (x) F sends it to.  The
+    digit of |n,n,2-n> is (1 - n) mod 3: |111> -> 0, |002> -> 1,
+    |220> -> 2.  Raises ValueError if F is not a 0/1 permutation."""
     F = cnot2pp_12()
-    FF = np.kron(F, F)
+    perm = F.real.argmax(axis=0)  # F sends pair ket a to pair ket perm[a]
+    if (not np.array_equal(F, np.eye(len(F))[:, perm])
+            or not np.array_equal(np.sort(perm), np.arange(len(F)))):
+        raise ValueError("CNOT2pp_12 is not a 0/1 ket permutation, so the "
+                         "logical CZ cannot be read off CZ22's phases")
     powers = np.array([np.exp(2j * np.pi / 3) ** e for e in range(5)])
     digit = (1 - pair_basis().occupations[:, 3]) % 3
     phases = powers[np.outer(digit, digit).ravel()]
-    return FF.conjugate().transpose() @ (phases[:, None] * FF)
+    return phases[(len(F) * perm[:, None] + perm).ravel()]
+
+
+def cz_gate() -> np.ndarray:
+    """Logical qutrit CZ as a dense 81x81 matrix: the diagonal of
+    `_cz_phases`."""
+    return np.diag(_cz_phases())
 
 
 def lambda_s_gate() -> np.ndarray:
     """Lambda(S) on two embedded qubits (H_2 x H_2): conjugate the
-    both-qutrits-in-|111> phase-i gate by X_P on each factor; equals
-    diag(1,1,1,i) in the logical basis."""
+    both-qutrits-in-|111> phase-i gate D by X_P on each factor; equals
+    diag(1,1,1,i) in the logical basis.  D is the identity but for the
+    entry i at |111,111>, so (X_P x X_P)^dag D (X_P x X_P) is
+    I + (i - 1) outer(conj(x), x), x that ket's row of X_P x X_P."""
     xp = xp_gate()
-    D = np.eye(9, dtype=complex)
-    i11 = 3 * _C111 + _C111
-    D[i11, i11] = 1j
-    XX = np.kron(xp, xp)
-    return XX.conjugate().transpose() @ D @ XX
+    x = np.kron(xp[_C111], xp[_C111])
+    return np.eye(9, dtype=complex) + (1j - 1) * np.outer(x.conjugate(), x)
 
 
 # The appendix's 3x3 generator matrices as printed, in its order
@@ -357,8 +369,9 @@ def verify_gates() -> List[dict]:
         record("G%d_printed" % k, "G%d commutator construction" % k,
                generator(k), printed_generator_matrix(k))
 
-    cz = cz_gate()
-    unit_dev = float(np.max(np.abs(cz.conjugate().transpose() @ cz - np.eye(81))))
+    # CZ is diagonal, so it is read as its 81 phases d.
+    d = _cz_phases()
+    unit_dev = float(np.max(np.abs(d.conjugate() * d - 1)))
     results.append(
         {
             "name": "CZ_unitary",
@@ -372,9 +385,10 @@ def verify_gates() -> List[dict]:
     from .codes import build_pcc
 
     pcc = build_pcc(3)
-    words = pcc.block(pcc.basis).T
-    L = np.column_stack([np.kron(wa, wb) for wa in words for wb in words])
-    logical = L.conjugate().transpose() @ cz @ L
+    words = pcc.block(pcc.basis)
+    # Column 3a + b of L is codeword a (x) codeword b.
+    L = (words[:, None, :, None] * words[None, :, None, :]).reshape(81, 9)
+    logical = L.conjugate().transpose() @ (d[:, None] * L)
     omega = np.exp(2j * np.pi / 3)
     target = np.diag([omega ** (j * k) for j in range(3) for k in range(3)])
     record("CZ_logical_pattern", "diag(omega^{jk}) on the logical qutrit pair",

@@ -5,6 +5,8 @@ are asserted here with their actual verdicts; the acceptance suite asserts
 the printed identities themselves.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,30 @@ def test_cz_gate_matches_the_per_ket_diagonal_reference():
     cz22 = np.diag([omega ** (digit[st[3:6]] * digit[st[9:12]]) for st in basis.states])
     FF = np.kron(cnot2pp_12(), cnot2pp_12())
     assert np.array_equal(cz_gate(), FF.conjugate().transpose() @ cz22 @ FF)
+
+
+def test_cz_gate_refuses_a_cnot2pp_that_is_not_a_ket_permutation(monkeypatch):
+    # Lambda21H has 1/sqrt2 entries: reading CZ22's phases through it would
+    # build a wrong diagonal.
+    monkeypatch.setattr(gates, "cnot2pp_12", lambda21_h)
+    with pytest.raises(ValueError, match="CNOT2pp_12"):
+        cz_gate()
+
+
+def test_verify_gates_forms_no_81x81_product():
+    """The traced peak of a warm `verify_gates()` stays below the three
+    81x81 complex arrays of 104,976 B each that a dense CZ holds: F (x) F,
+    its phased copy and their product.  Measured with tracemalloc (warm,
+    CPython 3.11, numpy 2.4): 480,391 B when CZ and its unitarity check
+    were dense 81x81 products, 61,535 B with CZ read as 81 phases."""
+    verify_gates()
+    tracemalloc.start()
+    try:
+        verify_gates()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 81 * 81 * 16
 
 
 def test_generator_index_validation():

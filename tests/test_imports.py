@@ -85,6 +85,8 @@ def test_no_unused_imports(path):
 UNREFERENCED = {
     "codes.mean_photons_per_mode": "paper property: per-mode photon numbers, tested",
     "gates.cnot3_12": "paper gate: the printed qutrit CNOT, tested unitary",
+    "gates.cz_gate": "paper gate: the logical CZ as a dense matrix (verify_gates reads "
+                     "its 81 phases), tested against the dense product",
     "gates.lambda_s_gate": "paper gate: Lambda(S) on embedded qubits, tested",
 }
 
