@@ -250,6 +250,8 @@ def _cz_phases() -> np.ndarray:
             or not np.array_equal(np.sort(perm), np.arange(len(F)))):
         raise ValueError("CNOT2pp_12 is not a 0/1 ket permutation, so the "
                          "logical CZ cannot be read off CZ22's phases")
+    # omega^{jk} with jk in 0..4 unreduced: the float omega^4 and omega^1
+    # differ in their last bits.
     powers = np.array([np.exp(2j * np.pi / 3) ** e for e in range(5)])
     digit = (1 - pair_basis().occupations[:, 3]) % 3
     phases = powers[np.outer(digit, digit).ravel()]
