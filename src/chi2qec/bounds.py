@@ -2,7 +2,8 @@
 
 All bound evaluations compare exact integers: Python integers, or int64
 arrays over theorem 4's grid, whose values stay far below 2^63; floats only
-appear in code_rate.
+appear in code_rate.  A query whose integers would be too long to form is
+refused by the one size limit before any power is formed.
 """
 
 import functools
@@ -12,7 +13,7 @@ from typing import Dict, List, NamedTuple
 import numpy as np
 
 from .codes import CodeSpec
-from .fock import enumerate_irreducible_subspace, shift_closure, unit_shifts
+from .fock import _check_size, enumerate_irreducible_subspace, shift_closure, unit_shifts
 
 SEARCH_CAP_N = 64
 SEARCH_CAP_QB = 64
@@ -21,6 +22,17 @@ SEARCH_CAP_QB = 64
 class SearchCapExceeded(ValueError):
     """A bound search ran past the documented caps without an answer; the
     CLI reports it as a usage error, like any other out-of-range input."""
+
+
+def _bits(x: int) -> int:
+    """ceil(log2 x): a power x^e has at most e * _bits(x) bits."""
+    return (x - 1).bit_length()
+
+
+def _check_bits(what: str, bits: int) -> None:
+    """Refuse `what`, whose integers hold at most `bits` bits in all: they
+    are counted against the size limit before any power is formed."""
+    _check_size(bits, "%s would form integers of up to %d bits in all" % (what, bits))
 
 
 class _BoundFields(NamedTuple):
@@ -32,7 +44,9 @@ class _BoundFields(NamedTuple):
 
 
 class BoundQuery(_BoundFields):
-    """Validated (n, q, b, k, t)."""
+    """Validated (n, q, b, k, t), and small enough to evaluate: the
+    rotation bound's terms C(n,j)(q^2-1)^j for j <= min(n, t), each C(n,j)
+    below both 2^n and n^j, then b^k and q^n."""
 
     __slots__ = ()
 
@@ -40,12 +54,17 @@ class BoundQuery(_BoundFields):
         self = tuple.__new__(cls, (n, q, b, k, t))
         if q < 2 or b < 2 or n < 1 or k < 1 or t < 0:
             raise ValueError("invalid bound query %r" % (self,))
+        top = min(n, t)
+        steps = top * (top + 1) // 2  # sum of j over the terms
+        _check_bits("the rotation bound at n=%d q=%d b=%d k=%d t=%d" % self,
+                    steps * _bits(q * q - 1) + min((top + 1) * n, steps * _bits(n))
+                    + k * _bits(b) + n * _bits(q))
         return self
 
 
 def rotation_sphere_volume(n: int, q: int, t: int) -> int:
-    """Sum_{j<=t} C(n,j) (q^2-1)^j — exact."""
-    return sum(math.comb(n, j) * (q * q - 1) ** j for j in range(t + 1))
+    """Sum_{j<=t} C(n,j) (q^2-1)^j — exact; the terms past j = n are 0."""
+    return sum(math.comb(n, j) * (q * q - 1) ** j for j in range(min(n, t) + 1))
 
 
 def rotation_bound_holds(query: BoundQuery) -> bool:
@@ -102,6 +121,8 @@ def loss_bound_holds(n: int, q: int, b: int, k: int = 1) -> bool:
     """(1+3n) b^k <= (4q-3)^n for single-photon-loss errors; exact."""
     if q < 2 or b < 2 or n < 1 or k < 1:
         raise ValueError("invalid loss-bound arguments")
+    _check_bits("the loss bound at n=%d q=%d b=%d k=%d" % (n, q, b, k),
+                _bits(1 + 3 * n) + k * _bits(b) + n * _bits(4 * q - 3))
     return (1 + 3 * n) * b ** k <= (4 * q - 3) ** n
 
 

@@ -43,16 +43,19 @@ class CodeSpec:
     qudit dimension), b (logical dimension), k (logical qudits).  Each
     codeword is stated once, exactly, in `weights` over the unreduced
     `denominator`, every weight a positive int, so the weights' keys are
-    exactly the codeword's support.  The instance is frozen and each
-    codeword is a read-only mapping in a tuple, so no edit can leave a
-    derived view stale: a changed code is a new one (`dataclasses.replace`).
-    Every float view (`amplitudes`, `block`, `logical_states`) and the
-    photon numbers are derived from the weights; `space` lists the code's
-    basis, which is read only on demand.
+    exactly the codeword's support.  The instance is frozen, and the
+    parameters and each codeword are read-only mappings, so no edit can
+    leave a derived view stale: a changed code is a new one
+    (`dataclasses.replace`).  That is what lets the family builders hand
+    one spec per N to every caller in a process.  Every float view
+    (`amplitudes`, `block`, `logical_states`) and the photon numbers are
+    derived from the weights; `space` lists the code's basis, which is read
+    only on demand.  Equal specs hash alike (`__hash__`), so a spec is a
+    key for what is built from its value.
     """
 
     name: str
-    parameters: Dict[str, int]
+    parameters: Mapping[str, int]
     layout: ModeLayout
     weights: Sequence[Mapping[Tuple[int, ...], int]]
     denominator: int
@@ -68,6 +71,7 @@ class CodeSpec:
             if type(w) is not int or w <= 0:
                 raise ValueError("%s N=%d: the weight of ket %s is %r, not a positive int"
                                  % (self.name, self.parameters["N"], state_label(ket), w))
+        object.__setattr__(self, "parameters", types.MappingProxyType(dict(self.parameters)))
         weights = tuple(types.MappingProxyType(dict(word)) for word in self.weights)
         object.__setattr__(self, "weights", weights)
         root = math.isqrt(self.denominator)
@@ -80,6 +84,11 @@ class CodeSpec:
             raise ValueError("%s N=%d: codeword weights are too large for float "
                              "amplitudes" % (self.name, self.parameters["N"])) from None
         object.__setattr__(self, "amplitudes", amplitudes)
+
+    def __hash__(self):
+        """Of every field `==` compares, so equal specs hash alike."""
+        return hash((self.name, frozenset(self.parameters.items()), self.layout,
+                     tuple(frozenset(word.items()) for word in self.weights), self.denominator))
 
     @functools.cached_property
     def basis(self) -> BasisIndex:
@@ -122,6 +131,21 @@ class CodeSpec:
         return json.dumps(self.to_json_dict())
 
 
+def _one_per_N(make: Callable[[int], CodeSpec]) -> Callable[[int], CodeSpec]:
+    """`make` as a plain function that builds the family's spec for each N
+    once per process and hands that same read-only spec to every later
+    caller; an N that `make` refuses is refused on every call."""
+    specs = functools.lru_cache(maxsize=None, typed=True)(make)
+
+    @functools.wraps(make)
+    def build_family(N: int) -> CodeSpec:
+        return specs(N)
+
+    build_family.cache_clear, build_family.cache_info = specs.cache_clear, specs.cache_info
+    return build_family
+
+
+@_one_per_N
 def build_pcc(N: int) -> CodeSpec:
     """Pair-cat-style symmetry code: logical dimension N on two groups of
     H_{N-1} (n=2 physical qudits of dimension q=N).
@@ -158,6 +182,7 @@ def build_pcc(N: int) -> CodeSpec:
         lambda: enumerate_irreducible_subspace(N - 1, groups=2))
 
 
+@_one_per_N
 def build_eecc(N: int) -> CodeSpec:
     """Embedded-error-correcting code: one H_{2N-2} qudit (q = 2N-1)
     holding an N-dimensional logical system.
@@ -183,6 +208,7 @@ def _binomial_weights(N: int, parity: int) -> Dict[int, int]:
     return {p: math.comb(M, p) for p in range(parity, M + 1, 2)}
 
 
+@_one_per_N
 def build_bc(N: int) -> CodeSpec:
     """Binomial chi(2) code on H_{2N-1} (q = 2N), protecting a qubit
     against every homogeneous error set of order m <= N.
@@ -201,6 +227,7 @@ def build_bc(N: int) -> CodeSpec:
         lambda: enumerate_irreducible_subspace(M, groups=1))
 
 
+@_one_per_N
 def build_two_mode_bc(N: int) -> CodeSpec:
     """Two-mode (signal, pump) binomial encoding; every ket of both
     codewords has photon-number sum 2N-1.

@@ -8,9 +8,17 @@ allowed, which is exactly the projection-correctability relaxation.
 
 Every loss, gain, dephasing and damping operator is built by one kernel,
 `fock.shift_operator`: one photon-number shift, one coefficient per ket.
+
+Each error set is a fixed function of the code's value and of m or gamma,
+so it is built once per process and shared: `xi_set`,
+`lowest_order_loss_kraus` and `ad_product_set` run their size checks and
+argument checks on every call, then return a new list of the one shared
+set, keyed by the code's value (a `dataclasses.replace` mutant is another
+key).  The shared operators' arrays are read-only.
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 from typing import List, Sequence
@@ -37,7 +45,7 @@ class KLViolation(RuntimeError):
     """Recovery requested for an error set that fails the KL condition."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorOperator:
     label: str
     operator: LinearOperator
@@ -112,12 +120,10 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
-    """Enclosing basis of xi_m on `code`, after the size check.
-
-    The check counts, before any shift is listed, the image entries a KL
-    check of the whole set would stack: K*L image columns over at most
-    (support kets) * (distinct shifts) rows.
+def _check_xi_size(m: int, code: CodeSpec) -> None:
+    """Refuse, with TruncationOverflow, an xi_m whose KL check would stack
+    image entries over the size limit, counted before any shift is listed:
+    K*L image columns over at most (support kets) * (distinct shifts) rows.
     """
     nm = code.layout.n_modes
     loss = math.comb(m + nm - 1, nm - 1) if m else 0
@@ -125,9 +131,22 @@ def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
     rows = len(_support(code)) * (1 + 2 * loss)
     entries = operators * len(code.weights) * rows
     _check_size(entries, "xi_%d on %s would stack %d image entries" % (m, code.name, entries))
+
+
+def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
+    """Enclosing basis of xi_m on `code`."""
+    nm = code.layout.n_modes
     return enclosing_basis(
         code, [monomial_shift(e, kind) for e in compositions(m, nm) for kind in ("loss", "gain")]
     )
+
+
+def _shared(ops: List[ErrorOperator]) -> tuple:
+    """An error set made read-only, to be built once and shared."""
+    for e in ops:
+        e.operator.rows.flags.writeable = False
+        e.operator.coeffs.flags.writeable = False
+    return tuple(ops)
 
 
 def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
@@ -137,6 +156,12 @@ def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
     deduplicated.  The operators act on the code's xi_m enclosing basis."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    _check_xi_size(m, code)
+    return list(_xi_operators(m, code))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _xi_operators(m: int, code: CodeSpec) -> tuple:
     basis = _xi_basis(m, code)
     layout = code.layout
     ops = [ErrorOperator("I", LinearOperator.identity(basis))]
@@ -147,7 +172,7 @@ def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
         ops += [ErrorOperator(monomial_label(layout, e, kind),
                               monomial_operator(monomial_factors(e, kind), basis))
                 for e in compositions(degree, layout.n_modes)]
-    return ops
+    return _shared(ops)
 
 
 def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]:
@@ -160,21 +185,25 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     code's support and its images for gamma below 1/(largest photon total on
     a support ket); a larger gamma is refused, as E_0 would not be real.
     """
-    lowered = unit_shifts(code.layout.n_modes, -1)
-    basis = enclosing_basis(code, lowered)
-    totals = basis.occupations.sum(axis=1)
-    top = totals.max()  # a support ket's: each single-loss image holds one photon fewer
+    top = max(map(sum, _support(code)))
     if not (0 <= gamma and gamma * top < 1):
         raise ValueError("gamma must satisfy 0 <= gamma < 1/%d: %d is the largest photon "
                          "total among the %s support kets" % (top, top, code.name))
-    diag = np.sqrt(1.0 - gamma * totals.astype(float))
+    return list(_loss_kraus(gamma, code))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _loss_kraus(gamma: float, code: CodeSpec) -> tuple:
+    lowered = unit_shifts(code.layout.n_modes, -1)
+    basis = enclosing_basis(code, lowered)
+    diag = np.sqrt(1.0 - gamma * basis.occupations.sum(axis=1).astype(float))
     out = [ErrorOperator("E_0", LinearOperator.diagonal(basis, diag))]
     if gamma > 0:
         for mode, shift in enumerate(lowered):
             coeff = math.sqrt(gamma) * np.sqrt(basis.occupations[:, mode])
             out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(code.layout, mode),
                                      shift_operator(basis, coeff, shift)))
-    return out
+    return _shared(out)
 
 
 def check_ad_set_size(m: int, code: CodeSpec) -> None:
@@ -206,6 +235,11 @@ def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
     check_ad_set_size(m, code)
     if not 0 <= gamma < 1:
         raise ValueError("gamma must satisfy 0 <= gamma < 1")
+    return list(_damping_products(gamma, m, code))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _damping_products(gamma: float, m: int, code: CodeSpec) -> tuple:
     basis = BasisIndex(sorted({
         below for ket in _support(code)
         for below in itertools.product(*(range(n + 1) for n in ket))
@@ -223,7 +257,7 @@ def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
             coeff = coeff * factor[k][occupations[:, mode]]
         label = " ".join("A_%d(%d)" % (mode, k) for mode, k in enumerate(exps))
         out.append(ErrorOperator(label, shift_operator(basis, coeff, monomial_shift(exps, "loss"))))
-    return out
+    return _shared(out)
 
 
 def _gram_blocks(errors: Sequence[ErrorOperator], words: np.ndarray):

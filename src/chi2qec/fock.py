@@ -288,10 +288,16 @@ def enumerate_irreducible_subspace(N: int, groups: int = 1) -> BasisIndex:
     """Ordered basis of H_N^{x groups}, H_N = Span{|n,n,N-n>: 0 <= n <= N}.
 
     Within one group states are listed by ascending n; multiple groups are
-    combined as a lexicographic tensor product.
+    combined as a lexicographic tensor product.  Each (N, groups) is listed
+    once per process and that one basis is returned to every caller.
     """
     if N < 0 or groups < 1:
         raise ValueError("require N >= 0 and groups >= 1")
+    return _irreducible_basis(N, groups)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _irreducible_basis(N: int, groups: int) -> BasisIndex:
     single = [(n, n, N - n) for n in range(N + 1)]
     states = [
         tuple(itertools.chain.from_iterable(combo))

@@ -31,8 +31,8 @@ from .fock import (
     DimensionMismatch,
     LinearOperator,
     ket_map_operator,
-    ladder,
     shift_closure,
+    shift_operator,
     unit_shifts,
 )
 from .gates import (
@@ -285,7 +285,8 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     rows = [big.index_of(s) for s in code.basis.states]
     embedded = np.zeros((big.dimension, states.shape[1]), dtype=complex)
     embedded[rows] = states
-    corrupted = ladder(mode, "lower", big).apply(embedded)
+    lowered = unit_shifts(code.layout.n_modes, -1)[mode]
+    corrupted = shift_operator(big, np.sqrt(big.occupations[:, mode]), lowered).apply(embedded)
     norms = np.linalg.norm(corrupted, axis=0)
     if np.any(norms == 0):
         raise ValueError("the error annihilates a state of the block")

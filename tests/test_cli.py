@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import process_caches
 from chi2qec import cli
 from chi2qec import errors as errors_mod
 from chi2qec import fock
@@ -219,9 +220,11 @@ def test_bc_moment_loop_builds_no_basis_or_operator(monkeypatch):
 
     monkeypatch.setattr(fock.BasisIndex, "__init__", count_basis)
     monkeypatch.setattr(fock.LinearOperator, "__post_init__", count_operator)
+    process_caches.clear()  # each count starts from nothing built
     assert cli.criterion_bc_kl_and_moments()["passed"]
     in_criterion = dict(counts)
     counts.update(basis=0, operator=0)
+    process_caches.clear()
     # What the criterion builds outside its moment loop: the KL checks and
     # one code per N.
     for N, max_m in ((2, 2), (3, 3)):
@@ -731,6 +734,42 @@ def test_oversized_error_set_is_refused_before_it_is_built(capsys, errors):
     assert main(["kl-check", "pcc", "--N", "6", "--errors", errors]) == 2
     assert time.perf_counter() - start < 1.0
     assert "would stack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "rotation", "--n", "1000000000", "--q", "3", "--b", "2", "--t", "1000000000"],
+     "error: the rotation bound at n=1000000000 q=3 b=2 k=1 t=1000000000 would form "
+     "integers of up to 2500000004500000001 bits in all, over the limit of 2000000\n"),
+    (["bounds", "loss", "--n", "100000000", "--q", "3", "--b", "2", "--k", "100000000"],
+     "error: the loss bound at n=100000000 q=3 b=2 k=100000000 would form integers of "
+     "up to 500000029 bits in all, over the limit of 2000000\n"),
+    (["bounds", "rotation", "--sweep", "--k", "1000000000"],
+     "error: the rotation bound at n=1 q=2 b=2 k=1000000000 t=1 would form integers of "
+     "up to 1000000003 bits in all, over the limit of 2000000\n"),
+])
+def test_oversized_bound_is_refused_before_any_power_is_formed(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("which,flag", [("rotation", "--n"), ("rotation", "--k"), ("loss", "--k")])
+def test_a_bound_past_float_range_is_refused_not_raised(capsys, which, flag):
+    # The sizing is integer arithmetic, so 10^400 cannot overflow a float.
+    assert main(["bounds", which, flag, str(10 ** 400)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the %s bound at " % which)
+    assert err.endswith(" bits in all, over the limit of 2000000\n")
+
+
+def test_a_bound_past_n_terms_sums_only_n_terms(capsys):
+    # C(n, j) = 0 for j > n, so t = 10^9 costs what t = n does.
+    start = time.perf_counter()
+    assert main(["--format", "csv", "bounds", "rotation", "--n", "5", "--t", "1000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "rotation_bound,False,BoundQuery(n=5; q=2; b=2; k=1; t=1000000000)")
 
 
 def test_oversized_damping_set_is_refused_before_it_is_built(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import process_caches
 from chi2qec.codes import (
     build,
     build_bc,
@@ -343,6 +344,7 @@ def test_replaced_weights_are_copied_and_frozen():
 
 
 def test_build_lists_no_basis_and_builds_no_state(monkeypatch):
+    process_caches.clear()  # so that each spec is built here
     built = []
     basis_init, state_post_init = fock.BasisIndex.__init__, fock.StateVector.__post_init__
     monkeypatch.setattr(fock.BasisIndex, "__init__",

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chi2qec import cli, gates
+import process_caches
+from chi2qec import cli
 
 FACTORIZATIONS = ("eigh", "eig", "eigvalsh", "eigvals", "inv", "solve", "svd", "pinv",
                   "lstsq", "det", "slogdet", "cholesky", "qr")
@@ -51,10 +52,8 @@ def _forbid_factorizations(monkeypatch):
 
     for name in FACTORIZATIONS:
         monkeypatch.setattr(np.linalg, name, refuse(name))
-    # Drop what gates has cached, so the patched run builds all of it anew.
-    for value in vars(gates).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    # Drop every process cache, so the patched run builds all of it anew.
+    process_caches.clear()
 
 
 def _run(argv):
