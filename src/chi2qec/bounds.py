@@ -93,8 +93,14 @@ def min_n_grid() -> np.ndarray:
     The bound holds exactly when b <= floor(q^n / (1 + n(q^2-1))), which
     rises with n, so min_n(q, b) is one plus the count of thresholds below
     b: one searchsorted in all q's thresholds, each capped at SEARCH_CAP_QB
-    and lifted by a per-q offset so that the runs stay ascending.
+    and lifted by a per-q offset so that the runs stay ascending.  The grid
+    is formed once per process and shared, so it is read-only.
     """
+    return _min_n_grid()
+
+
+@functools.cache
+def _min_n_grid() -> np.ndarray:
     span = np.arange(2, SEARCH_CAP_QB + 1)
     lift = SEARCH_CAP_QB + 1
     thresholds, starts = [], []
@@ -107,7 +113,9 @@ def min_n_grid() -> np.ndarray:
             threshold = power // (1 + n * (q * q - 1))
             thresholds.append(min(threshold, SEARCH_CAP_QB) + (q - 2) * lift)
     lifted = span + (span[:, None] - 2) * lift
-    return np.searchsorted(thresholds, lifted) - np.array(starts)[:, None] + 1
+    grid = np.searchsorted(thresholds, lifted) - np.array(starts)[:, None] + 1
+    grid.flags.writeable = False
+    return grid
 
 
 def volume_ratio_bound_holds(query: BoundQuery) -> bool:

@@ -14,7 +14,7 @@ the bytes of `json.dumps(doc, indent=2, sort_keys=True)`, a complex array
 
 import argparse
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 import json
 import math
@@ -100,19 +100,23 @@ def load_config_file(path: str) -> Dict[str, str]:
 
 
 def resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
+    """The job's one RunConfig: defaults, then the --config file's values,
+    then the flags.  A file is checked on its own first, so an invalid value
+    in it is refused even where a flag overrides it."""
+    values = {}
     if getattr(args, "config", None):
         raw = load_config_file(args.config)
         casts = {"tolerance": float, "seed": int, "format": str}
         unknown = set(raw) - set(casts)
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
-        cfg = replace(cfg, **{k: casts[k](v) for k, v in raw.items()})
+        values = {k: casts[k](v) for k, v in raw.items()}
+        RunConfig(**values)
     for attr in ("tolerance", "seed", "format"):
         value = getattr(args, attr, None)
         if value is not None:
-            cfg = replace(cfg, **{attr: value})
-    return cfg
+            values[attr] = value
+    return RunConfig(**values)
 
 
 def emit(config: RunConfig, command: str, passed: bool, results: List[Dict]) -> str:
@@ -187,7 +191,8 @@ def _complex_array_text(array: np.ndarray, indent: str) -> str:
 
 
 def pcc_operator_set(N: int):
-    """Commuting symmetries whose joint unity eigenspace is the pair code.
+    """Commuting symmetries whose joint unity eigenspace is the pair code,
+    as (basis, operator tuple), built once per N and shared.
 
     For odd N the set includes the cross-qudit signal-parity product
     Pi_s1 Pi_s2 (a true symmetry of the odd-N codewords, whose pair labels
@@ -195,6 +200,11 @@ def pcc_operator_set(N: int):
     of the cross terms |n>|n'> + |n'>|n> (n != n') survives and the joint
     eigenspace is one dimension too large.
     """
+    return _pcc_operators(N)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pcc_operators(N: int):
     basis = enumerate_irreducible_subspace(N - 1, groups=2)
     ops = []
     for group in (1, 2):
@@ -206,12 +216,19 @@ def pcc_operator_set(N: int):
         pi1 = symmetry_mod.signal_parity_operator(basis, group=1)
         pi2 = symmetry_mod.signal_parity_operator(basis, group=2)
         ops.append(symmetry_mod.compose("Pi_s1 Pi_s2", pi1, pi2))
-    return basis, ops
+    return basis, tuple(ops)
 
 
 def eecc_operator_set(N: int):
+    """The EECC's one symmetry, the inversion of H_{2N-2}, as (basis,
+    operator tuple), built once per N and shared."""
+    return _eecc_operators(N)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _eecc_operators(N: int):
     basis = enumerate_irreducible_subspace(2 * N - 2, groups=1)
-    return basis, [inversion_operator(2 * N - 2, 1, basis)]
+    return basis, (inversion_operator(2 * N - 2, 1, basis),)
 
 
 _SYNTHESIS_SETS = {"pcc": pcc_operator_set, "eecc": eecc_operator_set}

@@ -50,8 +50,10 @@ class CodeSpec:
     one spec per N to every caller in a process.  Every float view
     (`amplitudes`, `block`, `logical_states`) and the photon numbers are
     derived from the weights; `space` lists the code's basis, which is read
-    only on demand.  Equal specs hash alike (`__hash__`), so a spec is a
-    key for what is built from its value.
+    only on demand.  The JSON view (`to_json`'s text) and `total_photons`
+    are formed on first read and held on the spec, as the basis is.  Equal
+    specs hash alike (`__hash__`), so a spec is a key for what is built
+    from its value.
     """
 
     name: str
@@ -107,9 +109,10 @@ class CodeSpec:
             out[[basis.index_of(ket) for ket in word], k] = list(word.values())
         return out
 
-    @property
+    @functools.cached_property
     def total_photons(self) -> Fraction:
-        """Mean photon number, averaged over the codewords."""
+        """Mean photon number, averaged over the codewords; formed on first
+        read and held on the spec."""
         means = mean_total_photons(self)
         return sum(means) / len(means)
 
@@ -127,8 +130,14 @@ class CodeSpec:
                           for word in self.amplitudes],
         }
 
-    def to_json(self) -> str:
+    @functools.cached_property
+    def _json_text(self) -> str:
         return json.dumps(self.to_json_dict())
+
+    def to_json(self) -> str:
+        """The text of `to_json_dict`, formed on first read and held on the
+        spec: a view of its fixed value, like the amplitudes."""
+        return self._json_text
 
 
 def _one_per_N(make: Callable[[int], CodeSpec]) -> Callable[[int], CodeSpec]:

@@ -14,7 +14,8 @@ so it is built once per process and shared: `xi_set`,
 `lowest_order_loss_kraus` and `ad_product_set` run their size checks and
 argument checks on every call, then return a new list of the one shared
 set, keyed by the code's value (a `dataclasses.replace` mutant is another
-key).  The shared operators' arrays are read-only.
+key).  The shared operators' arrays are read-only.  The damping sets of
+every order and gamma on one code act on one shared down-closed basis.
 """
 
 from dataclasses import dataclass
@@ -239,11 +240,18 @@ def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _damping_products(gamma: float, m: int, code: CodeSpec) -> tuple:
-    basis = BasisIndex(sorted({
+def _damping_basis(code: CodeSpec) -> BasisIndex:
+    """The code's support and every ket below a support ket: the one basis
+    of every damping order and gamma on `code`."""
+    return BasisIndex(sorted({
         below for ket in _support(code)
         for below in itertools.product(*(range(n + 1) for n in ket))
     }))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _damping_products(gamma: float, m: int, code: CodeSpec) -> tuple:
+    basis = _damping_basis(code)
     occupations = basis.occupations
     # factor[k][n]: A_k's coefficient on |n>, zero for n < k.
     factor = [np.array([math.sqrt(math.comb(n, k)) * gamma ** (k / 2.0)

@@ -236,6 +236,7 @@ def cnot2pp_12() -> np.ndarray:
     )
 
 
+@functools.cache
 def _cz_phases() -> np.ndarray:
     """The 81 diagonal entries of the logical qutrit CZ,
     (F (x) F)^dag CZ22 (F (x) F) with F = CNOT2pp.  CZ22, the qutrit CZ
@@ -243,7 +244,8 @@ def _cz_phases() -> np.ndarray:
     blocks, is diagonal and F is a ket permutation, so CZ is diagonal: its
     entry at a ket is CZ22's phase at the ket F (x) F sends it to.  The
     digit of |n,n,2-n> is (1 - n) mod 3: |111> -> 0, |002> -> 1,
-    |220> -> 2.  Raises ValueError if F is not a 0/1 permutation."""
+    |220> -> 2.  Raises ValueError if F is not a 0/1 permutation.  F is
+    fixed, so the phases are formed once per process, read-only."""
     F = cnot2pp_12()
     perm = F.real.argmax(axis=0)  # F sends pair ket a to pair ket perm[a]
     if (not np.array_equal(F, np.eye(len(F))[:, perm])
@@ -254,8 +256,9 @@ def _cz_phases() -> np.ndarray:
     # differ in their last bits.
     powers = np.array([np.exp(2j * np.pi / 3) ** e for e in range(5)])
     digit = (1 - pair_basis().occupations[:, 3]) % 3
-    phases = powers[np.outer(digit, digit).ravel()]
-    return phases[(len(F) * perm[:, None] + perm).ravel()]
+    phases = powers[np.outer(digit, digit).ravel()][(len(F) * perm[:, None] + perm).ravel()]
+    phases.flags.writeable = False
+    return phases
 
 
 def cz_gate() -> np.ndarray:

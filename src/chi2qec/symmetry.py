@@ -9,11 +9,18 @@ with integer phases, with no vector or matrix built.  The
 bosonic code's symmetry Pi_s U_BS V U_BS^dagger is held in factored form:
 Pi_s and V as such permutations, and the pseudo-beam-splitter U_BS only
 by the |+/-> <-> codeword pairing it makes.
+
+Operators are frozen and their rows and phases read-only, so one operator
+set can serve every caller in a process: `bc_symmetry_operator` builds
+the factors once per spec value, and `joint_unity_eigenspace` checks
+commutation and reads the orbits anew on every call.
 """
 
 from dataclasses import dataclass
+import functools
 import math
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+import types
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +36,11 @@ class EmptyEigenspace(ValueError):
     """The operators have no common unity eigenvector."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetryOperator:
     """Ket permutation with root-of-unity coefficients, held exactly: ket j
-    goes to ket rows[j] with coefficient exp(2 pi i phases[j] / modulus)."""
+    goes to ket rows[j] with coefficient exp(2 pi i phases[j] / modulus).
+    Frozen, with its own read-only copies of rows and phases."""
 
     name: str
     basis: BasisIndex
@@ -41,10 +49,13 @@ class SymmetryOperator:
     modulus: int
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.phases = np.asarray(self.phases, dtype=np.int64) % self.modulus
-        if not np.array_equal(np.sort(self.rows), np.arange(self.basis.dimension)):
+        rows = np.array(self.rows, dtype=np.int64)
+        phases = np.asarray(self.phases, dtype=np.int64) % self.modulus
+        if not np.array_equal(np.sort(rows), np.arange(self.basis.dimension)):
             raise ValueError("%s does not permute the kets of its basis" % self.name)
+        rows.flags.writeable = phases.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "phases", phases)
 
     @property
     def operator(self) -> LinearOperator:
@@ -138,27 +149,38 @@ def signal_parity_operator(basis: BasisIndex, group: int = 1) -> SymmetryOperato
                             basis.occupations[:, s], 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BCSymmetry:
     """The bosonic-code symmetry S = Pi_s U_BS V^{(2N-1)} U_BS^dagger in
     exact factored form.
 
     U_BS is held only by the pairing S w reads: it maps
     (|0,0,2N-1> + (-1)^k |2N-1,2N-1,0>)/sqrt2, the kets `ends` indexes, to
-    codeword k, given as {basis index: integer weight} over `denominator`.
-    How U_BS is completed off the code block never reaches S w.
+    codeword k, given as a read-only {basis index: integer weight} over
+    `denominator`.  How U_BS is completed off the code block never reaches
+    S w.  Frozen, like its two factors.
     """
 
     parity: SymmetryOperator
     inversion: SymmetryOperator
     ends: Tuple[int, int]
-    codewords: List[Dict[int, int]]
+    codewords: Sequence[Mapping[int, int]]
     denominator: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "codewords", tuple(
+            types.MappingProxyType(dict(word)) for word in self.codewords))
 
 
 def bc_symmetry_operator(spec: CodeSpec) -> BCSymmetry:
     """The factors of the binomial code's symmetry, read from `spec`'s
-    integer weights on its H_{2N-1} basis."""
+    integer weights on its H_{2N-1} basis; built once per spec value and
+    shared (a `dataclasses.replace` mutant is another value)."""
+    return _bc_factors(spec)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _bc_factors(spec: CodeSpec) -> BCSymmetry:
     basis, M = spec.basis, 2 * spec.parameters["N"] - 1
     return BCSymmetry(
         signal_parity_operator(basis), inversion_operator(M, 1, basis),

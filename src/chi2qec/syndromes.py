@@ -16,6 +16,7 @@ exactly the loss-versus-gain discriminator the table needs.
 """
 
 from dataclasses import dataclass
+import functools
 import io
 import math
 import random
@@ -228,50 +229,78 @@ def _eecc_recovery_gates() -> List[np.ndarray]:
     return [evolve([(5, -np.pi / 6)]), evolve([(7, np.pi / 3)])]
 
 
-_PCC_SEQUENCES = {
-    "a_s1": lambda: [cnot2_21(), lambda21_h(), lambda21_h_bar(), cnot2p_12()],
-    "a_p1": lambda: [lambda21_h(), lambda21_h_bar(), cnot2_21(), cnot2pp_12()],
+# The gate sequences of each code with a published pipeline, by (name, N)
+# and detected loss.
+_SEQUENCES = {
+    ("PCC", 3): {
+        "a_s1": lambda: [cnot2_21(), lambda21_h(), lambda21_h_bar(), cnot2p_12()],
+        "a_p1": lambda: [lambda21_h(), lambda21_h_bar(), cnot2_21(), cnot2pp_12()],
+    },
+    ("EECC", 2): {"a_s": _eecc_recovery_gates, "a_p": _eecc_recovery_gates},
 }
 
-_EECC_SEQUENCES = {"a_s": _eecc_recovery_gates, "a_p": _eecc_recovery_gates}
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """The fixed parts of the published pipeline for one detected loss: the
+    lowered mode and its restoration case, the lowered basis (the code basis
+    and every ket the lowered mode takes it to), the rows of the code kets
+    in it, the lowering operator, the restoration isometry and the gate
+    matrices, every array read-only."""
+
+    mode: int
+    case: str
+    basis: BasisIndex
+    rows: np.ndarray
+    lower: LinearOperator
+    restore: LinearOperator
+    gates: Tuple[np.ndarray, ...]
 
 
-def _recovery_pipeline(code: CodeSpec, error_label: str):
-    """(lowered basis, lowered mode, restoration case, gate builder) of the
-    published pipeline for one detected loss; None for error_label "none".
-    The lowered basis is the code basis and every ket the lowered mode takes
-    it to.  Raises ValueError for a code without a published pipeline or an
-    error label it has none for."""
-    if code.name == "PCC" and code.parameters["N"] == 3:
-        sequences = _PCC_SEQUENCES
-    elif code.name == "EECC" and code.parameters["N"] == 2:
-        sequences = _EECC_SEQUENCES
-    else:
+def _recovery_pipeline(code: CodeSpec, error_label: str) -> Optional[_Pipeline]:
+    """The published pipeline for one detected loss, None for error_label
+    "none".  Raises ValueError, on every call, for a code without a
+    published pipeline or an error label it has none for; the pipeline
+    itself is built once per code value and label and shared."""
+    sequences = _SEQUENCES.get((code.name, code.parameters["N"]))
+    if sequences is None:
         raise ValueError("full_recovery supports qutrit PCC and qubit EECC")
     if error_label == "none":
         return None
     if error_label not in sequences:
         raise ValueError("unsupported %s error %r: expected %s or none"
                          % (code.name, error_label, ", ".join(sequences)))
+    return _pipeline(code, error_label)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pipeline(code: CodeSpec, error_label: str) -> _Pipeline:
     mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
-    big = shift_closure(code.basis.states, [unit_shifts(code.layout.n_modes, -1)[mode]])
-    return big, mode, case, sequences[error_label]
+    lowered = unit_shifts(code.layout.n_modes, -1)[mode]
+    big = shift_closure(code.basis.states, [lowered])
+    rows = np.array([big.index_of(s) for s in code.basis.states], dtype=np.int64)
+    lower = shift_operator(big, np.sqrt(big.occupations[:, mode]), lowered)
+    restore = restoration_isometry(case, big)
+    matrices = tuple(_SEQUENCES[code.name, code.parameters["N"]][error_label]())
+    for array in (rows, lower.rows, lower.coeffs, restore.rows, restore.coeffs) + matrices:
+        array.flags.writeable = False
+    return _Pipeline(mode, case, big, rows, lower, restore, matrices)
 
 
 def recovery_kets(code: CodeSpec, error_label: str) -> int:
     """Kets per state of the largest block `full_recovery` stacks: the
     lowered basis, or the code basis for error_label "none"."""
     pipeline = _recovery_pipeline(code, error_label)
-    return code.basis.dimension if pipeline is None else pipeline[0].dimension
+    return code.basis.dimension if pipeline is None else pipeline.basis.dimension
 
 
 def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     """Apply the error, the restoration isometry and the published gate
     sequence to every column of a (code.basis.dimension, T) block of states.
 
-    The pipeline is built once and applied to the whole block; each
-    corrupted column is normalized on its own.  Returns (output block on the
-    code basis, the T fidelities |<psi_t|out_t>|).
+    The shared pipeline is applied to the whole block; each corrupted column
+    is normalized on its own.  Returns (output block on the code basis, the
+    T fidelities |<psi_t|out_t>|).
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[0] != code.basis.dimension:
@@ -281,17 +310,14 @@ def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
     pipeline = _recovery_pipeline(code, error_label)
     if pipeline is None:
         return states, np.ones(states.shape[1])
-    big, mode, case, gates = pipeline
-    rows = [big.index_of(s) for s in code.basis.states]
-    embedded = np.zeros((big.dimension, states.shape[1]), dtype=complex)
-    embedded[rows] = states
-    lowered = unit_shifts(code.layout.n_modes, -1)[mode]
-    corrupted = shift_operator(big, np.sqrt(big.occupations[:, mode]), lowered).apply(embedded)
+    embedded = np.zeros((pipeline.basis.dimension, states.shape[1]), dtype=complex)
+    embedded[pipeline.rows] = states
+    corrupted = pipeline.lower.apply(embedded)
     norms = np.linalg.norm(corrupted, axis=0)
     if np.any(norms == 0):
         raise ValueError("the error annihilates a state of the block")
-    out = restoration_isometry(case, big).apply(corrupted / norms)[rows]
-    for U in gates():
+    out = pipeline.restore.apply(corrupted / norms)[pipeline.rows]
+    for U in pipeline.gates:
         out = U @ out
     fidelities = np.abs(np.sum(states.conjugate() * out, axis=0))
     return out, fidelities

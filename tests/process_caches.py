@@ -13,9 +13,18 @@ this list, so adding a cache means adding a line here.
 import sys
 
 ALLOWED = {
+    "bounds._min_n_grid": (
+        ["bounds._min_n_grid"],
+        "theorem 4's min_n grid is fixed by the search caps"),
     "bounds.corrupted_dimension": (
         ["bounds.corrupted_dimension"],
         "theorem 5's closure enumeration depends on q alone"),
+    "cli._pcc_operators": (
+        ["cli._pcc_operators"],
+        "the PCC synthesis operator set is a fixed function of N"),
+    "cli._eecc_operators": (
+        ["cli._eecc_operators"],
+        "the EECC synthesis operator set is a fixed function of N"),
     "cli._parser": (
         ["cli._parser"],
         "the argument parser is the same for every main call"),
@@ -23,6 +32,10 @@ ALLOWED = {
         [], "a code's basis, listed on first read"),
     "codes.CodeSpec.logical_states": (
         [], "dense codewords that only the benchmark tracer reads"),
+    "codes.CodeSpec.total_photons": (
+        [], "the mean photon number, read from the fixed weights"),
+    "codes.CodeSpec._json_text": (
+        [], "the JSON view of the fixed spec, formed on first read"),
     "codes._one_per_N": (
         ["codes.build_pcc", "codes.build_eecc", "codes.build_bc", "codes.build_two_mode_bc"],
         "one read-only spec per family and N"),
@@ -35,6 +48,9 @@ ALLOWED = {
     "errors._damping_products": (
         ["errors._damping_products"],
         "each damping order is a fixed function of gamma, m and the code's value"),
+    "errors._damping_basis": (
+        ["errors._damping_basis"],
+        "the down-closed support is one basis for every damping order and gamma"),
     "fock.ModeLayout.n_groups": (
         [], "read per label; not a field, so equality and hashing are unchanged"),
     "fock.BasisIndex.occupations": (
@@ -48,9 +64,18 @@ ALLOWED = {
     "gates._generator_closed_form": (
         ["gates._generator_closed_form"],
         "each generator's closed-form exponential data"),
+    "gates._cz_phases": (
+        ["gates._cz_phases"],
+        "the logical CZ's phases are fixed by the fixed CNOT2pp"),
     "schema.report_schema": (
         ["schema.report_schema"],
         "the bundled schema file, read once"),
+    "symmetry._bc_factors": (
+        ["symmetry._bc_factors"],
+        "the BC symmetry's factors are a fixed function of the spec's value"),
+    "syndromes._pipeline": (
+        ["syndromes._pipeline"],
+        "each recovery pipeline is a fixed function of the code's value and the error label"),
 }
 
 

@@ -154,8 +154,9 @@ def test_ratio_row_needs_the_rotation_threshold(monkeypatch):
 
 def test_ratio_row_needs_every_grid_point_at_its_threshold(monkeypatch):
     # One grid point's n moved up by one: the inequality then also holds one
-    # below it, and only row 4 turns red.
-    grid = min_n_grid()
+    # below it, and only row 4 turns red.  The shared grid is read-only, so
+    # the mutant is a copy.
+    grid = min_n_grid().copy()
     grid[7 - 2, 5 - 2] += 1
     monkeypatch.setattr(bounds, "min_n_grid", lambda: grid)
     verdicts = {r["name"]: r["passed"] for r in theorem_checks()}

@@ -1,25 +1,33 @@
-"""Codes, bases and error sets are built once per process and shared.
+"""Codes, bases, error sets and the other fixed structures a verdict
+reads (synthesis operator sets, BC symmetry factors, theorem 4's grid, the
+CZ phases, recovery pipelines) are built once per process and shared.
 
 Every cache in `src/` is on the allow-list of `process_caches`, whose
 `clear` empties them all.  A job prints the same bytes whether its objects
-are built anew or shared, every check still runs on a shared object, and a
-shared object cannot be edited.
+are built anew or shared, every check still runs on a shared object, a
+mutant gets its own verdict, and a shared object cannot be edited: every
+array a cache holds is read-only.
 """
 
 import ast
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import pathlib
+import types
 
+import numpy as np
 import pytest
 
 import process_caches
-from chi2qec import cli, fock
-from chi2qec.codes import build, build_bc, build_pcc, build_two_mode_bc
+from chi2qec import bounds, cli, fock, gates, syndromes
+from chi2qec import errors as errors_mod
+from chi2qec.codes import build, build_bc, build_eecc, build_pcc, build_two_mode_bc
 from chi2qec.errors import ad_product_set, kl_check, lowest_order_loss_kraus, xi_set
 from chi2qec.fock import enumerate_irreducible_subspace
+from chi2qec.symmetry import bc_symmetry_operator
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "chi2qec"
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -102,10 +110,11 @@ def test_the_scan_finds_each_kind_of_cache():
 
 def test_clear_empties_every_cache_the_allow_list_names():
     _run(["report", "all"])
+    _run(["synth", "bc", "--N", "2"])  # report all reads no BC symmetry factors
     holders = process_caches.holders()
     named = {h for names, _ in process_caches.ALLOWED.values() for h in names}
     assert set(holders) == named
-    assert all(holders[h].cache_info().currsize for h in named)  # report all fills each
+    assert [h for h in named if not holders[h].cache_info().currsize] == []  # the two fill each
     process_caches.clear()
     assert [h for h in named if holders[h].cache_info().currsize] == []
 
@@ -141,6 +150,68 @@ def test_a_weights_mutant_gets_its_own_error_set():
     assert kl_check(spec, xi_set(2, spec)).verdict
 
 
+def _synth_rows(monkeypatch, spec, code, N):
+    """The JSON result rows of `synth <code> --N <N>` on `spec`."""
+    monkeypatch.setattr(cli, "build", lambda name, n: spec)
+    status, out, _ = _run(["synth", code, "--N", str(N)])
+    monkeypatch.undo()
+    return status, json.loads(out)["results"]
+
+
+def _bc3_mutants(spec):
+    zero, one = spec.weights
+    # |2,2,3>'s weight moved onto |1,1,4>, and |0,0,5> traded with |1,1,4>.
+    moved = [{k: w for k, w in zero.items() if k != (2, 2, 3)},
+             {**one, (1, 1, 4): one[(1, 1, 4)] + zero[(2, 2, 3)]}]
+    traded = [{**{k: w for k, w in zero.items() if k != (0, 0, 5)}, (1, 1, 4): zero[(0, 0, 5)]},
+              {**{k: w for k, w in one.items() if k != (1, 1, 4)}, (0, 0, 5): one[(1, 1, 4)]}]
+    return [("orthonormal codewords", dataclasses.replace(spec, weights=moved)),
+            ("Pi_s|k~> = (-1)^k |k~>", dataclasses.replace(spec, weights=traded))]
+
+
+def _pcc3_flipped(spec):
+    quartet = {(a, a, 2 - a, b, b, 2 - b): 1 for a, b in ((2, 1), (1, 2), (0, 1), (1, 0))}
+    return dataclasses.replace(spec, denominator=4, weights=[quartet] + [
+        {k: 2 * w for k, w in word.items()} for word in spec.weights[1:]])
+
+
+def test_a_mutant_of_a_cached_spec_gets_its_own_synthesis_verdict(monkeypatch):
+    bc, pcc = build_bc(3), build_pcc(3)
+    exact = _run(["synth", "bc", "--N", "3"])
+    assert exact[0] == 0 and _run(["synth", "pcc", "--N", "3"])[0] == 0
+    cases = [(mutant, "bc", "S w = w unproven; fails " + fact) for fact, mutant in _bc3_mutants(bc)]
+    cases.append((_pcc3_flipped(pcc), "pcc",
+                  "Pi_s1 Pi_s2 does not fix codeword 0; dim 3 = L 3"))
+    for mutant, code, detail in cases:
+        status, (words, check) = _synth_rows(monkeypatch, mutant, code, 3)
+        assert status == 1 and words["detail"] == mutant.to_json() != build(code, 3).to_json()
+        assert check == {"name": "synthesis_%s_N3" % code, "passed": False, "detail": detail}
+    assert _run(["synth", "bc", "--N", "3"]) == exact
+
+
+def test_one_recover_job_lists_the_lowered_basis_once(monkeypatch):
+    calls, closure = [], fock.shift_closure
+    for module in (fock, syndromes):
+        monkeypatch.setattr(module, "shift_closure",
+                            lambda kets, shifts: calls.append(1) or closure(kets, shifts))
+    argv = ["recover", "eecc", "--N", "2", "--error", "a_s", "--trials", "10"]
+    process_caches.clear()
+    first = _run(argv)
+    assert first[0] == 0 and len(calls) == 1
+    assert _run(argv) == first and len(calls) == 1  # the pipeline is shared
+
+
+def test_every_damping_order_shares_one_down_closed_basis(monkeypatch):
+    built, init = [], fock.BasisIndex.__init__
+    monkeypatch.setattr(fock.BasisIndex, "__init__",
+                        lambda self, states: init(self, states) or built.append(self.states))
+    process_caches.clear()
+    status = _run(["kl-check", "bc2mode", "--N", "2", "--errors", "ad", "--order", "3"])[0]
+    assert status == 1  # the joint damping set fails KL, as documented
+    down_closed = errors_mod._damping_basis(build_two_mode_bc(2)).states
+    assert len(down_closed) == 10 and built.count(down_closed) == 1
+
+
 def test_each_call_returns_a_new_list_of_the_shared_operators():
     spec = build_pcc(2)
     for make in (lambda: xi_set(1, spec), lambda: lowest_order_loss_kraus(0.01, spec),
@@ -148,6 +219,12 @@ def test_each_call_returns_a_new_list_of_the_shared_operators():
         first, second = make(), make()
         assert first is not second
         assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def _cannot_write(*arrays):
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
 
 
 def test_shared_objects_cannot_be_edited():
@@ -165,6 +242,76 @@ def test_shared_objects_cannot_be_edited():
             e.label = "E"
     with pytest.raises(ValueError, match="read-only"):
         enumerate_irreducible_subspace(2).occupations[0, 0] = 1
+    ops = cli.pcc_operator_set(3)[1] + cli.eecc_operator_set(2)[1]
+    factors = bc_symmetry_operator(build_bc(2))
+    for op in ops + (factors.parity, factors.inversion):
+        _cannot_write(op.rows, op.phases)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.modulus = 1
+    with pytest.raises(AttributeError):
+        cli.pcc_operator_set(3)[1].append(ops[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        factors.denominator = 1
+    with pytest.raises(TypeError):
+        factors.codewords[0][0] = 1
+    pipeline = syndromes._recovery_pipeline(build_eecc(2), "a_s")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pipeline.gates = ()
+    _cannot_write(bounds.min_n_grid(), gates._cz_phases(), pipeline.rows,
+                  pipeline.lower.rows, pipeline.lower.coeffs,
+                  pipeline.restore.rows, pipeline.restore.coeffs, *pipeline.gates)
+
+
+def _cached_values(holder):
+    """What an unbounded functools cache holds: functools gives no handle on
+    its dict, so it is found among the objects the wrapper refers to."""
+    wrapper = holder.cache_clear.__self__
+    assert wrapper.cache_parameters()["maxsize"] is None
+    caches = [r for r in gc.get_referents(wrapper) if type(r) is dict and r is not wrapper.__dict__]
+    assert len(caches) == 1
+    return list(caches[0].values())
+
+
+def _arrays(value, seen):
+    """Every ndarray reached from `value` through tuples, lists, mappings
+    and the attributes of chi2qec objects."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+        return
+    if isinstance(value, (dict, types.MappingProxyType)):
+        value = list(value.values())
+    elif type(value).__module__.startswith("chi2qec."):
+        value = list(getattr(value, "__dict__", {}).values())
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item, seen)
+
+
+def test_every_array_a_cache_holds_is_read_only():
+    process_caches.clear()
+    for job in JOBS:  # every job of `jobs.universe()`, `report all` at each seed among them
+        _run(job.split())
+    seen, writable, reached = set(), [], 0
+    holders = process_caches.holders()
+    for names, _ in process_caches.ALLOWED.values():
+        for name in names:
+            for value in _cached_values(holders[name]):
+                for array in _arrays(value, seen):
+                    reached += 1
+                    if array.flags.writeable:
+                        writable.append((name, array.shape))
+    assert reached > 100 and writable == []
+
+
+def test_the_walk_reaches_the_arrays_inside_a_cached_error_set():
+    ops = errors_mod._xi_operators(1, build_pcc(2))
+    assert any(value is ops for value in _cached_values(errors_mod._xi_operators))
+    found = [id(array) for array in _arrays(ops, set())]
+    assert id(ops[1].operator.coeffs) in found
+    assert id(ops[1].operator.domain.occupations) in found
 
 
 @pytest.mark.parametrize("argv,limit,message", [

@@ -66,6 +66,40 @@ def test_resolve_config_precedence(tmp_path):
     assert cfg.tolerance == 1e-8
 
 
+@pytest.mark.parametrize("line,flag,message", [
+    ("tolerance=-1", ["--tolerance", "1e-6"], "tolerance must be finite and positive, got -1.0"),
+    ("seed=-3", ["--seed", "7"], "expected non-negative integer"),
+    ("format=yaml", ["--format", "json"], "format must be json, csv or text"),
+    # The file's first bad value is named, before any flag's.
+    ("tolerance=0\nseed=-3", ["--seed", "-5"], "tolerance must be finite and positive, got 0.0"),
+])
+def test_an_invalid_config_value_is_refused_where_a_flag_overrides_it(
+        capsys, tmp_path, line, flag, message):
+    path = tmp_path / "cfg"
+    path.write_text(line + "\n")
+    assert main(["--config", str(path)] + flag + ["bounds", "loss"]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_flags_are_checked_in_field_order(capsys):
+    assert main(["--seed", "-1", "--tolerance", "0", "bounds", "loss"]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be finite and positive, got 0.0\n"
+
+
+@pytest.mark.parametrize("with_file,built", [(False, 1), (True, 2)])
+def test_a_job_builds_one_run_config_and_one_more_for_its_file(
+        monkeypatch, tmp_path, with_file, built):
+    path = tmp_path / "cfg"
+    path.write_text("seed=7\nformat=csv\n")
+    checks, check = [], RunConfig.__post_init__
+    monkeypatch.setattr(RunConfig, "__post_init__", lambda self: checks.append(1) or check(self))
+    argv = ["--tolerance", "1e-6", "--format", "text", "bounds", "loss"]
+    cfg = resolve_config(cli._parser().parse_args((["--config", str(path)] if with_file else [])
+                                                  + argv))
+    assert (cfg.tolerance, cfg.seed, cfg.format) == (1e-6, 7 if with_file else 2026, "text")
+    assert len(checks) == built
+
+
 def test_resolve_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("speed=7\n")

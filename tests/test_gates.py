@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import process_caches
 from chi2qec import cli, gates
 from chi2qec.fock import enumerate_irreducible_subspace
 from chi2qec.gates import (
@@ -149,7 +150,9 @@ def test_cz_gate_matches_the_per_ket_diagonal_reference():
 
 def test_cz_gate_refuses_a_cnot2pp_that_is_not_a_ket_permutation(monkeypatch):
     # Lambda21H has 1/sqrt2 entries: reading CZ22's phases through it would
-    # build a wrong diagonal.
+    # build a wrong diagonal.  The phases are formed once per process, so
+    # the caches are emptied first for the mutant F to be read.
+    process_caches.clear()
     monkeypatch.setattr(gates, "cnot2pp_12", lambda21_h)
     with pytest.raises(ValueError, match="CNOT2pp_12"):
         cz_gate()

@@ -365,15 +365,15 @@ def _reference_random_logical_state(code, rng):
 
 def _reference_full_recovery(code, error_label, state):
     """One state's pipeline with dense matrices on the capped product space."""
-    _, mode, case, gates = _recovery_pipeline(code, error_label)
+    pipeline = _recovery_pipeline(code, error_label)
     big = enumerate_truncated_space(three_mode_layout(2, groups=code.layout.n_groups))
     rows = [big.index_of(s) for s in code.basis.states]
     embedded = np.zeros(big.dimension, dtype=complex)
     embedded[rows] = state
-    corrupted = ladder(mode, "lower", big).dense() @ embedded
+    corrupted = ladder(pipeline.mode, "lower", big).dense() @ embedded
     corrupted /= np.linalg.norm(corrupted)
-    out = (restoration_isometry(case, big).dense() @ corrupted)[rows]
-    for U in gates():
+    out = (restoration_isometry(pipeline.case, big).dense() @ corrupted)[rows]
+    for U in pipeline.gates:
         out = U @ out
     return out, float(abs(np.vdot(state, out)))
 
@@ -403,7 +403,7 @@ def test_restoration_isometry_matches_dense_reference(case, groups):
     # Each pipeline's restoration, through the shared per-mode map it
     # selects, is the published circuit's map.
     builder, N, label, mapping = _PUBLISHED_RESTORATIONS[case]
-    _, _, shared_case, _ = _recovery_pipeline(builder(N), label)
+    shared_case = _recovery_pipeline(builder(N), label).case
     assert shared_case in _RESTORATION_MAPS
     big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
     got = restoration_isometry(shared_case, big).dense()
