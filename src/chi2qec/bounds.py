@@ -6,14 +6,13 @@ appear in code_rate.  A query whose integers would be too long to form is
 refused by the one size limit before any power is formed.
 """
 
-import functools
 import math
 from typing import Dict, List, NamedTuple
 
 import numpy as np
 
 from .codes import CodeSpec
-from .fock import _check_size, enumerate_irreducible_subspace, shift_closure, unit_shifts
+from .fock import _check_size, enumerate_irreducible_subspace, shared, shift_closure, unit_shifts
 
 SEARCH_CAP_N = 64
 SEARCH_CAP_QB = 64
@@ -86,6 +85,7 @@ def min_n(q: int, b: int, k: int = 1, t: int = 1) -> int:
                             % (SEARCH_CAP_N, q, b, k, t))
 
 
+@shared
 def min_n_grid() -> np.ndarray:
     """min_n(q, b) at k = t = 1 for 2 <= q, b <= SEARCH_CAP_QB, as an int64
     array indexed [q - 2, b - 2].
@@ -93,14 +93,9 @@ def min_n_grid() -> np.ndarray:
     The bound holds exactly when b <= floor(q^n / (1 + n(q^2-1))), which
     rises with n, so min_n(q, b) is one plus the count of thresholds below
     b: one searchsorted in all q's thresholds, each capped at SEARCH_CAP_QB
-    and lifted by a per-q offset so that the runs stay ascending.  The grid
-    is formed once per process and shared, so it is read-only.
+    and lifted by a per-q offset so that the runs stay ascending.  Shared,
+    so the grid is read-only.
     """
-    return _min_n_grid()
-
-
-@functools.cache
-def _min_n_grid() -> np.ndarray:
     span = np.arange(2, SEARCH_CAP_QB + 1)
     lift = SEARCH_CAP_QB + 1
     thresholds, starts = [], []
@@ -138,10 +133,10 @@ def code_rate(n: int, q: int, b: int, k: int = 1) -> float:
     return k * math.log2(b) / (n * math.log2(q))
 
 
-@functools.cache
+@shared
 def corrupted_dimension(q: int) -> int:
     """Dimension of span{H_{q-1} kets and their single-loss images}, by
-    listing the distinct kets (once per q in a process)."""
+    listing the distinct kets; shared per q."""
     if q < 2:
         raise ValueError("q must be >= 2")
     return len(shift_closure(enumerate_irreducible_subspace(q - 1), unit_shifts(3, -1)))

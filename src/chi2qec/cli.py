@@ -13,7 +13,6 @@ the bytes of `json.dumps(doc, indent=2, sort_keys=True)`, a complex array
 """
 
 import argparse
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 import json
@@ -48,6 +47,7 @@ from .fock import (
     TruncationOverflow,
     enumerate_irreducible_subspace,
     monomial_action,
+    shared,
 )
 from .schema import check_schema, report_schema
 from .symmetry import (
@@ -190,9 +190,10 @@ def _complex_array_text(array: np.ndarray, indent: str) -> str:
 # Symmetry-synthesis operator sets (cross-checks for synth).
 
 
+@shared
 def pcc_operator_set(N: int):
     """Commuting symmetries whose joint unity eigenspace is the pair code,
-    as (basis, operator tuple), built once per N and shared.
+    as (basis, operator tuple), shared per N.
 
     For odd N the set includes the cross-qudit signal-parity product
     Pi_s1 Pi_s2 (a true symmetry of the odd-N codewords, whose pair labels
@@ -200,11 +201,6 @@ def pcc_operator_set(N: int):
     of the cross terms |n>|n'> + |n'>|n> (n != n') survives and the joint
     eigenspace is one dimension too large.
     """
-    return _pcc_operators(N)
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _pcc_operators(N: int):
     basis = enumerate_irreducible_subspace(N - 1, groups=2)
     ops = []
     for group in (1, 2):
@@ -219,14 +215,10 @@ def _pcc_operators(N: int):
     return basis, tuple(ops)
 
 
+@shared
 def eecc_operator_set(N: int):
     """The EECC's one symmetry, the inversion of H_{2N-2}, as (basis,
-    operator tuple), built once per N and shared."""
-    return _eecc_operators(N)
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _eecc_operators(N: int):
+    operator tuple), shared per N."""
     basis = enumerate_irreducible_subspace(2 * N - 2, groups=1)
     return basis, (inversion_operator(2 * N - 2, 1, basis),)
 
@@ -715,8 +707,7 @@ def cmd_report(args, config: RunConfig):
 
 def build_parser() -> argparse.ArgumentParser:
     # Global options are accepted both before and after the subcommand;
-    # the post-subcommand copies use SUPPRESS so they only override when
-    # actually given.
+    # every copy uses SUPPRESS, so a later one overrides only when given.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value config file")
@@ -727,11 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chi2qec",
         description="Verification suite for three-wave-mixing bosonic codes.",
+        parents=[common],
     )
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--tolerance", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--format", choices=("json", "csv", "text"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="build codewords and cross-check symmetries")
@@ -784,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built on the first `main` call, not at import, and reused after that; it
 # binds the `cmd_*` handlers as they are at that first call.
-_parser = functools.cache(build_parser)
+_parser = shared(build_parser)
 
 
 def main(argv=None) -> int:

@@ -24,6 +24,7 @@ from .fock import (
     StateVector,
     enumerate_irreducible_subspace,
     enumerate_truncated_space,
+    shared,
     state_label,
     three_mode_layout,
     two_mode_layout,
@@ -46,14 +47,13 @@ class CodeSpec:
     exactly the codeword's support.  The instance is frozen, and the
     parameters and each codeword are read-only mappings, so no edit can
     leave a derived view stale: a changed code is a new one
-    (`dataclasses.replace`).  That is what lets the family builders hand
-    one spec per N to every caller in a process.  Every float view
-    (`amplitudes`, `block`, `logical_states`) and the photon numbers are
-    derived from the weights; `space` lists the code's basis, which is read
-    only on demand.  The JSON view (`to_json`'s text) and `total_photons`
-    are formed on first read and held on the spec, as the basis is.  Equal
-    specs hash alike (`__hash__`), so a spec is a key for what is built
-    from its value.
+    (`dataclasses.replace`), and the family builders share one spec per N
+    (`fock` states the rule).  Every float view (`amplitudes`, `block`,
+    `logical_states`) and the photon numbers are derived from the weights;
+    `space` lists the code's basis, which is read only on demand.  The JSON
+    view (`to_json`'s text) and `total_photons` are formed on first read
+    and held on the spec, as the basis is.  Equal specs hash alike
+    (`__hash__`), so a spec is a key for what is built from its value.
     """
 
     name: str
@@ -97,9 +97,9 @@ class CodeSpec:
         return self.space()
 
     @functools.cached_property
-    def logical_states(self) -> List[StateVector]:
-        """Dense codewords on `basis`; the benchmark tracer reads them."""
-        return [StateVector.from_terms(self.basis, word) for word in self.amplitudes]
+    def logical_states(self) -> Tuple[StateVector, ...]:
+        """Dense codewords on `basis`, read-only; the benchmark tracer reads them."""
+        return tuple(StateVector.from_terms(self.basis, word) for word in self.amplitudes)
 
     def block(self, basis: BasisIndex) -> np.ndarray:
         """The (basis.dimension, L) array whose column k is codeword k, on
@@ -140,21 +140,7 @@ class CodeSpec:
         return self._json_text
 
 
-def _one_per_N(make: Callable[[int], CodeSpec]) -> Callable[[int], CodeSpec]:
-    """`make` as a plain function that builds the family's spec for each N
-    once per process and hands that same read-only spec to every later
-    caller; an N that `make` refuses is refused on every call."""
-    specs = functools.lru_cache(maxsize=None, typed=True)(make)
-
-    @functools.wraps(make)
-    def build_family(N: int) -> CodeSpec:
-        return specs(N)
-
-    build_family.cache_clear, build_family.cache_info = specs.cache_clear, specs.cache_info
-    return build_family
-
-
-@_one_per_N
+@shared
 def build_pcc(N: int) -> CodeSpec:
     """Pair-cat-style symmetry code: logical dimension N on two groups of
     H_{N-1} (n=2 physical qudits of dimension q=N).
@@ -191,7 +177,7 @@ def build_pcc(N: int) -> CodeSpec:
         lambda: enumerate_irreducible_subspace(N - 1, groups=2))
 
 
-@_one_per_N
+@shared
 def build_eecc(N: int) -> CodeSpec:
     """Embedded-error-correcting code: one H_{2N-2} qudit (q = 2N-1)
     holding an N-dimensional logical system.
@@ -217,7 +203,7 @@ def _binomial_weights(N: int, parity: int) -> Dict[int, int]:
     return {p: math.comb(M, p) for p in range(parity, M + 1, 2)}
 
 
-@_one_per_N
+@shared
 def build_bc(N: int) -> CodeSpec:
     """Binomial chi(2) code on H_{2N-1} (q = 2N), protecting a qubit
     against every homogeneous error set of order m <= N.
@@ -236,7 +222,7 @@ def build_bc(N: int) -> CodeSpec:
         lambda: enumerate_irreducible_subspace(M, groups=1))
 
 
-@_one_per_N
+@shared
 def build_two_mode_bc(N: int) -> CodeSpec:
     """Two-mode (signal, pump) binomial encoding; every ket of both
     codewords has photon-number sum 2N-1.

@@ -9,17 +9,14 @@ allowed, which is exactly the projection-correctability relaxation.
 Every loss, gain, dephasing and damping operator is built by one kernel,
 `fock.shift_operator`: one photon-number shift, one coefficient per ket.
 
-Each error set is a fixed function of the code's value and of m or gamma,
-so it is built once per process and shared: `xi_set`,
-`lowest_order_loss_kraus` and `ad_product_set` run their size checks and
-argument checks on every call, then return a new list of the one shared
-set, keyed by the code's value (a `dataclasses.replace` mutant is another
-key).  The shared operators' arrays are read-only.  The damping sets of
-every order and gamma on one code act on one shared down-closed basis.
+Each error set is shared per code value and m or gamma (`fock` states
+the rule): `xi_set`, `lowest_order_loss_kraus` and `ad_product_set` run
+their size and argument checks on every call, then return a new list of
+the shared operators.  The damping sets of every order and gamma on one
+code act on one shared down-closed basis.
 """
 
 from dataclasses import dataclass
-import functools
 import itertools
 import math
 from typing import List, Sequence
@@ -34,6 +31,7 @@ from .fock import (
     LinearOperator,
     ModeLayout,
     monomial_operator,
+    shared,
     shift_closure,
     shift_operator,
     unit_shifts,
@@ -142,14 +140,6 @@ def _xi_basis(m: int, code: CodeSpec) -> BasisIndex:
     )
 
 
-def _shared(ops: List[ErrorOperator]) -> tuple:
-    """An error set made read-only, to be built once and shared."""
-    for e in ops:
-        e.operator.rows.flags.writeable = False
-        e.operator.coeffs.flags.writeable = False
-    return tuple(ops)
-
-
 def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
     """Order-m error set: all loss monomials of total degree m, their
     adjoints (gain), and dephasing monomials of total degree m-1, plus the
@@ -161,7 +151,7 @@ def xi_set(m: int, code: CodeSpec) -> List[ErrorOperator]:
     return list(_xi_operators(m, code))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@shared
 def _xi_operators(m: int, code: CodeSpec) -> tuple:
     basis = _xi_basis(m, code)
     layout = code.layout
@@ -173,7 +163,7 @@ def _xi_operators(m: int, code: CodeSpec) -> tuple:
         ops += [ErrorOperator(monomial_label(layout, e, kind),
                               monomial_operator(monomial_factors(e, kind), basis))
                 for e in compositions(degree, layout.n_modes)]
-    return _shared(ops)
+    return tuple(ops)
 
 
 def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]:
@@ -193,7 +183,7 @@ def lowest_order_loss_kraus(gamma: float, code: CodeSpec) -> List[ErrorOperator]
     return list(_loss_kraus(gamma, code))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@shared
 def _loss_kraus(gamma: float, code: CodeSpec) -> tuple:
     lowered = unit_shifts(code.layout.n_modes, -1)
     basis = enclosing_basis(code, lowered)
@@ -204,7 +194,7 @@ def _loss_kraus(gamma: float, code: CodeSpec) -> tuple:
             coeff = math.sqrt(gamma) * np.sqrt(basis.occupations[:, mode])
             out.append(ErrorOperator("sqrt(gamma) a_%s" % _mode_tag(code.layout, mode),
                                      shift_operator(basis, coeff, shift)))
-    return _shared(out)
+    return tuple(out)
 
 
 def check_ad_set_size(m: int, code: CodeSpec) -> None:
@@ -239,7 +229,7 @@ def ad_product_set(gamma: float, m: int, code: CodeSpec) -> List[ErrorOperator]:
     return list(_damping_products(gamma, m, code))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@shared
 def _damping_basis(code: CodeSpec) -> BasisIndex:
     """The code's support and every ket below a support ket: the one basis
     of every damping order and gamma on `code`."""
@@ -249,7 +239,7 @@ def _damping_basis(code: CodeSpec) -> BasisIndex:
     }))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@shared
 def _damping_products(gamma: float, m: int, code: CodeSpec) -> tuple:
     basis = _damping_basis(code)
     occupations = basis.occupations
@@ -265,7 +255,7 @@ def _damping_products(gamma: float, m: int, code: CodeSpec) -> tuple:
             coeff = coeff * factor[k][occupations[:, mode]]
         label = " ".join("A_%d(%d)" % (mode, k) for mode, k in enumerate(exps))
         out.append(ErrorOperator(label, shift_operator(basis, coeff, monomial_shift(exps, "loss"))))
-    return _shared(out)
+    return tuple(out)
 
 
 def _gram_blocks(errors: Sequence[ErrorOperator], words: np.ndarray):

@@ -22,6 +22,15 @@ Conventions (part of the public contract):
   * `StateVector`, `apply`, `embed` and `compose` stay only because the
     benchmark reads them;
   * the text form of a basis state is "n1,n2,...,nk".
+
+Sharing, the one rule for every module: a structure fixed by its
+arguments (a spec, a basis, an error or operator set, a pipeline, a table)
+is built once per process by a builder decorated with `shared`, the only
+process cache in the package, and every caller gets that one object, so
+its type is frozen and its arrays are read-only (as `LinearOperator` and
+`StateVector` are).  A check that must run on every call sits in a plain
+wrapper before the builder; a failure is not cached.  A mutant
+(`dataclasses.replace`) is another value and gets its own.
 """
 
 from dataclasses import dataclass
@@ -36,6 +45,20 @@ MODE_LABELS = ("signal", "idler", "pump")
 
 # A Fock basis state is simply a tuple of occupation numbers.
 FockBasisState = Tuple[int, ...]
+
+
+def shared(build: Callable) -> Callable:
+    """`build` as a plain function that builds its value once per process for
+    each tuple of positional arguments and hands that object to every later
+    caller; `cache_clear` and `cache_info` are those of the cache."""
+    cached = functools.lru_cache(maxsize=None, typed=True)(build)
+
+    @functools.wraps(build)
+    def build_once(*args):
+        return cached(*args)
+
+    build_once.cache_clear, build_once.cache_info = cached.cache_clear, cached.cache_info
+    return build_once
 
 
 class DimensionMismatch(ValueError):
@@ -161,20 +184,23 @@ def state_label(state: FockBasisState) -> str:
     return ",".join(str(n) for n in state)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
-    """Dense amplitudes over a basis; the benchmark tracer reads them."""
+    """Dense amplitudes over a basis; the benchmark tracer reads them.
+    Frozen, with its own read-only copy of the amplitudes."""
 
     basis: BasisIndex
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.basis.dimension,):
+        amplitudes = np.array(self.amplitudes, dtype=complex)
+        if amplitudes.shape != (self.basis.dimension,):
             raise DimensionMismatch(
                 "amplitude vector length %d != basis dimension %d"
-                % (self.amplitudes.size, self.basis.dimension)
+                % (amplitudes.size, self.basis.dimension)
             )
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @classmethod
     def from_terms(cls, basis: BasisIndex, terms) -> "StateVector":
@@ -193,14 +219,15 @@ class StateVector:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearOperator:
     """Weighted ket map on the `domain` basis.
 
     Column j sends ket j to ket `rows[j]` with coefficient `coeffs[j]`;
     `rows[j] == -1` leaves the column empty.  Every operator the suite
     builds has this form: a photon-number shift, a ket permutation or a
-    diagonal moves each ket to at most one ket.
+    diagonal moves each ket to at most one ket.  Frozen, with its own
+    read-only copies of rows and coefficients.
     """
 
     domain: BasisIndex
@@ -208,16 +235,19 @@ class LinearOperator:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        rows = np.array(self.rows, dtype=np.int64)
+        coeffs = np.array(self.coeffs, dtype=complex)
         dim = self.domain.dimension
-        if self.rows.shape != (dim,) or self.coeffs.shape != (dim,):
+        if rows.shape != (dim,) or coeffs.shape != (dim,):
             raise DimensionMismatch(
                 "row and coefficient shapes %r, %r vs basis dimension %d"
-                % (self.rows.shape, self.coeffs.shape, dim)
+                % (rows.shape, coeffs.shape, dim)
             )
-        if dim and not -1 <= self.rows.min() <= self.rows.max() < dim:
+        if dim and not -1 <= rows.min() <= rows.max() < dim:
             raise DimensionMismatch("target rows must lie in -1..%d" % (dim - 1))
+        rows.flags.writeable = coeffs.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def diagonal(cls, basis: BasisIndex, coeffs) -> "LinearOperator":
@@ -288,15 +318,14 @@ def enumerate_irreducible_subspace(N: int, groups: int = 1) -> BasisIndex:
     """Ordered basis of H_N^{x groups}, H_N = Span{|n,n,N-n>: 0 <= n <= N}.
 
     Within one group states are listed by ascending n; multiple groups are
-    combined as a lexicographic tensor product.  Each (N, groups) is listed
-    once per process and that one basis is returned to every caller.
+    combined as a lexicographic tensor product.  Shared per (N, groups).
     """
     if N < 0 or groups < 1:
         raise ValueError("require N >= 0 and groups >= 1")
     return _irreducible_basis(N, groups)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@shared
 def _irreducible_basis(N: int, groups: int) -> BasisIndex:
     single = [(n, n, N - n) for n in range(N + 1)]
     states = [

@@ -12,7 +12,6 @@ exact closed forms (G3 is diagonal, and every other G_k has the spectrum
 {0, +-r}), so no check here factorizes a matrix.
 """
 
-import functools
 import math
 from typing import List, Sequence, Tuple
 
@@ -22,6 +21,7 @@ from .fock import (
     BasisIndex,
     enumerate_irreducible_subspace,
     monomial_operator,
+    shared,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -41,7 +41,7 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-@functools.cache
+@shared
 def _generator_matrices() -> Tuple[np.ndarray, ...]:
     """(G1, ..., G7) as read-only arrays, built on first use: A and its
     commutator chain are fixed, and `verify_gates` alone asks for a
@@ -75,7 +75,7 @@ def generator(k: int) -> np.ndarray:
     return _generator_matrices()[k - 1]
 
 
-@functools.cache
+@shared
 def _generator_closed_form(k: int) -> Tuple[float, np.ndarray, np.ndarray]:
     """(r, G, G^2) of the constructed G_k, the arrays read-only, built once
     per process.  r = 0 marks a diagonal G_k (G3).  Every other G_k has
@@ -236,7 +236,7 @@ def cnot2pp_12() -> np.ndarray:
     )
 
 
-@functools.cache
+@shared
 def _cz_phases() -> np.ndarray:
     """The 81 diagonal entries of the logical qutrit CZ,
     (F (x) F)^dag CZ22 (F (x) F) with F = CNOT2pp.  CZ22, the qutrit CZ

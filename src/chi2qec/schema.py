@@ -7,10 +7,11 @@ tests hold this check).  Any other keyword raises ValueError once it is
 applied, so the schema cannot outgrow the check unnoticed.
 """
 
-import functools
 import json
 import os
 import reprlib
+
+from .fock import shared
 
 
 class SchemaViolation(ValueError):
@@ -92,9 +93,8 @@ def check_schema(value, schema, path: str = "$") -> None:
             check_schema(item, schema["items"], "%s[%d]" % (path, i))
 
 
-@functools.cache
+@shared
 def report_schema() -> dict:
-    """The bundled report.schema.json, read once per process; callers must
-    not change it."""
+    """The bundled report.schema.json, shared; callers must not change it."""
     with open(os.path.join(os.path.dirname(__file__), "report.schema.json")) as fh:
         return json.load(fh)

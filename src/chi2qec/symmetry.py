@@ -10,14 +10,12 @@ bosonic code's symmetry Pi_s U_BS V U_BS^dagger is held in factored form:
 Pi_s and V as such permutations, and the pseudo-beam-splitter U_BS only
 by the |+/-> <-> codeword pairing it makes.
 
-Operators are frozen and their rows and phases read-only, so one operator
-set can serve every caller in a process: `bc_symmetry_operator` builds
-the factors once per spec value, and `joint_unity_eigenspace` checks
+Operators are frozen, with read-only rows and phases, so they can be
+shared (`fock` states the rule); `joint_unity_eigenspace` checks
 commutation and reads the orbits anew on every call.
 """
 
 from dataclasses import dataclass
-import functools
 import math
 import types
 from typing import List, Mapping, NamedTuple, Sequence, Tuple
@@ -25,7 +23,7 @@ from typing import List, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .codes import CodeSpec
-from .fock import _check_size, BasisIndex, DimensionMismatch, LinearOperator
+from .fock import _check_size, BasisIndex, DimensionMismatch, LinearOperator, shared
 
 
 class NonCommutingOperators(ValueError):
@@ -172,15 +170,10 @@ class BCSymmetry:
             types.MappingProxyType(dict(word)) for word in self.codewords))
 
 
+@shared
 def bc_symmetry_operator(spec: CodeSpec) -> BCSymmetry:
     """The factors of the binomial code's symmetry, read from `spec`'s
-    integer weights on its H_{2N-1} basis; built once per spec value and
-    shared (a `dataclasses.replace` mutant is another value)."""
-    return _bc_factors(spec)
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _bc_factors(spec: CodeSpec) -> BCSymmetry:
+    integer weights on its H_{2N-1} basis; shared per spec value."""
     basis, M = spec.basis, 2 * spec.parameters["N"] - 1
     return BCSymmetry(
         signal_parity_operator(basis), inversion_operator(M, 1, basis),

@@ -16,7 +16,6 @@ exactly the loss-versus-gain discriminator the table needs.
 """
 
 from dataclasses import dataclass
-import functools
 import io
 import math
 import random
@@ -32,6 +31,7 @@ from .fock import (
     DimensionMismatch,
     LinearOperator,
     ket_map_operator,
+    shared,
     shift_closure,
     shift_operator,
     unit_shifts,
@@ -273,7 +273,7 @@ def _recovery_pipeline(code: CodeSpec, error_label: str) -> Optional[_Pipeline]:
     return _pipeline(code, error_label)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@shared
 def _pipeline(code: CodeSpec, error_label: str) -> _Pipeline:
     mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
     lowered = unit_shifts(code.layout.n_modes, -1)[mode]
@@ -282,7 +282,7 @@ def _pipeline(code: CodeSpec, error_label: str) -> _Pipeline:
     lower = shift_operator(big, np.sqrt(big.occupations[:, mode]), lowered)
     restore = restoration_isometry(case, big)
     matrices = tuple(_SEQUENCES[code.name, code.parameters["N"]][error_label]())
-    for array in (rows, lower.rows, lower.coeffs, restore.rows, restore.coeffs) + matrices:
+    for array in (rows,) + matrices:
         array.flags.writeable = False
     return _Pipeline(mode, case, big, rows, lower, restore, matrices)
 

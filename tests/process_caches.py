@@ -1,29 +1,30 @@
 """The process caches of chi2qec: where each is declared, why, and how to
 empty them all.
 
-`ALLOWED` maps each place in `src/` that calls `functools.cache`,
-`functools.lru_cache` or `functools.cached_property` to the module
-attributes whose `cache_clear` empties what it holds and the reason it is
-there.  A `cached_property` holds its value on one instance, so it has no
-holder: it is dropped with its instance, and every instance that outlives
-a `clear()` is one a caller kept.  `tests/test_caches.py` holds `src/` to
-this list, so adding a cache means adding a line here.
+`ALLOWED` maps each place in `src/` that uses `fock.shared` (the one
+helper over `functools.lru_cache`) or `functools.cached_property`, and the
+helper itself, to the module attributes whose `cache_clear` empties what
+it holds and the reason it is there.  A `cached_property` holds its value
+on one instance, so it has no holder: it is dropped with its instance,
+and every instance that outlives a `clear()` is one a caller kept.
+`tests/test_caches.py` holds `src/` to this list, so adding a cache means
+adding a line here.
 """
 
 import sys
 
 ALLOWED = {
-    "bounds._min_n_grid": (
-        ["bounds._min_n_grid"],
+    "bounds.min_n_grid": (
+        ["bounds.min_n_grid"],
         "theorem 4's min_n grid is fixed by the search caps"),
     "bounds.corrupted_dimension": (
         ["bounds.corrupted_dimension"],
         "theorem 5's closure enumeration depends on q alone"),
-    "cli._pcc_operators": (
-        ["cli._pcc_operators"],
+    "cli.pcc_operator_set": (
+        ["cli.pcc_operator_set"],
         "the PCC synthesis operator set is a fixed function of N"),
-    "cli._eecc_operators": (
-        ["cli._eecc_operators"],
+    "cli.eecc_operator_set": (
+        ["cli.eecc_operator_set"],
         "the EECC synthesis operator set is a fixed function of N"),
     "cli._parser": (
         ["cli._parser"],
@@ -36,9 +37,14 @@ ALLOWED = {
         [], "the mean photon number, read from the fixed weights"),
     "codes.CodeSpec._json_text": (
         [], "the JSON view of the fixed spec, formed on first read"),
-    "codes._one_per_N": (
-        ["codes.build_pcc", "codes.build_eecc", "codes.build_bc", "codes.build_two_mode_bc"],
-        "one read-only spec per family and N"),
+    "codes.build_pcc": (
+        ["codes.build_pcc"], "one read-only PCC spec per N"),
+    "codes.build_eecc": (
+        ["codes.build_eecc"], "one read-only EECC spec per N"),
+    "codes.build_bc": (
+        ["codes.build_bc"], "one read-only BC spec per N"),
+    "codes.build_two_mode_bc": (
+        ["codes.build_two_mode_bc"], "one read-only two-mode BC spec per N"),
     "errors._xi_operators": (
         ["errors._xi_operators"],
         "xi_m is a fixed function of m and the code's value"),
@@ -51,6 +57,8 @@ ALLOWED = {
     "errors._damping_basis": (
         ["errors._damping_basis"],
         "the down-closed support is one basis for every damping order and gamma"),
+    "fock.shared": (
+        [], "the one helper that makes a process cache; each builder it decorates has a line"),
     "fock.ModeLayout.n_groups": (
         [], "read per label; not a field, so equality and hashing are unchanged"),
     "fock.BasisIndex.occupations": (
@@ -70,8 +78,8 @@ ALLOWED = {
     "schema.report_schema": (
         ["schema.report_schema"],
         "the bundled schema file, read once"),
-    "symmetry._bc_factors": (
-        ["symmetry._bc_factors"],
+    "symmetry.bc_symmetry_operator": (
+        ["symmetry.bc_symmetry_operator"],
         "the BC symmetry's factors are a fixed function of the spec's value"),
     "syndromes._pipeline": (
         ["syndromes._pipeline"],

@@ -2,17 +2,20 @@
 reads (synthesis operator sets, BC symmetry factors, theorem 4's grid, the
 CZ phases, recovery pipelines) are built once per process and shared.
 
-Every cache in `src/` is on the allow-list of `process_caches`, whose
-`clear` empties them all.  A job prints the same bytes whether its objects
-are built anew or shared, every check still runs on a shared object, a
-mutant gets its own verdict, and a shared object cannot be edited: every
-array a cache holds is read-only.
+`fock.shared` is the one place `src/` makes a process cache, each use of
+it and each `cached_property` is on the allow-list of `process_caches`,
+whose `clear` empties them all, and every cache holder is a plain
+function.  A job prints the same bytes whether its objects are built anew
+or shared, every check still runs on a shared object, a mutant gets its
+own verdict, and a shared object cannot be edited: every array a cache
+holds is read-only.
 """
 
 import ast
 import contextlib
 import dataclasses
 import gc
+import inspect
 import io
 import json
 import pathlib
@@ -33,16 +36,17 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "chi2qec"
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 JOBS = sorted(json.loads((BENCH / "expected.json").read_text())["jobs"])
 
-_CACHE_FACTORIES = {"cache", "lru_cache", "cached_property"}
+_FUNCTOOLS_CACHES = {"cache", "lru_cache"}
+_CACHE_FACTORIES = _FUNCTOOLS_CACHES | {"cached_property", "shared"}
 
 
 class _CacheSites(ast.NodeVisitor):
-    """Names "<module>.<scope>" each place that mentions a functools cache
-    factory: a decorator counts for the definition it decorates, and a
-    module-level assignment for its target."""
+    """Names "<module>.<scope>" each place that mentions a cache factory
+    (`functools`' or `fock.shared`): a decorator counts for the definition
+    it decorates, and a module-level assignment for its target."""
 
-    def __init__(self, module):
-        self.scope, self.found = [module], []
+    def __init__(self, module, factories=_CACHE_FACTORIES):
+        self.scope, self.found, self.factories = [module], [], factories
 
     def _enter(self, name, node):
         self.scope.append(name)
@@ -61,20 +65,20 @@ class _CacheSites(ast.NodeVisitor):
             self.generic_visit(node)
 
     def visit_Attribute(self, node):
-        if isinstance(node.value, ast.Name) and node.value.id == "functools" \
-                and node.attr in _CACHE_FACTORIES:
+        if isinstance(node.value, ast.Name) and node.value.id in ("functools", "fock") \
+                and node.attr in self.factories:
             self.found.append(".".join(self.scope))
         self.generic_visit(node)
 
     def visit_Name(self, node):
-        if node.id in _CACHE_FACTORIES:
+        if node.id in self.factories:
             self.found.append(".".join(self.scope))
 
 
-def _cache_sites():
+def _cache_sites(factories=_CACHE_FACTORIES):
     found = []
     for path in sorted(SRC.glob("*.py")):
-        sites = _CacheSites(path.stem)
+        sites = _CacheSites(path.stem, factories)
         sites.visit(ast.parse(path.read_text()))
         found += sites.found
     return found
@@ -92,9 +96,22 @@ def test_every_cache_in_src_is_on_the_allow_list():
     assert all(reason for _, reason in process_caches.ALLOWED.values())
 
 
+def test_only_the_helper_makes_a_functools_cache():
+    assert _cache_sites(_FUNCTOOLS_CACHES) == ["fock.shared"]
+
+
+def test_every_cache_holder_is_a_plain_function():
+    # A plain function is what the benchmark's span tracer wraps.
+    holders = process_caches.holders()
+    assert {"bounds.corrupted_dimension", "schema.report_schema"} <= set(holders)
+    assert [name for name, value in holders.items() if not inspect.isfunction(value)] == []
+
+
 def test_the_scan_finds_each_kind_of_cache():
     source = ("import functools\n"
               "from functools import lru_cache\n"
+              "from . import fock\n"
+              "from .fock import shared\n"
               "class A:\n"
               "    @functools.cached_property\n"
               "    def b(self): pass\n"
@@ -102,10 +119,16 @@ def test_the_scan_finds_each_kind_of_cache():
               "def c(): pass\n"
               "def d(f):\n"
               "    return functools.cache(f)\n"
-              "e = functools.cache(d)\n")
+              "e = functools.cache(d)\n"
+              "@shared\n"
+              "def f(): pass\n"
+              "g = fock.shared(f)\n")
     sites = _CacheSites("m")
     sites.visit(ast.parse(source))
-    assert sites.found == ["m.A.b", "m.c", "m.d", "m.e"]
+    assert sites.found == ["m.A.b", "m.c", "m.d", "m.e", "m.f", "m.g"]
+    sites = _CacheSites("m", _FUNCTOOLS_CACHES)
+    sites.visit(ast.parse(source))
+    assert sites.found == ["m.c", "m.d", "m.e"]
 
 
 def test_clear_empties_every_cache_the_allow_list_names():
@@ -242,6 +265,13 @@ def test_shared_objects_cannot_be_edited():
             e.label = "E"
     with pytest.raises(ValueError, match="read-only"):
         enumerate_irreducible_subspace(2).occupations[0, 0] = 1
+    basis = fock.enumerate_truncated_space(fock.two_mode_layout(2))
+    rows, coeffs = np.arange(basis.dimension), np.ones(basis.dimension, dtype=complex)
+    for op in (fock.ladder(0, "lower", basis), fock.LinearOperator(basis, rows, coeffs)):
+        _cannot_write(op.rows, op.coeffs)  # built outside any cache, read-only by its type
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.coeffs = coeffs
+    assert rows.flags.writeable and coeffs.flags.writeable  # the operator holds its own copies
     ops = cli.pcc_operator_set(3)[1] + cli.eecc_operator_set(2)[1]
     factors = bc_symmetry_operator(build_bc(2))
     for op in ops + (factors.parity, factors.inversion):
@@ -260,6 +290,16 @@ def test_shared_objects_cannot_be_edited():
     _cannot_write(bounds.min_n_grid(), gates._cz_phases(), pipeline.rows,
                   pipeline.lower.rows, pipeline.lower.coeffs,
                   pipeline.restore.rows, pipeline.restore.coeffs, *pipeline.gates)
+
+
+def test_a_shared_spec_hands_out_read_only_codewords():
+    states = build_pcc(2).logical_states
+    assert type(states) is tuple and build_pcc(2).logical_states is states
+    for psi in states:
+        _cannot_write(psi.amplitudes)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            psi.amplitudes = psi.amplitudes.copy()
+    assert [len(psi.support()) for psi in states] == [2, 2]
 
 
 def _cached_values(holder):

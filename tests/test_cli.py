@@ -418,6 +418,19 @@ def test_main_accepts_global_flags_after_subcommand(capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+# The --help text of the top level and of each subcommand, as printed at
+# 80 columns; the global flags are declared once, for both.
+with open(os.path.join(TESTS_DIR, "data", "help.json")) as fh:
+    HELP = json.load(fh)
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_text_is_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (HELP[argv], "")
+
+
 def test_main_is_deterministic_for_fixed_seed(capsys):
     args = ["--seed", "7", "recover", "eecc", "--N", "2",
             "--error", "a_s", "--trials", "5"]
