@@ -59,13 +59,16 @@ from .symmetry import (
     z_pair_operator,
 )
 from .syndromes import (
+    check_recovery,
     full_recovery,
     random_logical_coefficients,
     random_logical_states,
-    recovery_kets,
     syndrome_table,
     to_csv,
 )
+
+# A recovered state passes when its fidelity with the input is at least this.
+RECOVERY_FIDELITY_BAR = 1 - 1e-10
 
 
 @dataclass(frozen=True)
@@ -362,13 +365,14 @@ def cmd_recover(args, config: RunConfig):
     if args.trials < 1:
         raise ValueError("--trials must be >= 1, got %d" % args.trials)
     spec = build(args.code, args.N)
-    kets = recovery_kets(spec, args.error)
+    check_recovery(spec, args.error)
+    kets = spec.basis.dimension
     _check_size(kets * args.trials, "recovery of %d trials on %d kets would stack %d entries"
                 % (args.trials, kets, kets * args.trials))
     states = random_logical_states(spec, random.Random(config.seed), args.trials)
     _, fids = full_recovery(spec, args.error, states)
     worst = min(1.0, float(fids.min()))
-    passed = worst >= 1 - 1e-10
+    passed = worst >= RECOVERY_FIDELITY_BAR
     results = [{
         "name": "recover_%s_N%d_%s" % (spec.name, args.N, args.error),
         "passed": passed,
@@ -628,7 +632,7 @@ def criterion_recovery(config: RunConfig = RunConfig()) -> Dict:
             states = random_logical_states(spec, rng, trials)
             _, fids = full_recovery(spec, label, states)
             worst = min(1.0, float(fids.min()))
-            if worst < 1 - 1e-10:
+            if worst < RECOVERY_FIDELITY_BAR:
                 failures.append("%s %s min fidelity %.2e below 1"
                                 % (spec.name, label, 1 - worst))
     spec = build_bc(2)
@@ -641,7 +645,7 @@ def criterion_recovery(config: RunConfig = RunConfig()) -> Dict:
         for err in errs:
             coeffs = random_logical_coefficients(rng, len(spec.weights), trials)
             worst = min(1.0, float(recovery_fidelity(spec, recov, err, coeffs).min()))
-            if worst < 1 - 1e-10:
+            if worst < RECOVERY_FIDELITY_BAR:
                 failures.append("canonical BC N=2 error %s fidelity deficit %.2e"
                                 % (err.label, 1 - worst))
     return _check("6_recovery_fidelity", failures,

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .fock import (
+    _check_size,
     BasisIndex,
     ModeLayout,
     StateVector,
@@ -30,6 +31,8 @@ from .fock import (
     two_mode_layout,
 )
 
+
+_TOO_LARGE = "%s N=%d: codeword weights are too large for float amplitudes"
 
 # One codeword: {ket: integer weight}; the ket's amplitude is
 # sqrt(weight / denominator) for the code's common denominator.
@@ -83,8 +86,7 @@ class CodeSpec:
             amplitudes = tuple(types.MappingProxyType(
                 {ket: math.sqrt(word[ket]) / root for ket in sorted(word)}) for word in weights)
         except OverflowError:
-            raise ValueError("%s N=%d: codeword weights are too large for float "
-                             "amplitudes" % (self.name, self.parameters["N"])) from None
+            raise ValueError(_TOO_LARGE % (self.name, self.parameters["N"])) from None
         object.__setattr__(self, "amplitudes", amplitudes)
 
     def __hash__(self):
@@ -140,6 +142,12 @@ class CodeSpec:
         return self._json_text
 
 
+def _check_support(name: str, N: int, kets: int) -> None:
+    """Refuse a family member whose codewords hold `kets` support kets in
+    all over the size limit, before any codeword is listed."""
+    _check_size(kets, "%s N=%d has %d support kets" % (name, N, kets))
+
+
 @shared
 def build_pcc(N: int) -> CodeSpec:
     """Pair-cat-style symmetry code: logical dimension N on two groups of
@@ -154,6 +162,7 @@ def build_pcc(N: int) -> CodeSpec:
     """
     if N < 2:
         raise ValueError("PCC requires N >= 2")
+    _check_support("PCC", N, 2 * N - N % 2)  # odd N: the centre codeword has one ket
     words: List[Weights] = []
     if N % 2 == 0:
         m = N // 2
@@ -187,6 +196,7 @@ def build_eecc(N: int) -> CodeSpec:
     """
     if N < 2:
         raise ValueError("EECC requires N >= 2")
+    _check_support("EECC", N, 2 * N - 1)
     M = 2 * N - 2
     words = [{(M - j, M - j, j): 1, (j, j, M - j): 1} for j in range(N - 1)]
     words.append({(N - 1, N - 1, N - 1): 2})
@@ -194,6 +204,23 @@ def build_eecc(N: int) -> CodeSpec:
         "EECC", {"N": N, "n": 1, "q": 2 * N - 1, "b": N, "k": 1},
         three_mode_layout(M, groups=1), words, 2,
         lambda: enumerate_irreducible_subspace(M, groups=1))
+
+
+def _check_binomial(name: str, N: int) -> None:
+    """Refuse the binomial code `name` at N before any weight is formed: its
+    2N support kets over the size limit, or a largest weight C(2N-1, N)
+    too large for a float amplitude (each codeword holds it or C(2N-1,
+    N-1), its equal)."""
+    M = 2 * N - 1
+    _check_support(name, N, 2 * N)
+    try:
+        # C(M, N) is at least the mean binomial 2^M / (M+1): past 2^1024 no
+        # float holds it, and that side forms no binomial.
+        if M - (M + 1).bit_length() >= 1024:
+            raise OverflowError
+        float(math.comb(M, N))
+    except OverflowError:
+        raise ValueError(_TOO_LARGE % (name, N)) from None
 
 
 def _binomial_weights(N: int, parity: int) -> Dict[int, int]:
@@ -213,6 +240,7 @@ def build_bc(N: int) -> CodeSpec:
     """
     if N < 1:
         raise ValueError("BC requires N >= 1")
+    _check_binomial("BC", N)
     M = 2 * N - 1
     words = [{(p, p, M - p): w for p, w in _binomial_weights(N, parity).items()}
              for parity in (0, 1)]
@@ -232,6 +260,7 @@ def build_two_mode_bc(N: int) -> CodeSpec:
     """
     if N < 1:
         raise ValueError("two-mode BC requires N >= 1")
+    _check_binomial("BC2mode", N)
     M = 2 * N - 1
     layout = two_mode_layout(M)
     even = _binomial_weights(N, 0)

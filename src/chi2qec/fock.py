@@ -2,7 +2,7 @@
 
 Basis enumeration for the three-wave-mixing irreducible subspaces
 H_N = Span{|n,n,N-n> : 0 <= n <= N} and for capped product spaces,
-plus ladder/number monomials and ket maps, each one weighted ket map.
+plus ladder/number monomials, each one weighted ket map.
 
 Conventions (part of the public contract):
   * irreducible bases are ordered by ascending n per qudit group, with
@@ -13,9 +13,11 @@ Conventions (part of the public contract):
   * one kernel, `shift_operator`, builds every operator that moves each
     ket by one photon-number shift with one coefficient per ket: a column
     whose coefficient is zero or whose ket leaves the basis is dropped;
-  * `ket_map_operator` builds the 0/1 operators that send kets to kets
-    (inversions, swaps, restorations): a ket with no image leaves its
-    column empty, and an image outside the basis is an error;
+  * the 0/1 maps that permute kets (inversions, swaps) are built by
+    `symmetry`, and a recovery's loss-and-restoration map on its code
+    basis by `syndromes`;
+  * every enumeration counts its kets against the one size limit
+    (`_check_size`) before it lists them;
   * operators are weighted ket maps (one target ket and one coefficient
     per column) acting on complex amplitude arrays over their domain, one
     column per state; codewords are held as exact integer weights (`codes`);
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -314,14 +316,29 @@ def embed(state: StateVector, into: BasisIndex) -> StateVector:
     return StateVector(into, amps)
 
 
+_MAX_TRUNCATED_DIM = 2_000_000
+
+
+def _check_size(count: int, prefix: str) -> None:
+    """The one size limit: refuse `count` entries (kets, or array entries a
+    step would stack) over it, with TruncationOverflow("<prefix>, over the
+    limit of <limit>").  Callers count before they build."""
+    if count > _MAX_TRUNCATED_DIM:
+        raise TruncationOverflow("%s, over the limit of %d" % (prefix, _MAX_TRUNCATED_DIM))
+
+
 def enumerate_irreducible_subspace(N: int, groups: int = 1) -> BasisIndex:
     """Ordered basis of H_N^{x groups}, H_N = Span{|n,n,N-n>: 0 <= n <= N}.
 
     Within one group states are listed by ascending n; multiple groups are
-    combined as a lexicographic tensor product.  Shared per (N, groups).
+    combined as a lexicographic tensor product.  Its (N+1)^groups kets are
+    counted against the size limit before any is listed.  Shared per (N,
+    groups).
     """
     if N < 0 or groups < 1:
         raise ValueError("require N >= 0 and groups >= 1")
+    kets = (N + 1) ** groups
+    _check_size(kets, "H_%d on %d groups has %d kets" % (N, groups, kets))
     return _irreducible_basis(N, groups)
 
 
@@ -333,17 +350,6 @@ def _irreducible_basis(N: int, groups: int) -> BasisIndex:
         for combo in itertools.product(single, repeat=groups)
     ]
     return BasisIndex(states)
-
-
-_MAX_TRUNCATED_DIM = 2_000_000
-
-
-def _check_size(count: int, prefix: str) -> None:
-    """The one size limit: refuse `count` entries (kets, or array entries a
-    step would stack) over it, with TruncationOverflow("<prefix>, over the
-    limit of <limit>").  Callers count before they build."""
-    if count > _MAX_TRUNCATED_DIM:
-        raise TruncationOverflow("%s, over the limit of %d" % (prefix, _MAX_TRUNCATED_DIM))
 
 
 def unit_shifts(modes: int, sign: int):
@@ -419,19 +425,6 @@ def shift_operator(basis: BasisIndex, coeff: np.ndarray, shift) -> LinearOperato
 def monomial_operator(factors: Sequence[Tuple[int, str]], basis: BasisIndex) -> LinearOperator:
     """`monomial_action` on the kets of `basis` as one ket map."""
     return shift_operator(basis, *monomial_action(factors, basis.occupations))
-
-
-def ket_map_operator(
-    basis: BasisIndex, image: Callable[[FockBasisState], Optional[FockBasisState]]
-) -> LinearOperator:
-    """The operator |image(ket)><ket| summed over the kets of `basis`.
-
-    A ket whose image is None leaves its column empty; an image outside the
-    basis raises MissingBasisState.
-    """
-    rows = [-1 if target is None else basis.index_of(target)
-            for target in map(image, basis.states)]
-    return LinearOperator(basis, rows, np.not_equal(rows, -1))
 
 
 def ladder(mode: int, kind: str, basis: BasisIndex) -> LinearOperator:

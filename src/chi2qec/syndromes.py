@@ -13,6 +13,10 @@ total-photon-number *change* modulo 6N-3 (-m for an m-loss, +m for an
 m-gain): the absolute total is not ket-definite on the binomial codewords
 (branch totals 2j + 2N-1 vary with j), while the change is, and it is
 exactly the loss-versus-gain discriminator the table needs.
+
+A recovery pipeline acts on the code basis alone: the detected loss and its
+restoration are one weighted ket map from code kets to code kets, and the
+published gate matrices follow it; no enlarged basis is listed.
 """
 
 from dataclasses import dataclass
@@ -25,17 +29,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import compositions, monomial_label, monomial_shift
-from .fock import (
-    _check_size,
-    BasisIndex,
-    DimensionMismatch,
-    LinearOperator,
-    ket_map_operator,
-    shared,
-    shift_closure,
-    shift_operator,
-    unit_shifts,
-)
+from .fock import _check_size, DimensionMismatch, LinearOperator, shared, unit_shifts
 from .gates import (
     cnot2_21,
     cnot2p_12,
@@ -195,7 +189,7 @@ def syndrome_table(code: CodeSpec, monitored_order: Optional[int] = None) -> Lis
 
 
 # ---------------------------------------------------------------------------
-# Restoration isometries and full recovery pipelines.
+# Full recovery pipelines.
 
 _RESTORATION_MAPS = {
     # Per-qutrit basis-state maps realized by the restoration circuits, one
@@ -203,22 +197,6 @@ _RESTORATION_MAPS = {
     "signal_loss": {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)},
     "pump_loss": {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)},
 }
-
-
-def restoration_isometry(case: str, basis: BasisIndex) -> LinearOperator:
-    """Partial isometry on a basis of three-mode kets (group 1 first)
-    mapping the corrupted kets back into H_2; zero outside its declared
-    domain.  Every mapped ket must be in the basis."""
-    try:
-        mapping = _RESTORATION_MAPS[case]
-    except KeyError:
-        raise KeyError("unknown restoration case %r" % case)
-
-    def image(ket):
-        dst = mapping.get(ket[:3])
-        return None if dst is None else dst + ket[3:]
-
-    return ket_map_operator(basis, image)
 
 
 def _eecc_recovery_gates() -> List[np.ndarray]:
@@ -240,84 +218,65 @@ _SEQUENCES = {
 }
 
 
-@dataclass(frozen=True)
-class _Pipeline:
-    """The fixed parts of the published pipeline for one detected loss: the
-    lowered mode and its restoration case, the lowered basis (the code basis
-    and every ket the lowered mode takes it to), the rows of the code kets
-    in it, the lowering operator, the restoration isometry and the gate
-    matrices, every array read-only."""
-
-    mode: int
-    case: str
-    basis: BasisIndex
-    rows: np.ndarray
-    lower: LinearOperator
-    restore: LinearOperator
-    gates: Tuple[np.ndarray, ...]
-
-
-def _recovery_pipeline(code: CodeSpec, error_label: str) -> Optional[_Pipeline]:
-    """The published pipeline for one detected loss, None for error_label
-    "none".  Raises ValueError, on every call, for a code without a
-    published pipeline or an error label it has none for; the pipeline
-    itself is built once per code value and label and shared."""
+def check_recovery(code: CodeSpec, error_label: str) -> None:
+    """Raise ValueError for a code without a published pipeline or an
+    error label it has none for; "none" is every such code's identity
+    case.  Reads neither the basis nor a pipeline."""
     sequences = _SEQUENCES.get((code.name, code.parameters["N"]))
     if sequences is None:
         raise ValueError("full_recovery supports qutrit PCC and qubit EECC")
-    if error_label == "none":
-        return None
-    if error_label not in sequences:
+    if error_label != "none" and error_label not in sequences:
         raise ValueError("unsupported %s error %r: expected %s or none"
                          % (code.name, error_label, ", ".join(sequences)))
-    return _pipeline(code, error_label)
 
 
 @shared
-def _pipeline(code: CodeSpec, error_label: str) -> _Pipeline:
+def _pipeline(code: CodeSpec, error_label: str) -> Tuple[LinearOperator, Tuple[np.ndarray, ...]]:
+    """The published pipeline for one detected loss as the frozen pair
+    (loss and restoration, gate matrices), shared per code value and label.
+
+    The first is a weighted ket map on the code basis: code ket j goes to
+    the code ket that its lowered ket is restored to, with the loss
+    coefficient sqrt(n) of the lowered mode.  Its coefficients hold every
+    ket's loss coefficient, also on a column left empty because no
+    restoration takes its lowered ket, so the loss image's norm reads them.
+    """
     mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
-    lowered = unit_shifts(code.layout.n_modes, -1)[mode]
-    big = shift_closure(code.basis.states, [lowered])
-    rows = np.array([big.index_of(s) for s in code.basis.states], dtype=np.int64)
-    lower = shift_operator(big, np.sqrt(big.occupations[:, mode]), lowered)
-    restore = restoration_isometry(case, big)
-    matrices = tuple(_SEQUENCES[code.name, code.parameters["N"]][error_label]())
-    for array in (rows,) + matrices:
-        array.flags.writeable = False
-    return _Pipeline(mode, case, big, rows, lower, restore, matrices)
-
-
-def recovery_kets(code: CodeSpec, error_label: str) -> int:
-    """Kets per state of the largest block `full_recovery` stacks: the
-    lowered basis, or the code basis for error_label "none"."""
-    pipeline = _recovery_pipeline(code, error_label)
-    return code.basis.dimension if pipeline is None else pipeline.basis.dimension
+    mapping, basis = _RESTORATION_MAPS[case], code.basis
+    rows = []
+    for ket in basis.states:
+        lowered = ket[:mode] + (ket[mode] - 1,) + ket[mode + 1:]
+        restored = mapping.get(lowered[:3])
+        rows.append(-1 if restored is None else basis.index_of(restored + lowered[3:]))
+    gates = tuple(_SEQUENCES[code.name, code.parameters["N"]][error_label]())
+    for U in gates:
+        U.flags.writeable = False
+    return LinearOperator(basis, rows, np.sqrt(basis.occupations[:, mode])), gates
 
 
 def full_recovery(code: CodeSpec, error_label: str, states: np.ndarray):
-    """Apply the error, the restoration isometry and the published gate
+    """Apply the detected loss, its restoration and the published gate
     sequence to every column of a (code.basis.dimension, T) block of states.
 
-    The shared pipeline is applied to the whole block; each corrupted column
-    is normalized on its own.  Returns (output block on the code basis, the
-    T fidelities |<psi_t|out_t>|).
+    Each column is normalized by the norm of its loss image, taken before
+    restoration, so weight that no restoration takes back is lost, not
+    renormalized away.  Returns (output block on the code basis, the T
+    fidelities |<psi_t|out_t>|).
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[0] != code.basis.dimension:
         raise DimensionMismatch(
             "state block shape %r needs %d rows" % (states.shape, code.basis.dimension)
         )
-    pipeline = _recovery_pipeline(code, error_label)
-    if pipeline is None:
+    check_recovery(code, error_label)
+    if error_label == "none":
         return states, np.ones(states.shape[1])
-    embedded = np.zeros((pipeline.basis.dimension, states.shape[1]), dtype=complex)
-    embedded[pipeline.rows] = states
-    corrupted = pipeline.lower.apply(embedded)
-    norms = np.linalg.norm(corrupted, axis=0)
+    restore, gates = _pipeline(code, error_label)
+    norms = np.linalg.norm(restore.coeffs[:, None] * states, axis=0)
     if np.any(norms == 0):
         raise ValueError("the error annihilates a state of the block")
-    out = pipeline.restore.apply(corrupted / norms)[pipeline.rows]
-    for U in pipeline.gates:
+    out = restore.apply(states) / norms
+    for U in gates:
         out = U @ out
     fidelities = np.abs(np.sum(states.conjugate() * out, axis=0))
     return out, fidelities

@@ -83,7 +83,8 @@ ALLOWED = {
         "the BC symmetry's factors are a fixed function of the spec's value"),
     "syndromes._pipeline": (
         ["syndromes._pipeline"],
-        "each recovery pipeline is a fixed function of the code's value and the error label"),
+        "each recovery pipeline's ket map and gates are a fixed function of the code's value "
+        "and the error label"),
 }
 
 

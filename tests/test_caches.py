@@ -19,6 +19,7 @@ import inspect
 import io
 import json
 import pathlib
+import sys
 import types
 
 import numpy as np
@@ -212,16 +213,22 @@ def test_a_mutant_of_a_cached_spec_gets_its_own_synthesis_verdict(monkeypatch):
     assert _run(["synth", "bc", "--N", "3"]) == exact
 
 
-def test_one_recover_job_lists_the_lowered_basis_once(monkeypatch):
+def test_a_recover_job_lists_the_code_basis_and_nothing_else(monkeypatch):
     calls, closure = [], fock.shift_closure
-    for module in (fock, syndromes):
-        monkeypatch.setattr(module, "shift_closure",
-                            lambda kets, shifts: calls.append(1) or closure(kets, shifts))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chi2qec.") and hasattr(module, "shift_closure"):
+            monkeypatch.setattr(module, "shift_closure",
+                                lambda kets, shifts: calls.append(1) or closure(kets, shifts))
+    built, init = [], fock.BasisIndex.__init__
+    monkeypatch.setattr(fock.BasisIndex, "__init__",
+                        lambda self, states: init(self, states) or built.append(self.states))
     argv = ["recover", "eecc", "--N", "2", "--error", "a_s", "--trials", "10"]
     process_caches.clear()
     first = _run(argv)
-    assert first[0] == 0 and len(calls) == 1
-    assert _run(argv) == first and len(calls) == 1  # the pipeline is shared
+    assert first[0] == 0 and calls == []
+    assert built == [build_eecc(2).basis.states]
+    assert _run(argv) == first and len(built) == 1  # the pipeline is shared
+    assert syndromes._pipeline.cache_info().misses == 1
 
 
 def test_every_damping_order_shares_one_down_closed_basis(monkeypatch):
@@ -284,12 +291,15 @@ def test_shared_objects_cannot_be_edited():
         factors.denominator = 1
     with pytest.raises(TypeError):
         factors.codewords[0][0] = 1
-    pipeline = syndromes._recovery_pipeline(build_eecc(2), "a_s")
+    pipeline = syndromes._pipeline(build_eecc(2), "a_s")
+    restore, matrices = pipeline
+    with pytest.raises(TypeError):
+        pipeline[1] = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        pipeline.gates = ()
-    _cannot_write(bounds.min_n_grid(), gates._cz_phases(), pipeline.rows,
-                  pipeline.lower.rows, pipeline.lower.coeffs,
-                  pipeline.restore.rows, pipeline.restore.coeffs, *pipeline.gates)
+        restore.coeffs = coeffs
+    assert type(matrices) is tuple
+    _cannot_write(bounds.min_n_grid(), gates._cz_phases(),
+                  restore.rows, restore.coeffs, *matrices)
 
 
 def test_a_shared_spec_hands_out_read_only_codewords():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -620,6 +621,8 @@ def test_invalid_report_raises_before_it_is_printed(capsys, monkeypatch):
     (["synth", "pcc", "--N", "143"],  # the smallest PCC over the stack limit
      "error: commutation check of 7 operators on 20449 kets would stack 2004002 entries, "
      "over the limit of 2000000"),
+    (["synth", "pcc", "--N", "1415"],  # the smallest PCC whose basis is over the limit
+     "error: H_1414 on 2 groups has 2002225 kets, over the limit of 2000000"),
     (["kl-check", "pcc", "--N", "2", "--errors", "ad", "--order", "-1"],
      "error: --order must be >= 0, got -1"),
     (["synth", "bc", "--N", "516"],
@@ -700,20 +703,55 @@ def test_syndromes_bc_just_under_the_size_limit_runs(capsys, argv, rows):
 
 
 def test_recover_refuses_trials_over_the_size_limit_before_drawing(monkeypatch, capsys):
-    # PCC N=3 a_s1 holds each trial on 15 kets: 133,333 trials stack
-    # 1,999,995 entries and 133,334 trials are over the limit.
+    # PCC N=3 a_s1 holds each trial on its 9 code kets: 222,222 trials stack
+    # 1,999,998 entries and 222,223 trials are over the limit.
     monkeypatch.setattr(cli, "random_logical_states",
                         lambda *a: pytest.fail("states drawn"))
-    argv = ["recover", "pcc", "--N", "3", "--error", "a_s1", "--trials", "133334"]
+    argv = ["recover", "pcc", "--N", "3", "--error", "a_s1", "--trials", "222223"]
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", "error: recovery of 133334 trials on 15 kets would "
-                                   "stack 2000010 entries, over the limit of 2000000\n")
+    assert capsys.readouterr() == ("", "error: recovery of 222223 trials on 9 kets would "
+                                   "stack 2000007 entries, over the limit of 2000000\n")
     monkeypatch.undo()
     for trials in ([], ["--trials", "10"]):  # the default 100 and the benchmark's 10
         argv = ["--format", "csv", "recover", "eecc", "--N", "2", "--error", "a_s"] + trials
         assert main(argv) == 0
         assert capsys.readouterr().out.endswith(
             "over %s trials\n" % (trials[1] if trials else 100))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["recover", "pcc", "--N", "100000000", "--error", "a_s1"],
+     "PCC N=100000000 has 200000000 support kets"),
+    (["kl-check", "bc", "--N", "100000", "--errors", "xi1"],
+     "BC N=100000: codeword weights are too large for float amplitudes"),
+    (["synth", "bc", "--N", "5000"],
+     "BC N=5000: codeword weights are too large for float amplitudes"),
+    (["synth", "pcc", "--N", "2000"], "H_1999 on 2 groups has 4000000 kets"),
+    (["syndromes", "pcc", "--N", "3000000"], "PCC N=3000000 has 6000000 support kets"),
+])
+def test_a_huge_N_is_refused_before_anything_is_listed(argv, message):
+    # Each size is counted before its listing: a family's support kets, the
+    # largest binomial weight against the float range (with no binomial
+    # formed when 2^M / (M+1) is already out of it) and the (N+1)^groups
+    # kets of an irreducible basis.  The child's address space is capped at
+    # 4 GB, so a listing would end in a MemoryError if it did not time out.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4_096_000_000, 4_096_000_000))
+
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "chi2qec.cli"] + argv,
+                              capture_output=True, text=True, env=_child_env(), timeout=2,
+                              preexec_fn=cap_address_space)
+    except subprocess.TimeoutExpired:
+        pytest.fail("%s still running after 2 s" % " ".join(argv))
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: %s" % message)
+    assert proc.stderr.endswith(", over the limit of 2000000\n" if "kets" in message
+                                else "amplitudes\n")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_main_syndromes_bc_past_operator_size_limit(capsys):

@@ -4,12 +4,14 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from chi2qec.cli import expected_syndrome_rows
+import process_caches
+from chi2qec.cli import expected_syndrome_rows, main
 from chi2qec.codes import build_bc, build_eecc, build_pcc
 from chi2qec.errors import (
     compositions,
@@ -28,10 +30,11 @@ from chi2qec.fock import (
 )
 from chi2qec.syndromes import (
     _RESTORATION_MAPS,
+    _SEQUENCES,
     IndefiniteParity,
     SyndromeRecord,
     _parity,
-    _recovery_pipeline,
+    _pipeline,
     complex_normals,
     full_recovery,
     p12_scheme,
@@ -39,7 +42,6 @@ from chi2qec.syndromes import (
     p_bc_scheme,
     random_logical_coefficients,
     random_logical_states,
-    restoration_isometry,
     syndrome_table,
     to_csv,
 )
@@ -256,18 +258,19 @@ def test_syndrome_table_reads_every_nonzero_amplitude():
     assert len(rows) == 6
 
 
-def test_restoration_isometry_maps_and_partial_isometry():
-    big = enumerate_truncated_space(three_mode_layout(2, groups=1))
-    R = restoration_isometry("signal_loss", big)
-    src = big.index_of((1, 2, 0))
-    dst = big.index_of((0, 0, 2))
-    assert R.dense()[dst, src] == 1.0
-    # R^dag R is a projector onto the declared domain.
-    P = R.dense().conjugate().T @ R.dense()
-    assert np.allclose(P @ P, P)
-    assert np.trace(P).real == pytest.approx(2.0)
-    with pytest.raises(KeyError):
-        restoration_isometry("nope", big)
+def test_restoration_ket_map_is_a_weighted_partial_isometry():
+    # EECC a_s: |2,2,0> loses a signal photon with coefficient sqrt(2) and
+    # is restored to |0,0,2>; |1,1,1> goes to |2,2,0>; |0,0,2> has none.
+    spec = build_eecc(2)
+    restore, gates = _pipeline(spec, "a_s")
+    index = spec.basis.index_of
+    R = restore.dense()
+    assert R[index((0, 0, 2)), index((2, 2, 0))] == math.sqrt(2)
+    assert R[index((2, 2, 0)), index((1, 1, 1))] == 1.0
+    assert not R[:, index((0, 0, 2))].any()
+    # R^dag R is diagonal, the lowered mode's occupation on each ket.
+    assert np.allclose(R.conjugate().T @ R, np.diag(spec.basis.occupations[:, 0]), rtol=0, atol=1e-15)
+    assert len(gates) == 2
 
 
 @pytest.mark.parametrize(
@@ -364,27 +367,30 @@ def _reference_random_logical_state(code, rng):
 
 
 def _reference_full_recovery(code, error_label, state):
-    """One state's pipeline with dense matrices on the capped product space."""
-    pipeline = _recovery_pipeline(code, error_label)
+    """One state's pipeline with dense matrices on the capped product space:
+    the detected loss lowers the signal (a_s*) or the pump (a_p*) of group
+    1, the per-qutrit map of that mode restores it, and the published gates
+    follow."""
+    mode, case = (0, "signal_loss") if error_label.startswith("a_s") else (2, "pump_loss")
     big = enumerate_truncated_space(three_mode_layout(2, groups=code.layout.n_groups))
     rows = [big.index_of(s) for s in code.basis.states]
     embedded = np.zeros(big.dimension, dtype=complex)
     embedded[rows] = state
-    corrupted = ladder(pipeline.mode, "lower", big).dense() @ embedded
+    corrupted = ladder(mode, "lower", big).dense() @ embedded
     corrupted /= np.linalg.norm(corrupted)
-    out = (restoration_isometry(pipeline.case, big).dense() @ corrupted)[rows]
-    for U in pipeline.gates:
+    out = (_reference_restoration(_RESTORATION_MAPS[case], big) @ corrupted)[rows]
+    for U in _SEQUENCES[code.name, code.parameters["N"]][error_label]():
         out = U @ out
     return out, float(abs(np.vdot(state, out)))
 
 
 # Per-qutrit maps of each published restoration circuit, keyed by pipeline
-# and lowered mode: (code builder, N, detected loss, map).
+# and lowered mode: (code builder, N, detected loss, lowered mode, map).
 _PUBLISHED_RESTORATIONS = {
-    "pcc_signal_loss": (build_pcc, 3, "a_s1", {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)}),
-    "pcc_pump_loss": (build_pcc, 3, "a_p1", {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)}),
-    "eecc_signal_loss": (build_eecc, 2, "a_s", {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)}),
-    "eecc_pump_loss": (build_eecc, 2, "a_p", {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)}),
+    "pcc_signal_loss": (build_pcc, 3, "a_s1", 0, {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)}),
+    "pcc_pump_loss": (build_pcc, 3, "a_p1", 2, {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)}),
+    "eecc_signal_loss": (build_eecc, 2, "a_s", 0, {(1, 2, 0): (0, 0, 2), (0, 1, 1): (2, 2, 0)}),
+    "eecc_pump_loss": (build_eecc, 2, "a_p", 2, {(0, 0, 1): (0, 0, 2), (1, 1, 0): (2, 2, 0)}),
 }
 
 
@@ -397,17 +403,16 @@ def _reference_restoration(mapping, basis):
     return mat
 
 
-@pytest.mark.parametrize("groups", [1, 2])
 @pytest.mark.parametrize("case", sorted(_PUBLISHED_RESTORATIONS))
-def test_restoration_isometry_matches_dense_reference(case, groups):
-    # Each pipeline's restoration, through the shared per-mode map it
-    # selects, is the published circuit's map.
-    builder, N, label, mapping = _PUBLISHED_RESTORATIONS[case]
-    shared_case = _recovery_pipeline(builder(N), label).case
-    assert shared_case in _RESTORATION_MAPS
-    big = enumerate_truncated_space(three_mode_layout(2, groups=groups))
-    got = restoration_isometry(shared_case, big).dense()
-    assert np.array_equal(got, _reference_restoration(mapping, big))
+def test_each_pipeline_restores_by_the_published_map(case):
+    # The pipeline's ket map on the code basis is the published circuit's
+    # map after the loss, both read on the capped product space.
+    builder, N, label, mode, mapping = _PUBLISHED_RESTORATIONS[case]
+    spec = builder(N)
+    big = enumerate_truncated_space(three_mode_layout(2, groups=spec.layout.n_groups))
+    rows = [big.index_of(s) for s in spec.basis.states]
+    want = _reference_restoration(mapping, big) @ ladder(mode, "lower", big).dense()
+    assert np.array_equal(_pipeline(spec, label)[0].dense(), want[np.ix_(rows, rows)])
 
 
 @pytest.mark.parametrize(
@@ -438,6 +443,23 @@ def test_batched_recovery_matches_per_state_loop(builder, N, labels):
             assert abs(fids[t] - want_fid) <= 1e-12
     # Both paths consumed the same draws.
     assert batch_rng.getstate() == loop_rng.getstate()
+
+
+def test_a_restoration_missing_an_entry_fails_recovery_without_raising(monkeypatch, capsys):
+    # Without |0,1,1> -> |2,2,0>, EECC a_s restores only the |0~> part of
+    # the loss image, whose norm still counts the |1~> part: every trial
+    # loses fidelity, and the job reports FAIL instead of raising.
+    signal_loss = dict(_RESTORATION_MAPS["signal_loss"])
+    del signal_loss[(0, 1, 1)]
+    monkeypatch.setitem(_RESTORATION_MAPS, "signal_loss", signal_loss)
+    process_caches.clear()  # a shared pipeline was built from the full map
+    try:
+        status = main(["--format", "text", "recover", "eecc", "--N", "2", "--error", "a_s"])
+    finally:
+        process_caches.clear()
+    row = capsys.readouterr().out.splitlines()[0]
+    assert status == 1 and row.startswith("recover_EECC_N2_a_s") and " FAIL " in row
+    assert float(re.search(r"min fidelity (\S+)", row).group(1)) < 1
 
 
 def test_full_recovery_rejects_annihilated_column_and_bad_shape():
